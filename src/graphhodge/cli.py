@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cochains import Cochain, WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
 from .complexes import Graph, InputFormatError, enumerate_cliques, parse_graph
 from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
@@ -93,16 +91,11 @@ def _write_plot(args, obj) -> None:
         Path(args.plot).write_text(emit_plot_data(obj))
 
 
-def _kernel_dim(eigenvalues: np.ndarray, tol: float) -> int:
-    return int(np.count_nonzero(eigenvalues <= tol))
-
-
-def _spectrum_dict(spec: Spectrum, tol_override: float | None) -> dict:
-    out = spec.to_json_dict()
-    if tol_override is not None:
-        out["tolerance"] = tol_override
-        out["betti"] = _kernel_dim(spec.eigenvalues, tol_override)
-    return out
+def _spectrum(args) -> Spectrum:
+    graph = _load_graph(args.input)
+    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
+    spec = spectrum(hodge_laplacian(cx, args.k, _load_weights(args)))
+    return spec if args.tolerance is None else spec.with_tolerance(args.tolerance)
 
 
 def _cmd_cliques(args) -> int:
@@ -136,20 +129,15 @@ def _cmd_laplacian(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
-    spec = spectrum(hodge_laplacian(cx, args.k, _load_weights(args)))
-    _write(args, json_dumps(_spectrum_dict(spec, args.tolerance)) + "\n")
+    spec = _spectrum(args)
+    _write(args, json_dumps(spec.to_json_dict()) + "\n")
     _write_plot(args, spec)
     return 0
 
 
 def _cmd_betti(args) -> int:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
-    spec = spectrum(hodge_laplacian(cx, args.k, _load_weights(args)))
-    info = _spectrum_dict(spec, args.tolerance)
-    payload = {"betti": info["betti"], "k": args.k, "tolerance": info["tolerance"]}
+    spec = _spectrum(args)
+    payload = {"betti": spec.kernel_dim, "k": args.k, "tolerance": spec.tolerance}
     _write(args, json_dumps(payload) + "\n")
     return 0
 
@@ -274,7 +262,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--output", help="write the main document here instead of stdout")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized helpers")
         return p
 
     p = add("cliques", _cmd_cliques, help="enumerate the clique complex")
@@ -337,8 +324,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if getattr(args, "seed", None) is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
     except ConvergenceError as exc:

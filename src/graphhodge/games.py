@@ -6,6 +6,12 @@ payoff change of the moving player, which is the edge restriction of the
 utility Jacobian. Game flows are always curl-free (payoff differences along a
 single player's strategy triple telescope), so they split into a potential
 part -grad f and a harmonic part.
+
+The profile graph is the Hamming graph, the Cartesian product of the complete
+graphs K_{s_p} on each player's s_p strategies. Its graph Laplacian therefore
+acts on a utility table T as sum_p (s_p * T - sum of T along axis p), and both
+the flow and the game predicates are computed from the tables directly; only
+game_flow's default builds the strategy graph.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, Graph, enumerate_cliques
 from .decompose import hodge_decompose
-from .operators import apply_operator, coboundary, hodge_laplacian
+from .operators import apply_operator, coboundary
 
 PREDICATE_TOL = 1e-10
 
@@ -60,24 +66,18 @@ class GameForm:
         """Build from label lists and per-player mappings keyed by comma-joined profiles."""
         strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
         shape = tuple(len(s) for s in strategy_sets)
+        keys = [",".join(profile) for profile in product(*strategy_sets)]
         utilities = []
         for player, table in enumerate(tables):
-            arr = np.zeros(shape)
-            seen = 0
-            for idx in np.ndindex(shape):
-                profile = tuple(strategy_sets[i][idx[i]] for i in range(len(shape)))
-                key = ",".join(profile)
+            values = []
+            for key in keys:
                 if key not in table:
                     raise ValueError(f"utility table {player} misses profile {key!r}")
-                arr[idx] = float(table[key])
-                seen += 1
-            if len(table) != seen:
-                extra = set(table) - {
-                    ",".join(tuple(strategy_sets[i][idx[i]] for i in range(len(shape))))
-                    for idx in np.ndindex(shape)
-                }
+                values.append(float(table[key]))
+            if len(table) != len(keys):
+                extra = set(table) - set(keys)
                 raise ValueError(f"utility table {player} has unknown profiles {sorted(extra)}")
-            utilities.append(arr)
+            utilities.append(np.array(values).reshape(shape))
         return cls(strategy_sets, tuple(utilities))
 
     def profiles(self) -> tuple[tuple[str, ...], ...]:
@@ -116,45 +116,47 @@ def strategy_graph(form: GameForm) -> StrategyGraph:
     return StrategyGraph(graph, profiles, index, cx)
 
 
-def _edge_mover(idx_u: tuple[int, ...], idx_v: tuple[int, ...]) -> int:
-    movers = [i for i, (a, b) in enumerate(zip(idx_u, idx_v)) if a != b]
-    if len(movers) != 1:
-        raise ValueError(f"profiles {idx_u} and {idx_v} do not differ in exactly one player")
-    return movers[0]
-
-
 def game_flow(form: GameForm, sg: StrategyGraph | None = None) -> Cochain:
     """Edge flow X(s,t) = f_i(t) - f_i(s) for the unique player i moving between s and t."""
     sg = sg or strategy_graph(form)
-    indices = list(np.ndindex(form.shape))
-    values = {}
-    for u, v in sg.graph.sorted_edges:
-        idx_u, idx_v = indices[u - 1], indices[v - 1]
-        mover = _edge_mover(idx_u, idx_v)
-        values[(u, v)] = float(form.utilities[mover][idx_v] - form.utilities[mover][idx_u])
-    return Cochain.from_dict(sg.complex, 1, values)
+    edges = np.array(sg.graph.sorted_edges, dtype=np.int64).reshape(-1, 2) - 1
+    u, v = edges[:, 0], edges[:, 1]
+    idx_u = np.array(np.unravel_index(u, form.shape))
+    idx_v = np.array(np.unravel_index(v, form.shape))
+    moved = idx_u != idx_v
+    bad = np.flatnonzero(moved.sum(axis=0) != 1)
+    if bad.size:
+        a, b = tuple(idx_u[:, bad[0]].tolist()), tuple(idx_v[:, bad[0]].tolist())
+        raise ValueError(f"profiles {a} and {b} do not differ in exactly one player")
+    flat = np.stack(form.utilities).reshape(form.n_players, -1)
+    mover = np.argmax(moved, axis=0)
+    return Cochain(1, sg.complex, flat[mover, v] - flat[mover, u])
 
 
 def is_potential_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
     """True when all players' utility gradients coincide on the profile graph."""
-    sg = strategy_graph(form)
-    indices = list(np.ndindex(form.shape))
-    for u, v in sg.graph.sorted_edges:
-        idx_u, idx_v = indices[u - 1], indices[v - 1]
-        grads = [float(f[idx_v] - f[idx_u]) for f in form.utilities]
-        if max(grads) - min(grads) > tol:
+    tables = np.stack(form.utilities)
+    for player, size in enumerate(form.shape):
+        lo, hi = np.triu_indices(size, 1)
+        grads = np.take(tables, hi, axis=player + 1) - np.take(tables, lo, axis=player + 1)
+        if np.any(grads.max(axis=0) - grads.min(axis=0) > tol):
             return False
     return True
 
 
 def is_harmonic_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
-    """True when the summed utilities lie in the kernel of the profile-graph Laplacian."""
-    sg = strategy_graph(form)
+    """True when the summed utilities lie in the kernel of the profile-graph Laplacian.
+
+    The profile graph is the Cartesian product of the complete graphs K_{s_p},
+    so its Laplacian acts on a table as sum_p (s_p * total - sum along axis p).
+    """
     total = np.zeros(form.shape)
     for f in form.utilities:
         total = total + f
-    lap = hodge_laplacian(sg.complex, 0)
-    values = apply_operator(lap, Cochain(0, sg.complex, total.reshape(-1))).values
+    values = sum(
+        size * total - total.sum(axis=player, keepdims=True)
+        for player, size in enumerate(form.shape)
+    )
     return bool(np.max(np.abs(values), initial=0.0) <= tol)
 
 

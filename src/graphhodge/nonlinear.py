@@ -9,7 +9,9 @@ where the magnitude factor is applied entrywise per edge (a package
 convention; the edgewise reading is the one that reduces to the graph
 Laplacian at p = 2). At p = 1 the sign function is set-valued on zero-gradient
 edges, so the operator returns per-vertex intervals of attainable values; a
-selection mode with sgn(0) := 0 picks a single representative.
+selection mode with sgn(0) := 0 picks a single representative. The gradient is
+the sparse d_0 = coboundary(cx, 0) of the graph's 2-clique complex, whose rows
+are the sorted edges with -1 at the smaller endpoint and +1 at the larger.
 
 The Cheeger constant of a connected graph,
 
@@ -30,20 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Graph
+from .complexes import Graph, enumerate_cliques
+from .operators import coboundary
 
 MAX_EXHAUSTIVE_VERTICES = 24
 _CHUNK = 1 << 18
-
-
-def _incidence(graph: Graph) -> np.ndarray:
-    """Dense gradient matrix: rows sorted edges, -1 at the smaller endpoint, +1 at the larger."""
-    edges = graph.sorted_edges
-    A = np.zeros((len(edges), graph.n_vertices))
-    for r, (u, v) in enumerate(edges):
-        A[r, u - 1] = -1.0
-        A[r, v - 1] = 1.0
-    return A
 
 
 def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
@@ -58,7 +51,7 @@ def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
     values = np.asarray(f, dtype=float)
     if values.shape != (graph.n_vertices,):
         raise ValueError(f"expected {graph.n_vertices} vertex values, got shape {values.shape}")
-    A = _incidence(graph)
+    A = coboundary(enumerate_cliques(graph, 2), 0).matrix
     grad = A @ values
     if p > 1:
         edge_term = np.sign(grad) * np.abs(grad) ** (p - 1.0)
@@ -68,8 +61,7 @@ def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
     fixed = A.T @ np.sign(grad)
     if mode == "selection":
         return fixed
-    free_edges = grad == 0
-    slack = np.abs(A[free_edges]).sum(axis=0) if np.any(free_edges) else np.zeros(graph.n_vertices)
+    slack = abs(A).T @ (grad == 0).astype(float)
     return np.column_stack([fixed - slack, fixed + slack])
 
 
@@ -181,8 +173,8 @@ def cheeger_check(graph: Graph, slack: float = 1e-12) -> CheegerReport:
     the plain-Laplacian version is reported for comparison.
     """
     h, cut = cheeger_constant(graph)
-    A = _incidence(graph)
-    laplacian = A.T @ A
+    A = coboundary(enumerate_cliques(graph, 2), 0).matrix
+    laplacian = (A.T @ A).toarray()
     d = np.array(graph.degrees, dtype=float)
     scale = 1.0 / np.sqrt(d)
     normalized = scale[:, None] * laplacian * scale[None, :]

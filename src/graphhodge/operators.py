@@ -15,6 +15,11 @@ d_{k-1} d_{k-1}* + d_k* d_k is self-adjoint in that inner product but not
 symmetric as a plain matrix unless weights are unit, so HodgeLaplacian stores
 the similarity-symmetrized form W^{1/2} L W^{-1/2} (identical to L for unit
 weights) and converts in apply(). Eigenvalues are unaffected.
+
+coboundary() is the package's only incidence builder: the gradient used by the
+nonlinear p-Laplacian and the Cheeger report is coboundary(cx, 0), and every
+Hodge Laplacian is assembled and symmetrized as a sparse matrix. Only the
+eigensolvers in spectral turn a Laplacian dense.
 """
 
 from __future__ import annotations
@@ -125,9 +130,10 @@ def hodge_laplacian(cx: CliqueComplex, k: int, weights: WeightScheme | None = No
             # W^{1/2} d d* W^{-1/2} with d* = W_down^{-1} d^T W
             scaled_down = sp.diags(sqrt_w) @ down.matrix @ sp.diags(1.0 / np.sqrt(w_down))
             lap = lap + scaled_down @ scaled_down.transpose()
-    dense = lap.toarray()
-    dense = 0.5 * (dense + dense.T)  # scrub assembly roundoff
-    return HodgeLaplacian(k, cx, w, sp.csr_matrix(dense))
+    lap = (0.5 * (lap + lap.T)).tocsr()  # scrub assembly roundoff
+    lap.eliminate_zeros()  # store no cancelled or underflowed entries
+    lap.sort_indices()
+    return HodgeLaplacian(k, cx, w, lap)
 
 
 def apply_operator(op: CoboundaryOperator | HodgeLaplacian, c: Cochain) -> Cochain:

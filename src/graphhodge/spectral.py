@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,13 @@ FINGERPRINT_ATOL = 1e-8
 def kernel_tolerance(dim: int, lambda_max: float) -> float:
     """Numerical-rank threshold: dim * eps * lambda_max, floored at 1e-12."""
     return max(dim * np.finfo(float).eps * abs(lambda_max), KERNEL_TOL_FLOOR)
+
+
+def _kernel_mask(eigvals: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, float]:
+    """The one kernel rule: eigenvalues <= tol, tol defaulting to kernel_tolerance."""
+    if tol is None:
+        tol = kernel_tolerance(eigvals.size, eigvals[-1])
+    return eigvals <= tol, tol
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,11 @@ class Spectrum:
             "tolerance": self.tolerance,
         }
 
+    def with_tolerance(self, tol: float) -> "Spectrum":
+        """The same eigenvalues with the kernel recounted at another tolerance."""
+        mask, tol = _kernel_mask(self.eigenvalues, tol)
+        return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
+
 
 def spectrum(lap: HodgeLaplacian) -> Spectrum:
     """Full symmetric eigendecomposition of a Hodge Laplacian, values ascending."""
@@ -43,9 +55,8 @@ def spectrum(lap: HodgeLaplacian) -> Spectrum:
     if n == 0:
         return Spectrum(lap.degree, np.zeros(0), 0, KERNEL_TOL_FLOOR)
     eigvals = np.linalg.eigvalsh(lap.dense())
-    tol = kernel_tolerance(n, eigvals[-1])
-    kernel_dim = int(np.count_nonzero(eigvals <= tol))
-    return Spectrum(lap.degree, eigvals, kernel_dim, tol)
+    mask, tol = _kernel_mask(eigvals)
+    return Spectrum(lap.degree, eigvals, int(np.count_nonzero(mask)), tol)
 
 
 def betti(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> int:
@@ -61,14 +72,10 @@ def harmonic_basis(cx: CliqueComplex, k: int, weights: WeightScheme | None = Non
     if n == 0:
         return []
     eigvals, eigvecs = np.linalg.eigh(lap.dense())
-    tol = kernel_tolerance(n, eigvals[-1])
+    mask, _ = _kernel_mask(eigvals)
     sqrt_w = np.sqrt(w.vector(cx, k))
-    basis = []
-    for i in range(n):
-        if eigvals[i] <= tol:
-            # symmetrized-coordinate eigenvector back to cochain coordinates
-            basis.append(Cochain(k, cx, eigvecs[:, i] / sqrt_w))
-    return basis
+    # symmetrized-coordinate eigenvectors back to cochain coordinates
+    return [Cochain(k, cx, eigvecs[:, i] / sqrt_w) for i in np.flatnonzero(mask)]
 
 
 def isospectral_fingerprint(graph: Graph, max_k: int) -> list[Spectrum]:

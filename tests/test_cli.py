@@ -209,6 +209,9 @@ class TestContract:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["betti", "--k", "0", "--frob", "x"]) == 1
 
+    def test_seed_flag_is_unknown(self, capsys, c4_file):
+        assert main(["cliques", "--input", c4_file, "--seed", "3"]) == 1
+
     def test_unreadable_file_exits_one(self, capsys):
         assert main(["betti", "--k", "0", "--input", "/nonexistent/g.txt"]) == 1
 

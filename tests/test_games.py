@@ -10,12 +10,14 @@ from graphhodge import (
     coboundary,
     decompose_game_flow,
     game_flow,
+    hodge_laplacian,
     is_harmonic_game,
     is_potential_game,
     norm,
     pure_nash,
     strategy_graph,
 )
+from graphhodge.games import PREDICATE_TOL
 
 
 def road_sharing_game() -> GameForm:
@@ -323,3 +325,120 @@ class TestGameFormValidation:
     def test_empty_strategy_set_rejected(self):
         with pytest.raises(ValueError, match="at least one strategy"):
             GameForm((("a",), ()), (np.zeros((1, 0)), np.zeros((1, 0))))
+
+
+# Loop versions of the table-based game computations: the edge-by-edge flow,
+# the edge-by-edge potential test and the profile-graph Laplacian of the
+# strategy graph's clique complex. The fast paths must agree with them exactly.
+
+def loop_game_flow(form, sg):
+    indices = list(np.ndindex(form.shape))
+    values = {}
+    for u, v in sg.graph.sorted_edges:
+        idx_u, idx_v = indices[u - 1], indices[v - 1]
+        movers = [i for i, (a, b) in enumerate(zip(idx_u, idx_v)) if a != b]
+        if len(movers) != 1:
+            raise ValueError(f"profiles {idx_u} and {idx_v} do not differ in exactly one player")
+        f = form.utilities[movers[0]]
+        values[(u, v)] = float(f[idx_v] - f[idx_u])
+    return Cochain.from_dict(sg.complex, 1, values)
+
+
+def loop_is_potential_game(form, sg, tol=PREDICATE_TOL):
+    indices = list(np.ndindex(form.shape))
+    for u, v in sg.graph.sorted_edges:
+        idx_u, idx_v = indices[u - 1], indices[v - 1]
+        grads = [float(f[idx_v] - f[idx_u]) for f in form.utilities]
+        if max(grads) - min(grads) > tol:
+            return False
+    return True
+
+
+def loop_is_harmonic_game(form, sg, tol=PREDICATE_TOL):
+    total = np.zeros(form.shape)
+    for f in form.utilities:
+        total = total + f
+    lap = hodge_laplacian(sg.complex, 0)
+    values = apply_operator(lap, Cochain(0, sg.complex, total.reshape(-1))).values
+    return bool(np.max(np.abs(values), initial=0.0) <= tol)
+
+
+def seeded_game(seed, shape):
+    rng = np.random.default_rng(seed)
+    strategies = tuple(tuple(f"s{j}" for j in range(s)) for s in shape)
+    return GameForm(strategies, tuple(rng.normal(size=shape) for _ in shape))
+
+
+def common_payoff_game(seed, shape):
+    """Every player gets the same table up to a per-player constant: a potential game."""
+    rng = np.random.default_rng(seed)
+    phi = rng.normal(size=shape)
+    strategies = tuple(tuple(f"s{j}" for j in range(s)) for s in shape)
+    return GameForm(strategies, tuple(phi + rng.normal() for _ in shape))
+
+
+def zero_sum_game(seed, shape):
+    """Two players whose utilities sum to zero: the summed table is 0, so harmonic."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=shape)
+    strategies = tuple(tuple(f"s{j}" for j in range(s)) for s in shape)
+    return GameForm(strategies, (u, -u))
+
+
+def oracle_games():
+    games = [seeded_game(seed, shape)
+             for seed, shape in enumerate(((6,), (3, 3), (2, 3, 4), (3, 3, 3)))]
+    games += [common_payoff_game(seed, shape) for seed, shape in enumerate(((3, 3), (2, 3, 4)))]
+    games += [zero_sum_game(seed, shape) for seed, shape in enumerate(((2, 3), (4, 3)))]
+    for form in (common_payoff_game(5, (2, 3, 2)), zero_sum_game(5, (3, 4))):
+        # one entry moved by 1e-8: far below any scale but above PREDICATE_TOL
+        nudged = [u.copy() for u in form.utilities]
+        nudged[-1][(1,) * len(form.shape)] += 1e-8
+        games.append(GameForm(form.strategy_sets, tuple(nudged)))
+    games += [
+        road_sharing_game(),
+        rock_paper_scissors(),
+        GameForm((("a", "b"), ("p", "q")), (np.full((2, 2), 2.0), np.full((2, 2), 5.0))),
+        GameForm((("only",),), (np.zeros(1),)),
+    ]
+    return games
+
+
+class TestLoopOracles:
+    def test_game_flow_is_bit_equal(self):
+        for form in oracle_games():
+            sg = strategy_graph(form)
+            got, ref = game_flow(form, sg), loop_game_flow(form, sg)
+            assert got.complex == ref.complex and got.degree == ref.degree == 1
+            assert np.array_equal(got.values, ref.values)
+
+    def test_predicates_match(self):
+        seen = set()
+        for form in oracle_games():
+            sg = strategy_graph(form)
+            potential, harmonic = is_potential_game(form), is_harmonic_game(form)
+            assert potential == loop_is_potential_game(form, sg)
+            assert harmonic == loop_is_harmonic_game(form, sg)
+            seen.add((potential, harmonic))
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
+
+    def test_mismatched_strategy_graph_rejected(self):
+        form = seeded_game(0, (2, 3))
+        transposed = seeded_game(0, (3, 2))
+        with pytest.raises(ValueError, match="exactly one player"):
+            loop_game_flow(form, strategy_graph(transposed))
+        with pytest.raises(ValueError, match="exactly one player"):
+            game_flow(form, strategy_graph(transposed))
+
+    def test_predicates_do_not_build_the_strategy_graph(self, monkeypatch):
+        import graphhodge.games as games
+
+        def forbidden(form):
+            raise AssertionError("strategy graph rebuilt")
+
+        form = road_sharing_game()
+        sg = strategy_graph(form)
+        monkeypatch.setattr(games, "strategy_graph", forbidden)
+        assert not is_potential_game(form)
+        assert not is_harmonic_game(form)
+        assert np.array_equal(game_flow(form, sg).values, loop_game_flow(form, sg).values)

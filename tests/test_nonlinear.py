@@ -28,6 +28,29 @@ def p_laplacian_oracle(graph: Graph, f: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def dense_incidence(graph: Graph) -> np.ndarray:
+    """Dense gradient matrix built edge by edge: -1 at the smaller endpoint, +1 at the larger."""
+    A = np.zeros((len(graph.sorted_edges), graph.n_vertices))
+    for r, (u, v) in enumerate(graph.sorted_edges):
+        A[r, u - 1] = -1.0
+        A[r, v - 1] = 1.0
+    return A
+
+
+def dense_p1_intervals(graph: Graph, f: np.ndarray) -> np.ndarray:
+    """p = 1 intervals from the dense incidence matrix (the path the sparse d0 replaced)."""
+    A = dense_incidence(graph)
+    grad = A @ f
+    fixed = A.T @ np.sign(grad)
+    free_edges = grad == 0
+    slack = np.abs(A[free_edges]).sum(axis=0) if np.any(free_edges) else np.zeros(graph.n_vertices)
+    return np.column_stack([fixed - slack, fixed + slack])
+
+
+EDGELESS = Graph(5, frozenset())
+ISOLATED_VERTICES = Graph.from_edges(8, [(1, 2), (2, 3), (1, 3), (5, 6)])  # 4, 7, 8 isolated
+
+
 class TestPLaplacian:
     def test_p2_equals_graph_laplacian(self, rng):
         for _ in range(15):
@@ -46,11 +69,11 @@ class TestPLaplacian:
 
     def test_matches_oracle_for_various_p(self, rng):
         for p in (1.5, 2.0, 2.5, 3.0, 4.0):
-            g = random_connected_graph(rng, 7)
-            f = rng.normal(size=7)
-            assert np.allclose(
-                apply_p_laplacian(g, f, p), p_laplacian_oracle(g, f, p), atol=1e-10
-            )
+            for g in (random_connected_graph(rng, 7), EDGELESS, ISOLATED_VERTICES):
+                f = rng.normal(size=g.n_vertices)
+                assert np.allclose(
+                    apply_p_laplacian(g, f, p), p_laplacian_oracle(g, f, p), atol=1e-10
+                )
 
     def test_oddness(self, rng):
         g = random_connected_graph(rng, 6)
@@ -71,20 +94,20 @@ class TestPLaplacian:
         assert np.all(intervals[:, 0] <= 0.0) and np.all(intervals[:, 1] >= 0.0)
 
     def test_p1_intervals_negate(self, rng):
-        g = random_connected_graph(rng, 6)
-        f = rng.integers(0, 3, size=6).astype(float)  # forces some flat edges
-        a = apply_p_laplacian(g, f, 1.0)
-        b = apply_p_laplacian(g, -f, 1.0)
-        assert np.allclose(a[:, 0], -b[:, 1])
-        assert np.allclose(a[:, 1], -b[:, 0])
+        for g in (random_connected_graph(rng, 6), EDGELESS, ISOLATED_VERTICES):
+            f = rng.integers(0, 3, size=g.n_vertices).astype(float)  # forces some flat edges
+            a = apply_p_laplacian(g, f, 1.0)
+            b = apply_p_laplacian(g, -f, 1.0)
+            assert np.allclose(a[:, 0], -b[:, 1])
+            assert np.allclose(a[:, 1], -b[:, 0])
 
     def test_p1_selection_lies_inside_interval(self, rng):
-        g = random_connected_graph(rng, 7)
-        f = rng.integers(-2, 3, size=7).astype(float)
-        intervals = apply_p_laplacian(g, f, 1.0)
-        sel = apply_p_laplacian(g, f, 1.0, mode="selection")
-        assert np.all(intervals[:, 0] <= sel + 1e-12)
-        assert np.all(sel <= intervals[:, 1] + 1e-12)
+        for g in (random_connected_graph(rng, 7), EDGELESS, ISOLATED_VERTICES):
+            f = rng.integers(-2, 3, size=g.n_vertices).astype(float)
+            intervals = apply_p_laplacian(g, f, 1.0)
+            sel = apply_p_laplacian(g, f, 1.0, mode="selection")
+            assert np.all(intervals[:, 0] <= sel + 1e-12)
+            assert np.all(sel <= intervals[:, 1] + 1e-12)
 
     def test_p1_interval_width_counts_flat_edges(self):
         path = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -102,6 +125,39 @@ class TestPLaplacian:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="vertex values"):
             apply_p_laplacian(cycle_graph(3), np.zeros(4), 2.0)
+
+
+class TestDenseIncidenceOracle:
+    def graphs(self, rng):
+        yield EDGELESS
+        yield ISOLATED_VERTICES
+        for _ in range(10):
+            yield random_graph(rng, int(rng.integers(2, 12)), 0.5)
+
+    def test_p1_intervals_are_exact(self, rng):
+        for g in self.graphs(rng):
+            f = rng.integers(-2, 3, size=g.n_vertices).astype(float)
+            assert np.array_equal(apply_p_laplacian(g, f, 1.0), dense_p1_intervals(g, f))
+
+    def test_p_above_one_matches_dense_product(self, rng):
+        for g in self.graphs(rng):
+            f = rng.normal(size=g.n_vertices)
+            A = dense_incidence(g)
+            for p in (1.5, 2.0, 3.0):
+                grad = A @ f
+                ref = A.T @ (np.sign(grad) * np.abs(grad) ** (p - 1.0))
+                assert np.allclose(apply_p_laplacian(g, f, p), ref, rtol=0, atol=1e-12)
+
+    def test_cheeger_eigenvalues_are_exact(self, rng):
+        for _ in range(10):
+            g = random_connected_graph(rng, int(rng.integers(2, 10)))
+            A = dense_incidence(g)
+            scale = 1.0 / np.sqrt(np.array(g.degrees, dtype=float))
+            laplacian = A.T @ A
+            report = cheeger_check(g)
+            assert report.lambda2_plain == np.linalg.eigvalsh(laplacian)[1]
+            normalized = scale[:, None] * laplacian * scale[None, :]
+            assert report.lambda2_normalized == np.linalg.eigvalsh(normalized)[1]
 
 
 class TestCheegerConstant:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphhodge import (
     Cochain,
@@ -265,3 +266,62 @@ class TestMatrixExport:
         text = write_matrix(op.matrix)
         again = read_matrix(text)
         assert again.shape == (0, 4)
+
+
+def dense_scrub_laplacian(cx, k, w):
+    """Hodge k-Laplacian assembled sparse, then symmetrized through a dense copy.
+
+    This is the slow path hodge_laplacian replaced; its CSR arrays are the
+    reference the sparse symmetrization must reproduce exactly.
+    """
+    n_here = cx.n_cliques(k + 1)
+    lap = sp.csr_matrix((n_here, n_here))
+    if n_here > 0:
+        sqrt_w = np.sqrt(w.vector(cx, k))
+        up = coboundary(cx, k).matrix
+        if up.shape[0] > 0:
+            scaled_up = sp.diags(np.sqrt(w.vector(cx, k + 1))) @ up @ sp.diags(1.0 / sqrt_w)
+            lap = lap + scaled_up.transpose() @ scaled_up
+        if k >= 1:
+            down = coboundary(cx, k - 1).matrix
+            scaled_down = sp.diags(sqrt_w) @ down @ sp.diags(1.0 / np.sqrt(w.vector(cx, k - 1)))
+            lap = lap + scaled_down @ scaled_down.transpose()
+    dense = lap.toarray()
+    return sp.csr_matrix(0.5 * (dense + dense.T))
+
+
+def random_table_weights(rng, cx):
+    entries = {}
+    for order in range(1, cx.max_order + 1):
+        entries.update({c: float(rng.uniform(0.2, 3.0)) for c in cx.cliques(order)})
+    return WeightScheme.from_table(entries)
+
+
+class TestSparseSymmetrizationOracle:
+    def assert_matches_oracle(self, cx, k, w):
+        got = hodge_laplacian(cx, k, w).matrix
+        ref = dense_scrub_laplacian(cx, k, w)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+    def test_random_graphs_unit_and_table_weights(self, rng):
+        for _ in range(12):
+            g = random_graph(rng, int(rng.integers(4, 11)), 0.6)
+            cx = enumerate_cliques(g, 4)
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+                for k in range(3):
+                    self.assert_matches_oracle(cx, k, w)
+
+    def test_empty_up_level(self, rng, c4_complex):
+        # the 4-cycle has no triangles, so the up term of Delta_1 is empty
+        for w in (WeightScheme.unit(), random_table_weights(rng, c4_complex)):
+            for k in range(3):
+                self.assert_matches_oracle(c4_complex, k, w)
+
+    def test_edgeless_graph(self, rng):
+        cx = enumerate_cliques(Graph(5, frozenset()), 3)
+        for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+            for k in range(3):
+                self.assert_matches_oracle(cx, k, w)

@@ -71,6 +71,23 @@ class TestSpectrum:
         spec = spectrum(lap)
         assert spec.eigenvalues.sum() == pytest.approx(np.trace(lap.dense()), rel=1e-10)
 
+    def test_with_tolerance_recounts_kernel(self, rng):
+        g = random_graph(rng, 9, 0.5)
+        cx = enumerate_cliques(g, 3)
+        spec = spectrum(hodge_laplacian(cx, 1))
+        assert spec.with_tolerance(spec.tolerance) == spec
+        for tol in (0.5, 2.0, 1e6):
+            again = spec.with_tolerance(tol)
+            assert again.tolerance == tol
+            assert again.kernel_dim == int(np.count_nonzero(spec.eigenvalues <= tol))
+            assert again.eigenvalues is spec.eigenvalues
+
+    def test_harmonic_basis_size_is_kernel_dim(self, rng):
+        for _ in range(5):
+            cx = enumerate_cliques(random_graph(rng, 8, 0.4), 3)
+            for k in (0, 1):
+                assert len(harmonic_basis(cx, k)) == spectrum(hodge_laplacian(cx, k)).kernel_dim
+
 
 class TestBetti:
     def test_cycles(self):
