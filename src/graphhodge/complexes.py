@@ -180,6 +180,14 @@ class CliqueComplex:
     def _index_cache(self) -> dict[int, dict[tuple[int, ...], int]]:
         return {}
 
+    @cached_property
+    def _operator_cache(self) -> dict[tuple[str, int], object]:
+        """Operators and spectra built once from this complex, keyed by (kind, degree).
+
+        Entries are shared by every caller and must never be modified in place.
+        """
+        return {}
+
     def clique_number(self) -> int | None:
         """omega(G) when the enumeration settles it, else None (omega >= max_order)."""
         for order in range(1, self.max_order + 1):

@@ -16,10 +16,11 @@ symmetric as a plain matrix unless weights are unit, so HodgeLaplacian stores
 the similarity-symmetrized form W^{1/2} L W^{-1/2} (identical to L for unit
 weights) and converts in apply(). Eigenvalues are unaffected.
 
-coboundary() is the package's only incidence builder: the gradient used by the
-nonlinear p-Laplacian and the Cheeger report is coboundary(cx, 0), and every
-Hodge Laplacian is assembled and symmetrized as a sparse matrix. Only the
-eigensolvers in spectral turn a Laplacian dense.
+coboundary() is the package's only incidence builder, and it assembles each
+d_k once per complex: the gradient used by the nonlinear p-Laplacian and the
+Cheeger report is coboundary(cx, 0), and every Hodge Laplacian is assembled
+and symmetrized as a sparse matrix. spectral eigensolves the coboundaries'
+Gram matrices instead; only harmonic_basis turns a Laplacian dense.
 """
 
 from __future__ import annotations
@@ -47,9 +48,22 @@ class CoboundaryOperator:
 
 
 def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
-    """Assemble d_k. Requires levels k+1 and k+2 to be known (the latter may be empty)."""
+    """d_k, assembled once per complex. Requires levels k+1 and k+2 to be known (the latter may be empty).
+
+    Every caller on the same complex gets the same matrix, so it must never be
+    modified in place.
+    """
     if k < 0:
         raise ValueError(f"coboundary degree must be >= 0, got {k}")
+    cache = cx._operator_cache
+    key = ("coboundary", k)
+    if key not in cache:
+        # the matrix alone: an operator would refer back to cx and keep it alive in a cycle
+        cache[key] = _assemble_coboundary(cx, k)
+    return CoboundaryOperator(k, cx, cache[key])
+
+
+def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
     cols = cx.cliques(k + 1)
     rows = cx.cliques(k + 2)
     col_index = cx.index(k + 1)
@@ -60,8 +74,7 @@ def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
             ri.append(r)
             ci.append(col_index[face])
             data.append(1.0 if j % 2 == 0 else -1.0)
-    mat = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), len(cols)))
-    return CoboundaryOperator(k, cx, mat)
+    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), len(cols)))
 
 
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:
@@ -103,6 +116,14 @@ class HodgeLaplacian:
         return self.matrix.toarray()
 
 
+def _laplacian_dim(cx: CliqueComplex, k: int) -> int:
+    """Size of Delta_k, after checking that k is in range and its up level is known."""
+    if k < 0 or k > cx.max_order - 1:
+        raise ValueError(f"laplacian degree {k} out of range 0..{cx.max_order - 1}")
+    cx.cliques(k + 2)  # raises if the up level is unknown
+    return cx.n_cliques(k + 1)
+
+
 def hodge_laplacian(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> HodgeLaplacian:
     """Assemble the Hodge k-Laplacian d_{k-1} d_{k-1}* + d_k* d_k.
 
@@ -111,10 +132,7 @@ def hodge_laplacian(cx: CliqueComplex, k: int, weights: WeightScheme | None = No
     silently wrong Laplacian.
     """
     w = weights or WeightScheme.unit()
-    if k < 0 or k > cx.max_order - 1:
-        raise ValueError(f"laplacian degree {k} out of range 0..{cx.max_order - 1}")
-    n_here = cx.n_cliques(k + 1)
-    cx.cliques(k + 2)  # raises if the up level is unknown
+    n_here = _laplacian_dim(cx, k)
     lap = sp.csr_matrix((n_here, n_here))
     if n_here > 0:
         sqrt_w = np.sqrt(w.vector(cx, k))

@@ -1,14 +1,27 @@
-"""Spectra of Hodge Laplacians, Betti numbers, and isospectrality fingerprints."""
+"""Spectra of Hodge Laplacians, Betti numbers, and isospectrality fingerprints.
+
+Delta_k = d_{k-1} d_{k-1}* + d_k* d_k splits into a down and an up part whose
+images, im d_{k-1} and im d_k*, are orthogonal. So the nonzero spectrum of
+Delta_k is the union of the nonzero spectra of the two coboundary Grams, and
+the rest of its c_k eigenvalues are zero. spectrum, betti and
+isospectral_fingerprint therefore eigensolve, for each coboundary scaled to
+B_j = W_{j+1}^{1/2} d_j W_j^{-1/2}, only the smaller of B_j B_j^T and
+B_j^T B_j, and build no Hodge Laplacian; kernel eigenvalues come out as exact
+zeros. Unit-weight Gram spectra are kept on the complex, so d_j is eigensolved
+once for both Delta_j and Delta_{j+1}. harmonic_basis needs eigenvectors and
+still diagonalizes the dense Laplacian.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, Graph, enumerate_cliques
-from .operators import HodgeLaplacian, hodge_laplacian
+from .operators import HodgeLaplacian, _laplacian_dim, coboundary, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
 FINGERPRINT_ATOL = 1e-8
@@ -49,19 +62,47 @@ class Spectrum:
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 
-def spectrum(lap: HodgeLaplacian) -> Spectrum:
-    """Full symmetric eigendecomposition of a Hodge Laplacian, values ascending."""
-    n = lap.shape[0]
+def _gram_eigenvalues(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
+    """Ascending eigenvalues of the smaller Gram matrix of W_{j+1}^{1/2} d_j W_j^{-1/2}."""
+    unit = w.mode == "unit"
+    key = ("gram", j)
+    if unit and key in cx._operator_cache:
+        return cx._operator_cache[key]
+    d = coboundary(cx, j).matrix
+    if min(d.shape) == 0:
+        eigvals = np.zeros(0)
+    else:
+        if not unit:
+            d = sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
+        gram = d @ d.T if d.shape[0] < d.shape[1] else d.T @ d
+        eigvals = np.linalg.eigvalsh(gram.toarray())
+    if unit:
+        cx._operator_cache[key] = eigvals
+    return eigvals
+
+
+def _hodge_spectrum(cx: CliqueComplex, k: int, w: WeightScheme) -> Spectrum:
+    """Spectrum of Delta_k as the Gram spectra of d_{k-1} and d_k plus exact zeros."""
+    n = _laplacian_dim(cx, k)
     if n == 0:
-        return Spectrum(lap.degree, np.zeros(0), 0, KERNEL_TOL_FLOOR)
-    eigvals = np.linalg.eigvalsh(lap.dense())
-    mask, tol = _kernel_mask(eigvals)
-    return Spectrum(lap.degree, eigvals, int(np.count_nonzero(mask)), tol)
+        return Spectrum(k, np.zeros(0), 0, KERNEL_TOL_FLOOR)
+    grams = [_gram_eigenvalues(cx, j, w) for j in (k - 1, k) if j >= 0]
+    lambda_max = max((g[-1] for g in grams if g.size), default=0.0)
+    tol = kernel_tolerance(n, lambda_max)
+    nonzero = [g[~_kernel_mask(g, tol)[0]] for g in grams]
+    n_zero = n - sum(g.size for g in nonzero)
+    eigvals = np.sort(np.concatenate([np.zeros(n_zero), *nonzero]))
+    return Spectrum(k, eigvals, n_zero, tol)
+
+
+def spectrum(lap: HodgeLaplacian) -> Spectrum:
+    """Ascending eigenvalues of a Hodge Laplacian, from its coboundaries' Gram spectra."""
+    return _hodge_spectrum(lap.complex, lap.degree, lap.weights)
 
 
 def betti(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> int:
     """dim ker of the Hodge k-Laplacian under the kernel tolerance."""
-    return spectrum(hodge_laplacian(cx, k, weights)).kernel_dim
+    return _hodge_spectrum(cx, k, weights or WeightScheme.unit()).kernel_dim
 
 
 def harmonic_basis(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> list[Cochain]:
@@ -87,7 +128,7 @@ def isospectral_fingerprint(graph: Graph, max_k: int) -> list[Spectrum]:
     if max_k < 0:
         raise ValueError(f"max_k must be >= 0, got {max_k}")
     cx = enumerate_cliques(graph, max_order=max_k + 2)
-    return [spectrum(hodge_laplacian(cx, k)) for k in range(max_k + 1)]
+    return [_hodge_spectrum(cx, k, WeightScheme.unit()) for k in range(max_k + 1)]
 
 
 def compare_fingerprints(

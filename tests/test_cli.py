@@ -234,6 +234,26 @@ class TestContract:
         assert doc["residual"] == 0.5
         assert "error" in doc
 
+    def test_laplacian_image_failure_exits_two_with_diagnostic(
+        self, capsys, tmp_path, golden_file, monkeypatch
+    ):
+        import graphhodge.decompose as module
+
+        def fake_cg(A, b, callback=None, **kwargs):
+            for _ in range(3):
+                callback(np.zeros_like(b))
+            return np.zeros_like(b), 3
+
+        monkeypatch.setattr(module, "cg", fake_cg)
+        cochain = write(tmp_path, "x.tsv", "1 2 1\n3 5 -2\n")
+        code, out = run(capsys, "decompose", "--method", "laplacian-residual",
+                        "--input", golden_file, "--cochain", cochain)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["iterations"] == 3
+        assert doc["residual"] > 0
+        assert "conjugate-gradient" in doc["error"]
+
     def test_output_file(self, capsys, tmp_path, c4_file):
         out_path = tmp_path / "out.json"
         code, _ = run(capsys, "betti", "--k", "1", "--input", c4_file, "--output", str(out_path))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import lsqr
 
 from graphhodge import (
     Cochain,
@@ -14,8 +15,10 @@ from graphhodge import (
     norm,
     verify_operator_pair,
 )
+from graphhodge.decompose import SOLVER_RTOL
 
 from conftest import LAP_ISO_A, cycle_graph, pinv_split, random_connected_graph, random_graph
+from test_operators import random_table_weights
 
 
 def decompose_setup(rng, n=None):
@@ -185,6 +188,79 @@ class TestConvergenceFailure:
             hodge_decompose(x)
         assert info.value.residual == 0.125
         assert info.value.iterations == 42
+
+
+    def test_laplacian_image_error_carries_residual_and_iterations(self, rng, monkeypatch):
+        import graphhodge.decompose as module
+
+        seen = {}
+
+        def fake_cg(A, b, callback=None, **kwargs):
+            seen["rhs_norm"] = float(np.linalg.norm(b))
+            for _ in range(5):
+                callback(np.zeros_like(b))
+            return np.zeros_like(b), 5
+
+        monkeypatch.setattr(module, "cg", fake_cg)
+        cx, x = decompose_setup(rng, n=6)
+        with pytest.raises(module.ConvergenceError) as info:
+            hodge_decompose(x, method="laplacian-residual")
+        assert info.value.residual == seen["rhs_norm"] > 0  # |Delta b - Delta 0|
+        assert info.value.iterations == 5
+
+
+def lsqr_laplacian_residual(c, w):
+    """The laplacian-residual route as LSQR solved it: min_y |Delta y - b|, b = sqrt(w) c.
+
+    Delta y is the image part, split by the same least-squares potential solve
+    as two-solve; returns (exact, harmonic, coexact) values.
+    """
+    cx, k = c.complex, c.degree
+    sqrt_w = np.sqrt(w.vector(cx, k))
+    lap = hodge_laplacian(cx, k, w).matrix
+    n = lap.shape[0]
+    y = lsqr(lap, sqrt_w * c.values, atol=SOLVER_RTOL, btol=SOLVER_RTOL, iter_lim=10 * n + 10)[0]
+    image = (lap @ y) / sqrt_w
+    exact = hodge_decompose(Cochain(k, cx, image), w, method="two-solve").exact.values
+    return exact, c.values - image, image - exact
+
+
+class TestLaplacianImageOracle:
+    def assert_matches_oracle(self, c, w):
+        got = hodge_decompose(c, w, method="laplacian-residual")
+        tol = 1e-7 * np.linalg.norm(c.values)
+        for part, ref in zip((got.exact, got.harmonic, got.coexact), lsqr_laplacian_residual(c, w)):
+            assert np.linalg.norm(part.values - ref) <= tol
+        return got
+
+    def test_random_cochains_unit_and_table_weights(self, rng):
+        for _ in range(6):
+            g = random_connected_graph(rng, int(rng.integers(6, 12)), extra=0.5)
+            cx = enumerate_cliques(g, 4)
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+                for k in range(3):
+                    if cx.n_cliques(k + 1) == 0:
+                        continue
+                    c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                    got = self.assert_matches_oracle(c, w)
+                    assert got.residuals["laplacian_solve"] == pytest.approx(
+                        norm(got.harmonic, w), rel=1e-9, abs=1e-12
+                    )
+
+    def test_harmonic_input_has_zero_right_hand_side(self, rng, c4_complex):
+        x = Cochain.from_dict(c4_complex, 1, {(1, 2): 2, (2, 3): 2, (3, 4): 2, (4, 1): 2})
+        assert not np.any(hodge_laplacian(c4_complex, 1).matrix @ x.values)
+        got = self.assert_matches_oracle(x, WeightScheme.unit())
+        assert np.array_equal(got.harmonic.values, x.values)
+        assert not np.any(got.exact.values) and not np.any(got.coexact.values)
+
+    def test_zero_cochain(self, rng, c4_complex):
+        cx = enumerate_cliques(random_connected_graph(rng, 7), 3)
+        # the last case has no triangles at all: an empty cochain
+        for cx, k in ((cx, 0), (cx, 1), (c4_complex, 2)):
+            got = self.assert_matches_oracle(Cochain.zero(cx, k), random_table_weights(rng, cx))
+            assert got.residuals["laplacian_solve"] == 0.0
+            assert norm(got.harmonic) == 0.0
 
 
 def random_pair(rng, m=8, n=12, p=3):

@@ -1,18 +1,31 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import graphhodge.operators as operators
 from graphhodge import (
     Cochain,
+    ComparisonData,
     Graph,
     WeightScheme,
     adjoint,
+    aggregate,
     apply_operator,
+    betti,
     coboundary,
+    decompose_game_flow,
     divergence_matrix,
     enumerate_cliques,
+    game_flow,
+    harmonic_basis,
+    hodge_decompose,
     hodge_laplacian,
+    rank,
     read_matrix,
+    spectrum,
+    strategy_graph,
     write_matrix,
 )
 
@@ -30,6 +43,7 @@ from conftest import (
     cycle_graph,
     random_graph,
 )
+from test_games import seeded_game
 
 
 def reindexed(golden, matrix_rows_by_letter, cx):
@@ -325,3 +339,78 @@ class TestSparseSymmetrizationOracle:
         for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
             for k in range(3):
                 self.assert_matches_oracle(cx, k, w)
+
+
+class TestCoboundaryCache:
+    def count_assembly(self, monkeypatch):
+        calls = []
+        assemble = operators._assemble_coboundary
+        monkeypatch.setattr(operators, "_assemble_coboundary",
+                            lambda cx, k: calls.append(k) or assemble(cx, k))
+        return calls
+
+    def assert_cache_matches_fresh_assembly(self, cx, degrees):
+        for k in degrees:
+            cached = coboundary(cx, k).matrix
+            fresh = operators._assemble_coboundary(cx, k)
+            assert cached.shape == fresh.shape
+            assert np.array_equal(cached.indptr, fresh.indptr)
+            assert np.array_equal(cached.indices, fresh.indices)
+            assert np.array_equal(cached.data, fresh.data)
+
+    def test_assembled_once_per_complex(self, rng, monkeypatch):
+        calls = self.count_assembly(monkeypatch)
+        cx = enumerate_cliques(random_graph(rng, 8, 0.6), 4)
+        for _ in range(3):
+            for k in range(3):
+                assert coboundary(cx, k).matrix is coboundary(cx, k).matrix
+                hodge_laplacian(cx, k)
+        assert calls == [0, 1, 2]
+        # an equal but separately enumerated complex builds its own operators
+        coboundary(enumerate_cliques(cx.graph, 4), 1)
+        assert calls == [0, 1, 2, 1]
+
+    def test_cache_keeps_no_reference_cycle(self, rng):
+        cx = enumerate_cliques(random_graph(rng, 8, 0.6), 4)
+        for k in range(3):
+            coboundary(cx, k)
+            betti(cx, k)
+        ref = weakref.ref(cx)
+        del cx
+        assert ref() is None  # freed by reference counting, without a cyclic collection
+
+    def test_game_run_assembles_d1_once(self, monkeypatch):
+        calls = self.count_assembly(monkeypatch)
+        form = seeded_game(3, (3, 3, 3))
+        sg = strategy_graph(form)
+        split = decompose_game_flow(game_flow(form, sg))
+        assert sg.complex.n_cliques(3) > 0
+        assert calls.count(1) == 1
+        assert split.harmonic_flow.complex is sg.complex
+
+    def test_pipelines_leave_cached_matrices_unmodified(self, rng):
+        records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6)))
+                   for v in range(12) for i in rng.choice(10, 5, replace=False)]
+        cf = aggregate(ComparisonData(ratings=tuple(records)))
+        rank(cf)
+        self.assert_cache_matches_fresh_assembly(cf.flow.complex, (0, 1))
+
+        form = seeded_game(4, (3, 3, 2))
+        flow = game_flow(form, strategy_graph(form))
+        decompose_game_flow(flow)
+        self.assert_cache_matches_fresh_assembly(flow.complex, (0, 1))
+
+        cx = enumerate_cliques(random_graph(rng, 9, 0.6), 4)
+        w = random_table_weights(rng, cx)
+        for k in range(3):
+            c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+            for method in ("two-solve", "laplacian-residual"):
+                for weights in (None, w):
+                    hodge_decompose(c, weights, method=method)
+            spectrum(hodge_laplacian(cx, k, w))
+            betti(cx, k)
+            harmonic_basis(cx, k, w)
+            apply_operator(coboundary(cx, k), c)
+            adjoint(coboundary(cx, k), w)
+        divergence_matrix(cx, w)
+        self.assert_cache_matches_fresh_assembly(cx, (0, 1, 2))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import sympy
 
 from graphhodge import (
     Cochain,
     Graph,
+    WeightScheme,
     betti,
     coboundary,
     compare_fingerprints,
@@ -15,6 +17,7 @@ from graphhodge import (
     norm,
     spectrum,
 )
+from graphhodge.spectral import _kernel_mask
 
 from conftest import (
     FULL_ISO_A,
@@ -30,6 +33,7 @@ from conftest import (
     union_find_components,
     wheel_graph,
 )
+from test_operators import random_table_weights
 
 
 class TestSpectrum:
@@ -209,3 +213,98 @@ class TestFingerprints:
         fb = isospectral_fingerprint(cycle_graph(4), 2)
         with pytest.raises(ValueError):
             compare_fingerprints(fa, fb)
+
+
+def dense_spectrum(cx, k, w):
+    """The dense path spectrum replaced: eigvalsh of the whole Delta_k, then the kernel rule."""
+    lap = hodge_laplacian(cx, k, w)
+    if lap.shape[0] == 0:
+        return np.zeros(0), 0
+    eigvals = np.linalg.eigvalsh(lap.dense())
+    mask, _ = _kernel_mask(eigvals)
+    return eigvals, int(np.count_nonzero(mask))
+
+
+def exact_rank(op) -> int:
+    """Rank over the rationals of a 0/+-1 coboundary matrix."""
+    if min(op.shape) == 0:
+        return 0
+    return sympy.Matrix(op.matrix.toarray().astype(int)).rank()
+
+
+def oracle_complexes(rng):
+    """Random graphs with 4-cliques plus the degenerate shapes, each enumerated to order 5."""
+    graphs = [random_graph(rng, int(rng.integers(6, 10)), float(rng.uniform(0.6, 0.8))) for _ in range(8)]
+    graphs += [
+        Graph(5, frozenset()),  # edgeless
+        cycle_graph(4),  # no triangles: empty up level at k = 1
+        Graph.from_edges(9, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5), (2, 4)]),  # 6-9 isolated
+    ]
+    return [enumerate_cliques(g, 5) for g in graphs]
+
+
+class TestGramSpectraOracle:
+    def test_matches_dense_laplacian_eigensolve(self, rng):
+        seen_four_cliques = False
+        for cx in oracle_complexes(rng):
+            seen_four_cliques |= cx.n_cliques(4) > 0
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+                for k in range(4):
+                    got = spectrum(hodge_laplacian(cx, k, w))
+                    ref, ref_kernel = dense_spectrum(cx, k, w)
+                    assert got.eigenvalues.shape == ref.shape
+                    if ref.size:
+                        err = np.max(np.abs(got.eigenvalues - ref))
+                        assert err <= 1e-10 * max(1.0, ref[-1])
+                    assert got.kernel_dim == ref_kernel
+                    assert betti(cx, k, w) == ref_kernel
+                    # kernel eigenvalues are exact zeros and nothing else is
+                    assert np.count_nonzero(got.eigenvalues == 0.0) == got.kernel_dim
+                    assert got.with_tolerance(got.tolerance) == got
+        assert seen_four_cliques
+
+    def test_betti_is_rank_nullity_with_exact_ranks(self, rng):
+        for cx in oracle_complexes(rng):
+            ranks = [exact_rank(coboundary(cx, j)) for j in range(4)]
+            w = random_table_weights(rng, cx)
+            for k in range(4):
+                expected = cx.n_cliques(k + 1) - (ranks[k - 1] if k >= 1 else 0) - ranks[k]
+                assert betti(cx, k) == expected
+                assert betti(cx, k, w) == expected
+
+    def test_fingerprint_matches_dense_oracle(self, rng):
+        for _ in range(5):
+            g = random_graph(rng, 8, 0.6)
+            fp = isospectral_fingerprint(g, 2)
+            cx = enumerate_cliques(g, 4)
+            for k, spec in enumerate(fp):
+                ref, ref_kernel = dense_spectrum(cx, k, WeightScheme.unit())
+                assert np.max(np.abs(spec.eigenvalues - ref), initial=0.0) <= 1e-10 * max(1.0, np.max(ref, initial=0.0))
+                assert spec.kernel_dim == ref_kernel
+
+    def test_betti_and_fingerprint_build_no_laplacian(self, rng, monkeypatch):
+        import graphhodge.spectral as spectral
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a Hodge Laplacian")
+
+        monkeypatch.setattr(spectral, "hodge_laplacian", forbidden)
+        g = random_graph(rng, 8, 0.5)
+        cx = enumerate_cliques(g, 4)
+        assert [betti(cx, k) for k in range(3)] == [s.kernel_dim for s in isospectral_fingerprint(g, 2)]
+
+    def test_unit_gram_spectra_computed_once_per_complex(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        cx = enumerate_cliques(random_graph(rng, 9, 0.7), 4)
+        assert cx.n_cliques(4) > 0
+        for _ in range(2):
+            for k in range(3):
+                spectrum(hodge_laplacian(cx, k))
+                betti(cx, k)
+        assert len(calls) == 3  # one Gram for each of d_0, d_1, d_2
+        w = random_table_weights(rng, cx)
+        betti(cx, 1, w)
+        betti(cx, 1, w)
+        assert len(calls) == 7  # weighted spectra are not cached
