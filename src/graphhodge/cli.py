@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .cochains import Cochain, WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
-from .complexes import Graph, InputFormatError, enumerate_cliques, parse_graph
+from .complexes import CliqueComplex, Graph, InputFormatError, enumerate_cliques, parse_graph
 from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
 from .games import (
     GameForm,
@@ -27,7 +28,7 @@ from .games import (
 from .hodgerank import ComparisonData, RankingResult, aggregate, rank
 from .nonlinear import apply_p_laplacian, cheeger_check
 from .operators import coboundary, hodge_laplacian, write_matrix
-from .spectral import Spectrum, compare_fingerprints, isospectral_fingerprint, spectrum
+from .spectral import Spectrum, _hodge_spectrum, compare_fingerprints, isospectral_fingerprint
 from .textio import json_dumps, tsv_lines
 
 
@@ -91,10 +92,14 @@ def _write_plot(args, obj) -> None:
         Path(args.plot).write_text(emit_plot_data(obj))
 
 
+def _complex(graph: Graph, k: int) -> CliqueComplex:
+    """Cliques through order k+2, all a degree-k operator reads (order 3 for k < 0, for the range error)."""
+    return enumerate_cliques(graph, k + 2 if k >= 0 else 3)
+
+
 def _spectrum(args) -> Spectrum:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
-    spec = spectrum(hodge_laplacian(cx, args.k, _load_weights(args)))
+    cx = _complex(_load_graph(args.input), args.k)
+    spec = _hodge_spectrum(cx, args.k, _load_weights(args))
     return spec if args.tolerance is None else spec.with_tolerance(args.tolerance)
 
 
@@ -113,17 +118,13 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
-    op = coboundary(cx, args.k)
+    op = coboundary(_complex(_load_graph(args.input), args.k), args.k)
     _write(args, write_matrix(op.matrix))
     return 0
 
 
 def _cmd_laplacian(args) -> int:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, max(args.max_order, args.k + 2))
-    lap = hodge_laplacian(cx, args.k, _load_weights(args))
+    lap = hodge_laplacian(_complex(_load_graph(args.input), args.k), args.k, _load_weights(args))
     _write(args, write_matrix(lap.matrix))
     return 0
 
@@ -152,8 +153,7 @@ def _cmd_decompose(args) -> int:
     if first is None:
         raise InputFormatError("cochain document has no data lines")
     degree = len(first) - 2
-    cx = enumerate_cliques(graph, max(args.max_order, degree + 2))
-    c = read_cochain_tsv(text, cx, degree)
+    c = read_cochain_tsv(text, _complex(graph, degree), degree)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
     _write(args, json_dumps(split.to_json_dict()) + "\n")
     _write_plot(args, split)
@@ -226,16 +226,10 @@ def _cmd_plap(args) -> int:
     graph = _load_graph(args.input)
     cx = enumerate_cliques(graph, 1)
     values = read_cochain_tsv(_read_text(args.f), cx, 0).values
-    if args.p > 1:
-        out = apply_p_laplacian(graph, values, args.p)
-        payload = {"p": args.p, "values": [float(x) for x in out]}
-    else:
-        if args.mode == "selection":
-            out = apply_p_laplacian(graph, values, 1.0, mode="selection")
-            payload = {"p": 1.0, "mode": "selection", "values": [float(x) for x in out]}
-        else:
-            out = apply_p_laplacian(graph, values, 1.0, mode="interval")
-            payload = {"p": 1.0, "mode": "interval", "intervals": [[float(a), float(b)] for a, b in out]}
+    out = apply_p_laplacian(graph, values, args.p, mode=args.mode)
+    payload = {"p": args.p, "intervals" if out.ndim == 2 else "values": out}
+    if args.p == 1:
+        payload["mode"] = args.mode
     _write(args, json_dumps(payload) + "\n")
     return 0
 
@@ -277,7 +271,6 @@ def build_parser() -> _Parser:
         p = add(name, func, help=helptext)
         p.add_argument("--input", required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--max-order", type=int, default=3)
         if name in ("laplacian", "spectrum", "betti"):
             p.add_argument("--weights", help="weight TSV file")
         if name in ("spectrum", "betti"):
@@ -290,7 +283,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cochain", required=True, help="cochain TSV file")
     p.add_argument("--method", choices=("two-solve", "laplacian-residual"), default="two-solve")
     p.add_argument("--weights")
-    p.add_argument("--max-order", type=int, default=3)
     p.add_argument("--plot", help="write per-clique component TSV here")
 
     p = add("rank", _cmd_rank, help="rank items from comparison data")
@@ -327,7 +319,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConvergenceError as exc:
-        diagnostic = {"error": str(exc), "residual": exc.residual, "iterations": exc.iterations}
+        residual = exc.residual if math.isfinite(exc.residual) else None  # JSON has no nan/inf
+        diagnostic = {"error": str(exc), "residual": residual, "iterations": exc.iterations}
         _write(args, json_dumps(diagnostic) + "\n")
         return 2
     except (InputFormatError, ValueError) as exc:

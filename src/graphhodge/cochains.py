@@ -8,6 +8,7 @@ sign of the sorting permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,22 +38,24 @@ def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Positive weight per clique per level; permutation-invariant by construction.
+    """Positive finite weight per clique, from per-order tables {ascending clique: weight}.
 
-    mode "unit" weighs every clique 1. mode "table" reads weights from per-order
-    dictionaries keyed by ascending clique tuples; omitted cliques weigh 1.
+    A clique missing from its order's table weighs 1, and so does every clique of
+    an order without a table: unit weights are the scheme with no tables.
     """
 
-    mode: str = "unit"
     tables: dict[int, dict[tuple[int, ...], float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("unit", "table"):
-            raise ValueError(f"unknown weight mode {self.mode!r}")
         for order, table in self.tables.items():
             for clique, w in table.items():
-                if not w > 0:
-                    raise ValueError(f"weight for {clique} (order {order}) must be positive, got {w}")
+                if not 0 < w < math.inf:
+                    raise ValueError(f"weight {w} for {clique} (order {order}) must be positive and finite")
+
+    @property
+    def mode(self) -> str:
+        """Derived kind, "unit" when no order has a table and "table" otherwise."""
+        return "table" if any(self.tables.values()) else "unit"
 
     @classmethod
     def unit(cls) -> "WeightScheme":
@@ -60,25 +63,22 @@ class WeightScheme:
 
     @classmethod
     def from_table(cls, entries: dict[tuple[int, ...], float]) -> "WeightScheme":
-        """Build a table scheme from one flat {clique: weight} mapping."""
+        """Build a scheme from one flat {clique: weight} mapping."""
         tables: dict[int, dict[tuple[int, ...], float]] = {}
         for clique, w in entries.items():
             key, _ = sort_with_sign(clique)
             tables.setdefault(len(key), {})[key] = float(w)
-        return cls("table", tables)
+        return cls(tables)
 
     def weight(self, clique: tuple[int, ...]) -> float:
-        if self.mode == "unit":
-            return 1.0
         return self.tables.get(len(clique), {}).get(clique, 1.0)
 
     def vector(self, cx: CliqueComplex, degree: int) -> np.ndarray:
         """Weights of all (degree+1)-cliques in the complex's canonical order."""
-        cliques = cx.cliques(degree + 1)
-        if self.mode == "unit":
-            return np.ones(len(cliques))
-        table = self.tables.get(degree + 1, {})
-        return np.array([table.get(c, 1.0) for c in cliques], dtype=float)
+        table = self.tables.get(degree + 1)
+        if not table:
+            return np.ones(cx.n_cliques(degree + 1))
+        return np.array([table.get(c, 1.0) for c in cx.cliques(degree + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,8 @@ def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) ->
             value = float(tokens[-1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: non-numeric token") from None
+        if not math.isfinite(value):
+            raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
         if degree is None:
             degree = len(verts) - 1
         if len(verts) != degree + 1:
@@ -222,7 +224,7 @@ def write_cochain_tsv(c: Cochain, fmt: str = "%.12g") -> str:
 
 
 def read_weights_tsv(text: str) -> WeightScheme:
-    """Parse weight TSV: vertex ids then a positive weight; omitted cliques weigh 1."""
+    """Parse weight TSV: vertex ids then a positive finite weight; omitted cliques weigh 1."""
     entries: dict[tuple[int, ...], float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -236,8 +238,8 @@ def read_weights_tsv(text: str) -> WeightScheme:
             value = float(tokens[-1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: non-numeric token") from None
-        if value <= 0:
-            raise InputFormatError(f"line {lineno}: weight must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise InputFormatError(f"line {lineno}: weight must be positive and finite, got {value}")
         key, sign = sort_with_sign(verts)
         if sign == 0:
             raise InputFormatError(f"line {lineno}: repeated vertex in {verts}")

@@ -167,6 +167,9 @@ class CliqueComplex:
         )
 
     def n_cliques(self, order: int) -> int:
+        """Size of a level; reads an enumerated level's length without visiting its cliques."""
+        if 1 <= order <= self.max_order:
+            return len(self.levels[order - 1])
         return len(self.cliques(order))
 
     def index(self, order: int) -> dict[tuple[int, ...], int]:

@@ -52,6 +52,10 @@ class GameForm:
         for i, table in enumerate(tables):
             if table.shape != shape:
                 raise ValueError(f"utility table {i} has shape {table.shape}, expected {shape}")
+            bad = np.argwhere(~np.isfinite(table))
+            if bad.size:
+                profile = ",".join(labels[j] for labels, j in zip(self.strategy_sets, bad[0]))
+                raise ValueError(f"utility table {i} has a non-finite value at profile {profile!r}")
 
     @property
     def n_players(self) -> int:
@@ -189,21 +193,8 @@ def decompose_game_flow(x: Cochain, curl_tol: float = 1e-8) -> GameFlowSplit:
 
 
 def pure_nash(form: GameForm) -> list[tuple[str, ...]]:
-    """All profiles where no player gains by a unilateral deviation (exhaustive scan)."""
-    out = []
-    for idx in np.ndindex(form.shape):
-        stable = True
-        for player, size in enumerate(form.shape):
-            here = form.utilities[player][idx]
-            for alt in range(size):
-                if alt == idx[player]:
-                    continue
-                other = idx[:player] + (alt,) + idx[player + 1 :]
-                if form.utilities[player][other] > here:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(tuple(form.strategy_sets[i][idx[i]] for i in range(form.n_players)))
-    return out
+    """Profiles where each player's utility is the maximum along its own axis, in lexicographic order."""
+    stable = np.ones(form.shape, dtype=bool)
+    for player, table in enumerate(form.utilities):
+        stable &= table == table.max(axis=player, keepdims=True)
+    return [tuple(labels[i] for labels, i in zip(form.strategy_sets, idx)) for idx in np.argwhere(stable)]

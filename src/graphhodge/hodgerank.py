@@ -79,6 +79,8 @@ class ComparisonData:
                 value = float(row[-1])
             except ValueError:
                 raise InputFormatError(f"record {lineno}: non-numeric value {row[-1]!r}") from None
+            if not math.isfinite(value):
+                raise InputFormatError(f"record {lineno}: value must be finite, got {row[-1]!r}")
             records.append(tuple(cell.strip() for cell in row[:-1]) + (value,))
         if width == 3:
             return cls(ratings=tuple(records))

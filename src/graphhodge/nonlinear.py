@@ -46,7 +46,7 @@ def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
     per-vertex [lo, hi] attainable values when mode="interval", or the single
     representative with sgn(0) := 0 when mode="selection".
     """
-    if p < 1:
+    if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
     values = np.asarray(f, dtype=float)
     if values.shape != (graph.n_vertices,):

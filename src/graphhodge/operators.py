@@ -10,17 +10,18 @@ gradient, (grad f)(i,j) = f(j) - f(i); d_1 is the curl,
 (curl X)(i,j,k) = X(i,j) + X(j,k) + X(k,i).
 
 With weighted inner products <x,y>_k = x^T W_k y, the adjoint of a matrix M
-mapping level k to level k+1 is W_k^{-1} M^T W_{k+1}. The Hodge k-Laplacian
-d_{k-1} d_{k-1}* + d_k* d_k is self-adjoint in that inner product but not
-symmetric as a plain matrix unless weights are unit, so HodgeLaplacian stores
-the similarity-symmetrized form W^{1/2} L W^{-1/2} (identical to L for unit
-weights) and converts in apply(). Eigenvalues are unaffected.
+mapping level k to level k+1 is W_k^{-1} M^T W_{k+1}. In the scaled coboundary
+B_j = W_{j+1}^{1/2} d_j W_j^{-1/2} that adjoint is a plain transpose, so the
+Hodge k-Laplacian L = d_{k-1} d_{k-1}* + d_k* d_k becomes the symmetric
+B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
+(identical to L for unit weights; apply() converts). Unit weight means no
+table, and B_j is d_j itself when neither of its levels has one.
 
 coboundary() is the package's only incidence builder, and it assembles each
 d_k once per complex: the gradient used by the nonlinear p-Laplacian and the
-Cheeger report is coboundary(cx, 0), and every Hodge Laplacian is assembled
-and symmetrized as a sparse matrix. spectral eigensolves the coboundaries'
-Gram matrices instead; only harmonic_basis turns a Laplacian dense.
+Cheeger report is coboundary(cx, 0), and every Hodge Laplacian is a sparse sum
+of B products. spectral eigensolves the Grams of the same B_j instead; only
+harmonic_basis turns a Laplacian dense.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:
     """Weighted adjoint W_lower^{-1} M^T W_upper; plain transpose for unit weights."""
     w = weights or WeightScheme.unit()
-    if w.mode == "unit":
-        return op.matrix.transpose().tocsr()
     w_lower = w.vector(op.complex, op.degree)
     w_upper = w.vector(op.complex, op.degree + 1)
     lower_inv = sp.diags(1.0 / w_lower) if w_lower.size else sp.csr_matrix((0, 0))
@@ -124,31 +123,35 @@ def _laplacian_dim(cx: CliqueComplex, k: int) -> int:
     return cx.n_cliques(k + 1)
 
 
+def _unscaled(w: WeightScheme, j: int) -> bool:
+    """True when neither level of d_j (orders j+1 and j+2) has a weight table."""
+    return not (w.tables.get(j + 1) or w.tables.get(j + 2))
+
+
+def _weighted_coboundary(cx: CliqueComplex, j: int, w: WeightScheme) -> sp.csr_matrix:
+    """B_j = W_{j+1}^{1/2} d_j W_j^{-1/2}; the cached d_j itself when _unscaled(w, j)."""
+    d = coboundary(cx, j).matrix
+    if _unscaled(w, j):
+        return d
+    return sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
+
+
 def hodge_laplacian(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> HodgeLaplacian:
-    """Assemble the Hodge k-Laplacian d_{k-1} d_{k-1}* + d_k* d_k.
+    """Assemble the Hodge k-Laplacian B_k^T B_k + B_{k-1} B_{k-1}^T, B_j the weight-scaled d_j.
 
     The up term needs the (k+2)-clique level; if that level was never
     enumerated and cannot be proven empty, this raises rather than return a
-    silently wrong Laplacian.
+    silently wrong Laplacian. Both sparse products come out bitwise symmetric,
+    so nothing is symmetrized afterwards.
     """
     w = weights or WeightScheme.unit()
-    n_here = _laplacian_dim(cx, k)
-    lap = sp.csr_matrix((n_here, n_here))
-    if n_here > 0:
-        sqrt_w = np.sqrt(w.vector(cx, k))
-        up = coboundary(cx, k)
-        if up.matrix.shape[0] > 0:
-            w_up = w.vector(cx, k + 1)
-            # W^{1/2} d* d W^{-1/2} with d* = W^{-1} d^T W_up
-            scaled_up = sp.diags(np.sqrt(w_up)) @ up.matrix @ sp.diags(1.0 / sqrt_w)
-            lap = lap + scaled_up.transpose() @ scaled_up
-        if k >= 1:
-            down = coboundary(cx, k - 1)
-            w_down = w.vector(cx, k - 1)
-            # W^{1/2} d d* W^{-1/2} with d* = W_down^{-1} d^T W
-            scaled_down = sp.diags(sqrt_w) @ down.matrix @ sp.diags(1.0 / np.sqrt(w_down))
-            lap = lap + scaled_down @ scaled_down.transpose()
-    lap = (0.5 * (lap + lap.T)).tocsr()  # scrub assembly roundoff
+    _laplacian_dim(cx, k)  # range and up-level checks
+    up = _weighted_coboundary(cx, k, w)
+    lap = up.T @ up
+    if k >= 1:
+        down = _weighted_coboundary(cx, k - 1, w)
+        lap = lap + down @ down.T
+    lap = lap.tocsr()
     lap.eliminate_zeros()  # store no cancelled or underflowed entries
     lap.sort_indices()
     return HodgeLaplacian(k, cx, w, lap)

@@ -4,12 +4,12 @@ Delta_k = d_{k-1} d_{k-1}* + d_k* d_k splits into a down and an up part whose
 images, im d_{k-1} and im d_k*, are orthogonal. So the nonzero spectrum of
 Delta_k is the union of the nonzero spectra of the two coboundary Grams, and
 the rest of its c_k eigenvalues are zero. spectrum, betti and
-isospectral_fingerprint therefore eigensolve, for each coboundary scaled to
-B_j = W_{j+1}^{1/2} d_j W_j^{-1/2}, only the smaller of B_j B_j^T and
+isospectral_fingerprint therefore eigensolve, for each scaled coboundary B_j
+that operators builds Delta_k from, only the smaller of B_j B_j^T and
 B_j^T B_j, and build no Hodge Laplacian; kernel eigenvalues come out as exact
-zeros. Unit-weight Gram spectra are kept on the complex, so d_j is eigensolved
-once for both Delta_j and Delta_{j+1}. harmonic_basis needs eigenvectors and
-still diagonalizes the dense Laplacian.
+zeros. When B_j is d_j (no weight table on its levels) its Gram spectrum is
+kept on the complex, so d_j is eigensolved once for Delta_j and Delta_{j+1}.
+harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, Graph, enumerate_cliques
-from .operators import HodgeLaplacian, _laplacian_dim, coboundary, hodge_laplacian
+from .operators import HodgeLaplacian, _laplacian_dim, _unscaled, _weighted_coboundary, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
 FINGERPRINT_ATOL = 1e-8
@@ -63,20 +62,18 @@ class Spectrum:
 
 
 def _gram_eigenvalues(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
-    """Ascending eigenvalues of the smaller Gram matrix of W_{j+1}^{1/2} d_j W_j^{-1/2}."""
-    unit = w.mode == "unit"
+    """Ascending eigenvalues of the smaller Gram of B_j, kept on the complex when B_j is d_j."""
+    cached = _unscaled(w, j)
     key = ("gram", j)
-    if unit and key in cx._operator_cache:
+    if cached and key in cx._operator_cache:
         return cx._operator_cache[key]
-    d = coboundary(cx, j).matrix
-    if min(d.shape) == 0:
+    b = _weighted_coboundary(cx, j, w)
+    if min(b.shape) == 0:
         eigvals = np.zeros(0)
     else:
-        if not unit:
-            d = sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
-        gram = d @ d.T if d.shape[0] < d.shape[1] else d.T @ d
+        gram = b @ b.T if b.shape[0] < b.shape[1] else b.T @ b
         eigvals = np.linalg.eigvalsh(gram.toarray())
-    if unit:
+    if cached:
         cx._operator_cache[key] = eigvals
     return eigvals
 

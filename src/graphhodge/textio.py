@@ -7,6 +7,7 @@ rendered with 12 significant digits and mapping keys are sorted.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -14,7 +15,10 @@ FLOAT_FMT = "%.12g"
 
 
 def fmt_float(x: float) -> str:
+    """12 significant digits; raises ValueError on nan and inf, which JSON cannot hold."""
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot write the non-finite number {x} (an overflow or non-finite input)")
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return FLOAT_FMT % x

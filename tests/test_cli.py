@@ -289,3 +289,121 @@ class TestPlotEmitters:
         assert code == 0
         rows = [line.split("\t") for line in plot.read_text().splitlines()]
         assert rows[0][:2] == ["1", "a"]
+
+
+DEGREE_K_COMMANDS = ("operator", "laplacian", "spectrum", "betti")
+
+
+class TestDerivedEnumeration:
+    def test_max_order_is_a_cliques_flag_only(self, capsys, tmp_path, c4_file):
+        cochain = write(tmp_path, "x.tsv", "1 2 1\n")
+        for name in DEGREE_K_COMMANDS:
+            assert main([name, "--k", "0", "--input", c4_file, "--max-order", "3"]) == 1
+        assert main(["decompose", "--input", c4_file, "--cochain", cochain, "--max-order", "3"]) == 1
+        code, out = run(capsys, "cliques", "--input", str(DATA / "iso_pair_a1.txt"), "--max-order", "4")
+        assert code == 0
+        assert json.loads(out)["max_order"] == 4
+
+    def test_degree_k_commands_enumerate_through_k_plus_2(self, capsys, tmp_path, golden_file, monkeypatch):
+        import graphhodge.cli as cli
+
+        orders = []
+        enumerate_cliques = cli.enumerate_cliques
+        def recording(graph, max_order):
+            orders.append(max_order)
+            return enumerate_cliques(graph, max_order)
+
+        monkeypatch.setattr(cli, "enumerate_cliques", recording)
+        for k in (0, 1, 2):
+            for name in DEGREE_K_COMMANDS:
+                assert run(capsys, name, "--k", str(k), "--input", golden_file)[0] == 0
+                assert orders.pop() == k + 2
+        cochain = write(tmp_path, "x.tsv", "1 2\n")
+        assert run(capsys, "decompose", "--input", golden_file, "--cochain", cochain)[0] == 0
+        assert orders == [2]
+
+    def test_negative_k_keeps_its_message(self, capsys, c4_file):
+        for name in DEGREE_K_COMMANDS:
+            assert main([name, "--k", "-1", "--input", c4_file]) == 1
+            expected = "coboundary degree must be >= 0, got -1" if name == "operator" else \
+                "laplacian degree -1 out of range 0..2"
+            assert expected in capsys.readouterr().err
+
+    def test_spectrum_and_betti_build_no_laplacian(self, capsys, tmp_path, golden_file, monkeypatch):
+        import graphhodge.cli as cli
+        import graphhodge.operators as operators
+        import graphhodge.spectral as spectral
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a Hodge Laplacian")
+
+        for module in (cli, operators, spectral):
+            monkeypatch.setattr(module, "hodge_laplacian", forbidden)
+        weights = write(tmp_path, "w.tsv", "1 2 2.5\n3 5 0.5\n3 5 6 4\n")
+        for k in (0, 1, 2):
+            for name in ("spectrum", "betti"):
+                assert run(capsys, name, "--k", str(k), "--input", golden_file)[0] == 0
+                assert run(capsys, name, "--k", str(k), "--input", golden_file, "--weights", weights)[0] == 0
+
+
+class TestNonFinite:
+    @pytest.fixture
+    def plap_args(self, tmp_path, c4_file):
+        f = write(tmp_path, "f.tsv", "1 0\n2 0\n3 3\n4 1\n")  # edge 1-2 is flat
+        return ["plap", "--input", c4_file, "--f", f]
+
+    def test_plap_documents_unchanged(self, capsys, plap_args):
+        expected = {
+            ("--p", "1"): '{"intervals": [[-2, 0], [-2, 0], [2, 2], [0, 0]], "mode": "interval", "p": 1}\n',
+            ("--p", "1", "--mode", "selection"): '{"mode": "selection", "p": 1, "values": [-1, -1, 2, 0]}\n',
+            ("--p", "3"): '{"p": 3, "values": [-1, -9, 13, -3]}\n',
+            ("--p", "3", "--mode", "selection"): '{"p": 3, "values": [-1, -9, 13, -3]}\n',
+        }
+        for extra, document in expected.items():
+            assert run(capsys, *plap_args, *extra) == (0, document)
+
+    @pytest.mark.parametrize("p", ["0.5", "0", "-3", "nan", "-inf"])
+    def test_plap_rejects_p_below_one(self, capsys, plap_args, p):
+        assert run(capsys, *plap_args, "--p", p) == (1, "")
+
+    def test_overflowing_result_exits_one(self, capsys, plap_args):
+        with np.errstate(over="ignore"):
+            assert main([*plap_args, "--p", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite number" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inputs_exit_one(self, capsys, tmp_path, c4_file, value):
+        cochain = write(tmp_path, "x.tsv", f"1 2 {value}\n")
+        assert run(capsys, "decompose", "--input", c4_file, "--cochain", cochain) == (1, "")
+        weights = write(tmp_path, "w.tsv", f"1 2 {value}\n")
+        assert run(capsys, "laplacian", "--k", "0", "--input", c4_file, "--weights", weights) == (1, "")
+        csv = write(tmp_path, "r.csv", f"v1,a,1\nv1,b,{value}\n")
+        assert run(capsys, "rank", "--input", csv) == (1, "")
+        game = write(tmp_path, "g.json", json.dumps(
+            {"strategies": [["a", "b"]], "utilities": [{"a": 1.0, "b": float(value)}]}))
+        assert run(capsys, "game", "--input", game) == (1, "")
+
+    def test_non_finite_residual_still_gives_exit_two_document(self, capsys, tmp_path, c4_file, monkeypatch):
+        import graphhodge.decompose as module
+
+        monkeypatch.setattr(
+            module, "lsqr", lambda A, b, **kw: (np.zeros(A.shape[1]), 7, 9, float("nan"))
+        )
+        cochain = write(tmp_path, "x.tsv", "1 2 1\n")
+        code, out = run(capsys, "decompose", "--input", c4_file, "--cochain", cochain)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["residual"] is None and doc["iterations"] == 9
+
+    def test_fmt_float_rejects_non_finite(self):
+        from graphhodge.textio import fmt_float, json_dumps, tsv_lines
+
+        for x in (float("nan"), float("inf"), -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                fmt_float(x)
+            with pytest.raises(ValueError, match="non-finite"):
+                json_dumps({"x": [1.0, x]})
+            with pytest.raises(ValueError, match="non-finite"):
+                tsv_lines([(1, x)])
+        assert fmt_float(-0.0) == "0" and fmt_float(1e300) == "1e+300"

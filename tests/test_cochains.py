@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from graphhodge import (
     write_cochain_tsv,
 )
 from graphhodge.cochains import sort_with_sign
+from graphhodge.complexes import CliqueComplex
 
 from conftest import complete_graph, random_graph
 
@@ -165,3 +168,38 @@ class TestWeights:
         assert w.weight((2,)) == 1.25
         with pytest.raises(InputFormatError, match="positive"):
             read_weights_tsv("1 2 -1\n")
+
+    def test_scheme_is_its_tables(self):
+        assert [f.name for f in dataclasses.fields(WeightScheme)] == ["tables"]
+        assert WeightScheme.unit() == WeightScheme.from_table({})
+        assert WeightScheme.from_table({}).mode == "unit"
+        assert WeightScheme.from_table({(1, 2): 3.0}).mode == "table"
+
+    def test_untabled_order_does_not_visit_cliques(self, rng, monkeypatch):
+        cx = enumerate_cliques(complete_graph(6), 3)
+        w = WeightScheme.from_table({(1, 2): 3.0})
+        edges = w.vector(cx, 1)
+
+        def forbidden(self, order):
+            raise AssertionError(f"visited the cliques of order {order}")
+
+        monkeypatch.setattr(CliqueComplex, "cliques", forbidden)
+        for scheme in (w, WeightScheme.unit(), WeightScheme.from_table({})):
+            assert np.array_equal(scheme.vector(cx, 2), np.ones(20))
+            assert np.array_equal(scheme.vector(cx, 0), np.ones(6))
+        monkeypatch.undo()
+        assert np.array_equal(w.vector(cx, 1), edges)
+        assert edges[0] == 3.0 and np.all(edges[1:] == 1.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(InputFormatError, match="line 2: weight must be positive and finite"):
+            read_weights_tsv(f"1 2 1.5\n2 3 {value}\n")
+        with pytest.raises(ValueError, match="positive and finite"):
+            WeightScheme.from_table({(1, 2): float(value)})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_cochain_tsv_rejects_non_finite_values(c3_complex, value):
+    with pytest.raises(InputFormatError, match="line 3: value must be finite"):
+        read_cochain_tsv(f"1 2 1\n# comment\n2 3 {value}\n", c3_complex)

@@ -326,6 +326,15 @@ class TestGameFormValidation:
         with pytest.raises(ValueError, match="at least one strategy"):
             GameForm((("a",), ()), (np.zeros((1, 0)), np.zeros((1, 0))))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_utility_rejected(self, value):
+        tables = [np.zeros((2, 3)), np.zeros((2, 3))]
+        tables[1][1, 2] = value
+        with pytest.raises(ValueError, match="utility table 1 has a non-finite value at profile 'b,r'"):
+            GameForm((("a", "b"), ("p", "q", "r")), tuple(tables))
+        with pytest.raises(ValueError, match="non-finite"):
+            GameForm.from_tables([["a", "b"]], [{"a": 1.0, "b": float(value)}])
+
 
 # Loop versions of the table-based game computations: the edge-by-edge flow,
 # the edge-by-edge potential test and the profile-graph Laplacian of the
@@ -361,6 +370,34 @@ def loop_is_harmonic_game(form, sg, tol=PREDICATE_TOL):
     lap = hodge_laplacian(sg.complex, 0)
     values = apply_operator(lap, Cochain(0, sg.complex, total.reshape(-1))).values
     return bool(np.max(np.abs(values), initial=0.0) <= tol)
+
+
+def loop_pure_nash(form):
+    """Exhaustive scan: a profile is kept unless some player gains by a unilateral deviation."""
+    out = []
+    for idx in np.ndindex(form.shape):
+        stable = True
+        for player, size in enumerate(form.shape):
+            here = form.utilities[player][idx]
+            for alt in range(size):
+                if alt == idx[player]:
+                    continue
+                other = idx[:player] + (alt,) + idx[player + 1 :]
+                if form.utilities[player][other] > here:
+                    stable = False
+                    break
+            if not stable:
+                break
+        if stable:
+            out.append(tuple(form.strategy_sets[i][idx[i]] for i in range(form.n_players)))
+    return out
+
+
+def tied_game(seed, shape):
+    """Integer utilities from a range of 3 values, so best responses tie often."""
+    rng = np.random.default_rng(seed)
+    strategies = tuple(tuple(f"s{j}" for j in range(s)) for s in shape)
+    return GameForm(strategies, tuple(rng.integers(0, 3, size=shape).astype(float) for _ in shape))
 
 
 def seeded_game(seed, shape):
@@ -429,6 +466,16 @@ class TestLoopOracles:
             loop_game_flow(form, strategy_graph(transposed))
         with pytest.raises(ValueError, match="exactly one player"):
             game_flow(form, strategy_graph(transposed))
+
+    def test_pure_nash_matches_loop_scan(self):
+        shapes = ((1,), (4,), (2, 2), (3, 3), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2))
+        games = oracle_games() + [tied_game(seed, shape) for seed in range(5) for shape in shapes]
+        counts = set()
+        for form in games:
+            got = pure_nash(form)
+            assert got == loop_pure_nash(form)
+            counts.add(min(len(got), 2))
+        assert counts == {0, 1, 2}  # no, one and several equilibria all occur
 
     def test_predicates_do_not_build_the_strategy_graph(self, monkeypatch):
         import graphhodge.games as games

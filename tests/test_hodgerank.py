@@ -7,6 +7,7 @@ import pytest
 from graphhodge import (
     Cochain,
     ComparisonData,
+    InputFormatError,
     aggregate,
     borda_divergence,
     enumerate_cliques,
@@ -224,3 +225,11 @@ class TestBorda:
         cf = aggregate(pairwise([("v1", "a", "b", 3.0)]))
         div = dict(zip(cf.items, borda_divergence(cf.flow).values))
         assert div == {"a": pytest.approx(3.0), "b": pytest.approx(-3.0)}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_values(value):
+    with pytest.raises(InputFormatError, match="record 2: value must be finite"):
+        ComparisonData.from_csv(f"voter,item,score\nv1,a,3\nv1,b,{value}\n")
+    with pytest.raises(InputFormatError, match="record 1: value must be finite"):
+        ComparisonData.from_csv(f"v1,a,b,{value}\n")

@@ -119,8 +119,9 @@ class TestPLaplacian:
         assert intervals[2].tolist() == [1.0, 1.0]
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError, match="p must be"):
-            apply_p_laplacian(cycle_graph(3), np.zeros(3), 0.5)
+        for p in (0.5, 0.0, -3.0, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="p must be"):
+                apply_p_laplacian(cycle_graph(3), np.zeros(3), p)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="vertex values"):

@@ -304,11 +304,19 @@ def dense_scrub_laplacian(cx, k, w):
     return sp.csr_matrix(0.5 * (dense + dense.T))
 
 
-def random_table_weights(rng, cx):
+def random_table_weights(rng, cx, orders=None):
+    """Random weights on every clique of the given orders (default: every enumerated order)."""
     entries = {}
-    for order in range(1, cx.max_order + 1):
+    for order in orders or range(1, cx.max_order + 1):
         entries.update({c: float(rng.uniform(0.2, 3.0)) for c in cx.cliques(order)})
     return WeightScheme.from_table(entries)
+
+
+def weight_schemes(rng, cx):
+    """Unit, empty-table, full-table and partial-table schemes: some orders tabled, others not."""
+    partial = [random_table_weights(rng, cx, [o for o in orders if o <= cx.max_order])
+               for orders in ((2,), (1, 3), (4,))]
+    return [WeightScheme.unit(), WeightScheme.from_table({}), random_table_weights(rng, cx), *partial]
 
 
 class TestSparseSymmetrizationOracle:
@@ -323,20 +331,20 @@ class TestSparseSymmetrizationOracle:
     def test_random_graphs_unit_and_table_weights(self, rng):
         for _ in range(12):
             g = random_graph(rng, int(rng.integers(4, 11)), 0.6)
-            cx = enumerate_cliques(g, 4)
-            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
-                for k in range(3):
+            cx = enumerate_cliques(g, 5)
+            for w in weight_schemes(rng, cx):
+                for k in range(4):
                     self.assert_matches_oracle(cx, k, w)
 
     def test_empty_up_level(self, rng, c4_complex):
         # the 4-cycle has no triangles, so the up term of Delta_1 is empty
-        for w in (WeightScheme.unit(), random_table_weights(rng, c4_complex)):
+        for w in weight_schemes(rng, c4_complex):
             for k in range(3):
                 self.assert_matches_oracle(c4_complex, k, w)
 
     def test_edgeless_graph(self, rng):
         cx = enumerate_cliques(Graph(5, frozenset()), 3)
-        for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+        for w in weight_schemes(rng, cx):
             for k in range(3):
                 self.assert_matches_oracle(cx, k, w)
 

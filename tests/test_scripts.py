@@ -22,3 +22,24 @@ def test_script_exits_zero(argv):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_cli_digest_small_corpus():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--small"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *rows, summary = proc.stdout.splitlines()
+    assert summary == f"# {len(rows)} runs"
+    runs = [row.split("\t") for row in rows]
+    assert all(len(run) == 4 for run in runs)
+    codes = {argv: code for code, _, _, argv in runs}
+    assert len(codes) == len(runs)  # every run is a distinct command line
+    assert set(codes.values()) == {"0", "1"}  # none raised
+    must_fail = [argv for argv in codes if "--max-order" in argv and not argv.startswith("cliques")
+                 or "--p 0.5" in argv or "nan" in argv or "inf" in argv]
+    assert len(must_fail) == 15
+    assert all(codes[argv] == "1" for argv in must_fail)
+    for code, document, _, argv in runs:
+        assert (document != "-") == (code == "0"), argv

@@ -33,7 +33,7 @@ from conftest import (
     union_find_components,
     wheel_graph,
 )
-from test_operators import random_table_weights
+from test_operators import random_table_weights, weight_schemes
 
 
 class TestSpectrum:
@@ -248,7 +248,7 @@ class TestGramSpectraOracle:
         seen_four_cliques = False
         for cx in oracle_complexes(rng):
             seen_four_cliques |= cx.n_cliques(4) > 0
-            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+            for w in weight_schemes(rng, cx):
                 for k in range(4):
                     got = spectrum(hodge_laplacian(cx, k, w))
                     ref, ref_kernel = dense_spectrum(cx, k, w)
@@ -303,8 +303,23 @@ class TestGramSpectraOracle:
             for k in range(3):
                 spectrum(hodge_laplacian(cx, k))
                 betti(cx, k)
+                betti(cx, k, WeightScheme.from_table({}))
         assert len(calls) == 3  # one Gram for each of d_0, d_1, d_2
         w = random_table_weights(rng, cx)
         betti(cx, 1, w)
         betti(cx, 1, w)
         assert len(calls) == 7  # weighted spectra are not cached
+
+    def test_gram_cache_serves_every_scheme_that_leaves_d_j_unscaled(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        cx = enumerate_cliques(random_graph(rng, 9, 0.7), 5)
+        assert cx.n_cliques(4) > 0
+        unit = [betti(cx, k) for k in range(3)]
+        assert len(calls) == 3
+        tetra = random_table_weights(rng, cx, [4])  # scales d_2 and d_3, leaves d_0 and d_1 as they are
+        assert [betti(cx, k, tetra) for k in range(2)] == unit[:2]
+        assert len(calls) == 3
+        betti(cx, 2, tetra)
+        assert len(calls) == 4  # d_1 from the cache, the scaled d_2 eigensolved
