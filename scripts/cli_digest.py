@@ -16,7 +16,7 @@ when the run wrote none. A run that raises instead of exiting shows the
 exception's type as its exit code. The corpus covers every subcommand, k =
 0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3, and
 isospectral at --max-k 1..3; it ends with runs that must exit 1 (--max-order
-on a degree-k subcommand, p < 1, non-finite inputs, an overflowing result).
+on a degree-k subcommand, p < 1, non-finite inputs, overflowing results).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -198,6 +198,10 @@ def must_exit_one(root: Path, f4: Path):
     yield ["decompose", "--input", c4, "--cochain", DATA / "c4_cyclic_flow.tsv", "--max-order", "3"], None
     for p in ("0.5", "0", "-3", "nan", "1000"):
         yield ["plap", "--input", c4, "--f", f4, "--p", p], None
+    edge, huge = root / "edge.txt", root / "huge.w.tsv"
+    edge.write_text("1 2\n")
+    huge.write_text("1 2 1e300\n1 1e-300\n")  # a finite table whose Laplacian overflows
+    yield ["laplacian", "--input", edge, "--k", "0", "--weights", huge], None
     for value in ("nan", "inf"):
         bad = {
             "cochain": root / f"bad.{value}.x.tsv",

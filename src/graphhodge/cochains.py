@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import CliqueComplex, InputFormatError
+from .textio import require_finite
 
 
 def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
@@ -66,7 +67,7 @@ class WeightScheme:
         """Build a scheme from one flat {clique: weight} mapping."""
         tables: dict[int, dict[tuple[int, ...], float]] = {}
         for clique, w in entries.items():
-            key, _ = sort_with_sign(clique)
+            key = tuple(sorted(clique))
             tables.setdefault(len(key), {})[key] = float(w)
         return cls(tables)
 
@@ -106,16 +107,35 @@ class Cochain:
 
     @classmethod
     def from_dict(cls, cx: CliqueComplex, degree: int, entries: dict[tuple[int, ...], float]) -> "Cochain":
-        """Build from {vertex tuple: value}; tuples may be in any order (signs applied)."""
-        vals = np.zeros(cx.n_cliques(degree + 1))
-        index = cx.index(degree + 1)
-        for key, v in entries.items():
+        """Build from {vertex tuple: value}; tuples may be in any order (signs applied).
+
+        Raises ValueError at the first key, in mapping order, that repeats a
+        vertex or is not a clique of order degree+1. A clique named twice keeps
+        its last value.
+        """
+        order = degree + 1
+        keys = list(entries)
+        sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
+        sized_keys = [key for key, ok in zip(keys, sized) if ok]
+        try:
+            rows = np.array(sized_keys, dtype=np.int64).reshape(-1, order)
+        except OverflowError:  # an id past int64 names no vertex, and neither does 0
+            rows = np.array([[x if abs(x) < 2**63 else 0 for x in map(int, key)] for key in sized_keys],
+                            dtype=np.int64).reshape(-1, order)
+        pos = np.full(len(keys), -1)
+        pos[sized] = cx.locate(np.sort(rows, axis=1))  # a repeated vertex is never found
+        if (pos < 0).any():
+            key = keys[np.argmax(pos < 0)]
             sorted_key, sign = sort_with_sign(tuple(int(x) for x in key))
             if sign == 0:
                 raise ValueError(f"repeated vertex in {key}")
-            if sorted_key not in index:
-                raise ValueError(f"{sorted_key} is not a clique of order {degree + 1}")
-            vals[index[sorted_key]] = sign * float(v)
+            raise ValueError(f"{sorted_key} is not a clique of order {order}")
+        i, j = np.triu_indices(order, 1)
+        sign = 1.0 - 2.0 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)  # parity of the inversions
+        signed = sign * np.array(list(entries.values()), dtype=float)
+        last = len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1]
+        vals = np.zeros(cx.n_cliques(order))
+        vals[pos[last]] = signed[last]
         return cls(degree, cx, vals)
 
     def eval(self, vertices) -> float:
@@ -216,7 +236,8 @@ def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) ->
 
 
 def write_cochain_tsv(c: Cochain, fmt: str = "%.12g") -> str:
-    """Serialize a cochain as one `i .. k value` line per clique, in canonical order."""
+    """One `i .. k value` line per clique, in canonical order; ValueError on nan/inf."""
+    require_finite(c.values)
     lines = []
     for clique, v in zip(c.complex.cliques(c.degree + 1), c.values):
         lines.append(" ".join(str(i) for i in clique) + " " + fmt % v)

@@ -1,16 +1,21 @@
 """Undirected simple graphs and their clique complexes.
 
 Vertices are 1-indexed externally; array positions are 0-indexed. A clique
-complex stores, for every order k in 1..max_order, the list of k-cliques as
-strictly ascending tuples, sorted lexicographically. That ordering is the
-canonical basis used by every operator matrix in this package, so it must be
-reproducible bit for bit.
+complex stores, for every order k in 1..max_order, the k-cliques as a sorted
+(N, k) integer array: one strictly ascending clique per row, rows in
+lexicographic order. That ordering is the canonical basis used by every
+operator matrix in this package, so it must be reproducible bit for bit.
+cliques(k) is a tuple-of-tuples view of the same level, built once on first
+use; locate() finds rows of vertex ids in a level by binary search on keys
+that cannot overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 
 class InputFormatError(ValueError):
@@ -132,13 +137,28 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _key(prefix_position, last, n: int):
+    """Key of a clique: (position of its prefix in the level below) * (n+1) + its last vertex.
+
+    The prefix is all vertices but the last. Within a level the keys ascend as
+    the cliques do. They stay below (size of the level below) * (n+1), so
+    unlike base-(n+1) digits of every vertex they cannot overflow int64 for
+    any level that fits in memory.
+    """
+    return prefix_position * (n + 1) + last
+
+
 @dataclass(frozen=True, eq=False)
 class CliqueComplex:
-    """All k-cliques of a graph for k = 1..max_order, in lexicographic order."""
+    """All k-cliques of a graph for k = 1..max_order, in lexicographic order.
+
+    levels[k-1] is a read-only (N, k) int64 array, one ascending clique per
+    row, rows sorted lexicographically.
+    """
 
     graph: Graph
     max_order: int
-    levels: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+    levels: tuple[np.ndarray, ...] = field(repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliqueComplex):
@@ -148,8 +168,8 @@ class CliqueComplex:
     def __hash__(self) -> int:
         return hash((self.graph, self.max_order))
 
-    def cliques(self, order: int) -> tuple[tuple[int, ...], ...]:
-        """The list of cliques of the given order (number of vertices).
+    def level(self, order: int) -> np.ndarray:
+        """The (N, order) array of the cliques of the given order (number of vertices).
 
         Orders beyond max_order are served only when provably empty, i.e. when
         some enumerated level is already empty; otherwise enumeration never
@@ -160,17 +180,22 @@ class CliqueComplex:
         if order <= self.max_order:
             return self.levels[order - 1]
         if any(len(level) == 0 for level in self.levels):
-            return ()
+            return np.empty((0, order), dtype=np.int64)
         raise ValueError(
             f"cliques of order {order} were not enumerated (max_order={self.max_order}) "
             "and cannot be proven empty; re-enumerate with a larger max_order"
         )
 
+    def cliques(self, order: int) -> tuple[tuple[int, ...], ...]:
+        """The cliques of the given order as ascending tuples: a view of level(order), built once."""
+        cache = self._tuple_cache
+        if order not in cache:
+            cache[order] = tuple(map(tuple, self.level(order).tolist()))
+        return cache[order]
+
     def n_cliques(self, order: int) -> int:
-        """Size of a level; reads an enumerated level's length without visiting its cliques."""
-        if 1 <= order <= self.max_order:
-            return len(self.levels[order - 1])
-        return len(self.cliques(order))
+        """Size of a level, read without building its tuple view."""
+        return len(self.level(order))
 
     def index(self, order: int) -> dict[tuple[int, ...], int]:
         """Position of each clique of the given order in the lexicographic list."""
@@ -179,8 +204,41 @@ class CliqueComplex:
             cache[order] = {c: i for i, c in enumerate(self.cliques(order))}
         return cache[order]
 
+    def locate(self, rows) -> np.ndarray:
+        """Position of each row of vertex ids in the level of its length, or -1 where the row is no clique.
+
+        A row is found only in the stored form of its clique, vertices ascending.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        n = self.graph.n_vertices
+        pos = np.where(((rows >= 1) & (rows <= n)).all(axis=1), rows[:, 0] - 1, -1)
+        for order in range(2, rows.shape[1] + 1):
+            keys = self._keys(order)
+            key = _key(pos, rows[:, order - 1], n)
+            at = np.searchsorted(keys, key)
+            hit = (pos >= 0) & (at < len(keys))
+            hit[hit] = keys[at[hit]] == key[hit]
+            pos = np.where(hit, at, -1)
+        return pos
+
+    def _keys(self, order: int) -> np.ndarray:
+        """The ascending _key of every clique of the given order (>= 2)."""
+        cache = self._key_cache
+        if order not in cache:
+            level = self.level(order)
+            cache[order] = _key(self.locate(level[:, :-1]), level[:, -1], self.graph.n_vertices)
+        return cache[order]
+
+    @cached_property
+    def _tuple_cache(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
     @cached_property
     def _index_cache(self) -> dict[int, dict[tuple[int, ...], int]]:
+        return {}
+
+    @cached_property
+    def _key_cache(self) -> dict[int, np.ndarray]:
         return {}
 
     @cached_property
@@ -194,32 +252,40 @@ class CliqueComplex:
     def clique_number(self) -> int | None:
         """omega(G) when the enumeration settles it, else None (omega >= max_order)."""
         for order in range(1, self.max_order + 1):
-            if not self.levels[order - 1]:
+            if len(self.levels[order - 1]) == 0:
                 return order - 1
         return None
 
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
-    """Enumerate all cliques of order 1..max_order by incremental lexicographic extension.
+    """Enumerate all cliques of order 1..max_order by lexicographic extension.
 
-    Each k-clique is extended by vertices larger than its maximum that are
-    adjacent to all of its members, which yields every level already sorted.
+    Each k-clique is extended by the neighbours of its last vertex that are
+    larger than it, in ascending order, and a candidate is kept when its new
+    vertex is adjacent to every other member: that edge's key must be among
+    the sorted edge keys. Extending the cliques in order yields every level
+    already sorted.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    nbrs = graph.neighbors
-    levels: list[tuple[tuple[int, ...], ...]] = [
-        tuple((v,) for v in range(1, graph.n_vertices + 1))
-    ]
+    n = graph.n_vertices
+    edges = np.array(graph.sorted_edges, dtype=np.int64).reshape(-1, 2)
+    edge_keys = _key(edges[:, 0] - 1, edges[:, 1], n)
+    # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
+    first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
+    levels = [np.arange(1, n + 1, dtype=np.int64)[:, None]]
     for _ in range(2, max_order + 1):
-        nxt = []
-        for clique in levels[-1]:
-            cands = nbrs[clique[0]]
-            for v in clique[1:]:
-                cands = cands & nbrs[v]
-            last = clique[-1]
-            for u in sorted(cands):
-                if u > last:
-                    nxt.append(clique + (u,))
-        levels.append(tuple(nxt))
+        level = levels[-1]
+        start = first[level[:, -1] - 1]
+        count = first[level[:, -1]] - start
+        parent = np.repeat(np.arange(len(level)), count)
+        # candidate t of a parent whose candidates begin at t0 is edge start + (t - t0)
+        vertex = edges[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(parent)), 1]
+        for j in range(level.shape[1] - 1):
+            key = _key(level[parent, j] - 1, vertex, n)
+            keep = edge_keys[np.minimum(np.searchsorted(edge_keys, key), len(edge_keys) - 1)] == key
+            parent, vertex = parent[keep], vertex[keep]
+        levels.append(np.column_stack([level[parent], vertex]))
+    for level in levels:
+        level.setflags(write=False)
     return CliqueComplex(graph, max_order, tuple(levels))

@@ -145,20 +145,21 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
     edges = {(vid[a], vid[b]) for a, b in values}
     graph = Graph(len(compared), frozenset(edges))
     cx = enumerate_cliques(graph, max_order=3)
-    flow_entries: dict[tuple[int, int], float] = {}
-    weight_entries: dict[tuple[int, int], float] = {}
-    for (a, b), diffs in values.items():
+    diffs = list(values.values())
+    counts = np.fromiter(map(len, diffs), dtype=np.int64, count=len(diffs))
+    x = np.empty(len(diffs))
+    for c in np.unique(counts):
+        # the pairs with c votes: a (G, c) block, whose row means equal np.mean of each list bit for bit
+        group = np.flatnonzero(counts == c)
+        block = np.array([diffs[i] for i in group])
         if model == "mean":
-            x = float(np.mean(diffs))
+            x[group] = block.mean(axis=1)
         else:
-            wins_a = sum(1 for d in diffs if d > 0)
-            wins_b = sum(1 for d in diffs if d < 0)
-            x = math.log((wins_a + 0.5) / (wins_b + 0.5))
-        edge = (vid[a], vid[b])
-        flow_entries[edge] = x
-        weight_entries[edge] = float(len(diffs))
-    flow = Cochain.from_dict(cx, 1, flow_entries)
-    weights = WeightScheme.from_table(weight_entries)
+            odds = ((block > 0).sum(axis=1) + 0.5) / ((block < 0).sum(axis=1) + 0.5)
+            x[group] = [math.log(r) for r in odds.tolist()]
+    edges = [(vid[a], vid[b]) for a, b in values]
+    flow = Cochain.from_dict(cx, 1, dict(zip(edges, x.tolist())))
+    weights = WeightScheme.from_table(dict(zip(edges, counts.astype(float).tolist())))
     return ComparisonFlow(flow, weights, graph, tuple(compared), excluded)
 
 

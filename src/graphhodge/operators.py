@@ -33,6 +33,7 @@ import scipy.sparse as sp
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, InputFormatError
+from .textio import require_finite
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,18 @@ def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
 
 
 def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
-    cols = cx.cliques(k + 1)
-    rows = cx.cliques(k + 2)
-    col_index = cx.index(k + 1)
-    data, ri, ci = [], [], []
-    for r, simplex in enumerate(rows):
-        for j in range(len(simplex)):
-            face = simplex[:j] + simplex[j + 1 :]
-            ri.append(r)
-            ci.append(col_index[face])
-            data.append(1.0 if j % 2 == 0 else -1.0)
-    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), len(cols)))
+    """Row r of d_k holds (-1)^j at the face of (k+2)-clique r without its vertex j.
+
+    A face without a later vertex comes earlier in lexicographic order, so
+    taking j from k+1 down to 0 lists each row's columns ascending.
+    """
+    rows = cx.level(k + 2)
+    n_rows, order = rows.shape
+    drop = range(order - 1, -1, -1)
+    indices = np.column_stack([cx.locate(np.delete(rows, j, axis=1)) for j in drop]).ravel()
+    data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in drop], n_rows)
+    indptr = np.arange(0, order * n_rows + 1, order)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, cx.n_cliques(k + 1)))
 
 
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:
@@ -119,7 +121,7 @@ def _laplacian_dim(cx: CliqueComplex, k: int) -> int:
     """Size of Delta_k, after checking that k is in range and its up level is known."""
     if k < 0 or k > cx.max_order - 1:
         raise ValueError(f"laplacian degree {k} out of range 0..{cx.max_order - 1}")
-    cx.cliques(k + 2)  # raises if the up level is unknown
+    cx.level(k + 2)  # raises if the up level is unknown
     return cx.n_cliques(k + 1)
 
 
@@ -177,8 +179,9 @@ def apply_operator(op: CoboundaryOperator | HodgeLaplacian, c: Cochain) -> Cocha
 
 
 def write_matrix(mat: sp.spmatrix, fmt: str = "%.12g") -> str:
-    """Serialize in MatrixMarket coordinate format, 1-indexed, sorted by (row, col)."""
+    """Serialize in MatrixMarket coordinate format, 1-indexed, sorted by (row, col); ValueError on nan/inf."""
     coo = sp.coo_matrix(mat)
+    require_finite(coo.data)
     order = np.lexsort((coo.col, coo.row))
     lines = ["%%MatrixMarket matrix coordinate real general",
              f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]

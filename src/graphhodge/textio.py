@@ -14,14 +14,25 @@ import numpy as np
 FLOAT_FMT = "%.12g"
 
 
+def _non_finite(x) -> ValueError:
+    return ValueError(f"cannot write the non-finite number {x} (an overflow or non-finite input)")
+
+
 def fmt_float(x: float) -> str:
     """12 significant digits; raises ValueError on nan and inf, which JSON cannot hold."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"cannot write the non-finite number {x} (an overflow or non-finite input)")
+        raise _non_finite(x)
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return FLOAT_FMT % x
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Raise fmt_float's ValueError at the first nan or inf of an array written without fmt_float."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise _non_finite(float(values[np.argmax(bad)]))
 
 
 def json_dumps(obj) -> str:

@@ -152,6 +152,44 @@ def brute_force_cliques(graph: Graph, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+def loop_enumerate_levels(graph: Graph, max_order: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Clique levels by the tuple-at-a-time extension the array enumeration replaced.
+
+    The exact oracle for enumerate_cliques: every level, in its order.
+    """
+    nbrs = graph.neighbors
+    levels = [tuple((v,) for v in range(1, graph.n_vertices + 1))]
+    for _ in range(2, max_order + 1):
+        nxt = []
+        for clique in levels[-1]:
+            cands = nbrs[clique[0]]
+            for v in clique[1:]:
+                cands = cands & nbrs[v]
+            last = clique[-1]
+            for u in sorted(cands):
+                if u > last:
+                    nxt.append(clique + (u,))
+        levels.append(tuple(nxt))
+    return levels
+
+
+# A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of
+# every vertex overflow int64 from order 4 on, since 70001**4 > 2**63.
+BIG_FIVE_CLIQUE = Graph.from_edges(70_000, combinations((3, 17, 40_000, 69_999, 70_000), 2))
+
+
+def oracle_graphs(rng: np.random.Generator):
+    """(graph, max_order) pairs for checking levels and coboundaries against the loop oracles."""
+    for _ in range(25):
+        yield random_graph(rng, int(rng.integers(1, 15)), float(rng.uniform(0.2, 0.95))), 5
+    yield complete_graph(7), 8
+    yield Graph(6, frozenset()), 4
+    inner = random_graph(rng, 8, 0.7)
+    yield Graph(12, inner.edges), 5  # vertices 9..12 isolated
+    yield cycle_graph(4), 4
+    yield BIG_FIVE_CLIQUE, 6
+
+
 def union_find_components(graph: Graph) -> int:
     parent = list(range(graph.n_vertices + 1))
 

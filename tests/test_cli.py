@@ -219,6 +219,12 @@ class TestContract:
         bad = write(tmp_path, "bad.txt", "1 1\n")
         assert main(["betti", "--k", "0", "--input", bad]) == 1
 
+    def test_vertex_id_past_int64_exits_one(self, capsys, tmp_path, c4_file):
+        cochain = write(tmp_path, "x.tsv", f"1 2 1\n{10**20} 1 0.5\n")
+        assert main(["decompose", "--input", c4_file, "--cochain", cochain]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"(1, {10**20}) is not a clique of order 2" in captured.err
+
     def test_numerical_failure_exits_two_with_diagnostic(
         self, capsys, tmp_path, c4_file, monkeypatch
     ):
@@ -371,6 +377,26 @@ class TestNonFinite:
             assert main([*plap_args, "--p", "1000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite number" in captured.err
+
+    def test_overflowing_matrix_exits_one(self, capsys, tmp_path):
+        # finite weights whose weight-scaled Laplacian overflows: w_12 / w_1 = 1e600
+        edge = write(tmp_path, "e.txt", "1 2\n")
+        weights = write(tmp_path, "w.tsv", "1 2 1e300\n1 1e-300\n")
+        with np.errstate(over="ignore"):
+            assert main(["laplacian", "--k", "0", "--input", edge, "--weights", weights]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite number" in captured.err
+
+    def test_matrix_writer_rejects_non_finite_and_keeps_negative_zero(self):
+        from scipy.sparse import csr_matrix
+
+        from graphhodge import write_matrix
+
+        for x in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite number"):
+                write_matrix(csr_matrix(np.array([[1.0, x]])))
+        signed_zero = csr_matrix(([-0.0, 2.5], ([0, 0], [0, 1])), shape=(1, 2))
+        assert write_matrix(signed_zero).endswith("1 1 -0\n1 2 2.5\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_inputs_exit_one(self, capsys, tmp_path, c4_file, value):

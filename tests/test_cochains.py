@@ -203,3 +203,81 @@ class TestWeights:
 def test_cochain_tsv_rejects_non_finite_values(c3_complex, value):
     with pytest.raises(InputFormatError, match="line 3: value must be finite"):
         read_cochain_tsv(f"1 2 1\n# comment\n2 3 {value}\n", c3_complex)
+
+
+def loop_from_dict(cx, degree, entries) -> np.ndarray:
+    """Cochain.from_dict one entry at a time through cx.index: the replaced path, kept as the oracle."""
+    vals = np.zeros(cx.n_cliques(degree + 1))
+    index = cx.index(degree + 1)
+    for key, v in entries.items():
+        sorted_key, sign = sort_with_sign(tuple(int(x) for x in key))
+        if sign == 0:
+            raise ValueError(f"repeated vertex in {key}")
+        if sorted_key not in index:
+            raise ValueError(f"{sorted_key} is not a clique of order {degree + 1}")
+        vals[index[sorted_key]] = sign * float(v)
+    return vals
+
+
+def outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFromDictOracle:
+    def test_values_bit_identical(self, rng):
+        for _ in range(20):
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(1, 11)), 0.7), 4)
+            for degree in range(4):
+                cliques = cx.cliques(degree + 1)
+                entries = {}
+                for i in rng.permutation(len(cliques)):
+                    key = tuple(int(v) for v in rng.permutation(cliques[i]))
+                    entries[key] = rng.choice([float(rng.normal()), 0.0, -0.0, int(rng.integers(-3, 4))])
+                    if rng.random() < 0.2:  # the same clique named twice: the later value wins
+                        entries[tuple(reversed(key))] = float(rng.normal())
+                got = Cochain.from_dict(cx, degree, entries).values
+                ref = loop_from_dict(cx, degree, entries)
+                assert got.tobytes() == ref.tobytes()  # -0.0 included
+
+    def test_same_first_offending_key(self, rng):
+        cx = enumerate_cliques(random_graph(rng, 8, 0.5), 3)
+        edges = list(cx.cliques(2))
+        bad_keys = [(2, 2), (1, 9), (0, 1), (-1, 3), (5, 4, 3), (7,), (3, 3, 1), (10**20, 1), (2**64, 2**64)]
+        bad_keys += [e for e in [(u, v) for u in range(1, 9) for v in range(u + 1, 9)] if e not in edges][:3]
+        for _ in range(40):
+            picked = [edges[i] for i in rng.choice(len(edges), 5, replace=False)]
+            entries = {tuple(reversed(e)) if rng.random() < 0.5 else e: 1.0 for e in picked}
+            chosen = [bad_keys[i] for i in rng.choice(len(bad_keys), 2, replace=False)]
+            keys = list(entries) + chosen
+            order = rng.permutation(len(keys))
+            mixed = {keys[i]: 2.5 for i in order}
+            got = outcome(lambda: Cochain.from_dict(cx, 1, mixed))
+            ref = outcome(lambda: loop_from_dict(cx, 1, mixed))
+            assert isinstance(ref, str) and got == ref
+
+    def test_empty_entries(self, c4_complex):
+        for degree in range(3):
+            assert not Cochain.from_dict(c4_complex, degree, {}).values.any()
+
+
+def test_from_table_keys_match_sort_with_sign(rng):
+    entries = {}
+    for _ in range(200):
+        key = tuple(int(v) for v in rng.choice(30, int(rng.integers(1, 5)), replace=False) + 1)
+        entries[key] = float(rng.uniform(0.5, 2.0))
+    expected = {}
+    for clique, w in entries.items():
+        key, _ = sort_with_sign(clique)
+        expected.setdefault(len(key), {})[key] = float(w)
+    assert WeightScheme.from_table(entries).tables == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_cochain_tsv_rejects_non_finite(c3_complex, value):
+    x = Cochain(1, c3_complex, np.array([1.0, value, -0.0]))
+    with pytest.raises(ValueError, match="non-finite number"):
+        write_cochain_tsv(x)
+    assert write_cochain_tsv(Cochain(1, c3_complex, np.array([1.0, 2.5, -0.0]))) == "1 2 1\n1 3 2.5\n2 3 -0\n"

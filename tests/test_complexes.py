@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +6,16 @@ from hypothesis import strategies as st
 
 from graphhodge import Graph, InputFormatError, enumerate_cliques, parse_graph
 
-from conftest import FULL_ISO_A, LAP_ISO_A, brute_force_cliques, cycle_graph, random_graph
+from conftest import (
+    BIG_FIVE_CLIQUE,
+    FULL_ISO_A,
+    LAP_ISO_A,
+    brute_force_cliques,
+    cycle_graph,
+    loop_enumerate_levels,
+    oracle_graphs,
+    random_graph,
+)
 
 
 class TestParseGraph:
@@ -138,3 +148,54 @@ class TestEnumerateCliques:
         assert cx.n_cliques(1) == n
         assert cx.cliques(2) == ()
         assert cx.clique_number() == 1
+
+
+class TestArrayLevels:
+    def test_levels_match_loop_oracle(self, rng):
+        for g, max_order in oracle_graphs(rng):
+            cx = enumerate_cliques(g, max_order)
+            expected = loop_enumerate_levels(g, max_order)
+            for order, (level, ref) in enumerate(zip(cx.levels, expected), start=1):
+                assert level.dtype == np.int64 and level.shape == (len(ref), order)
+                assert not level.flags.writeable
+                assert cx.cliques(order) == ref
+                assert all(type(v) is int for c in cx.cliques(order) for v in c)
+
+    def test_levels_match_networkx(self, rng):
+        for g, max_order in oracle_graphs(rng):
+            if g.n_vertices > 100:
+                continue  # networkx visits every isolated vertex in Python
+            cx = enumerate_cliques(g, max_order)
+            nxg = nx.Graph(list(g.edges))
+            nxg.add_nodes_from(range(1, g.n_vertices + 1))
+            found = sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(nxg))
+            for order in range(1, max_order + 1):
+                assert cx.cliques(order) == tuple(c for c in found if len(c) == order)
+
+    def test_tuple_view_built_once(self, rng):
+        cx = enumerate_cliques(random_graph(rng, 9, 0.6), 3)
+        assert cx.cliques(3) is cx.cliques(3)
+        assert cx.n_cliques(3) == len(cx.levels[2])
+
+    def test_locate_finds_every_clique_and_nothing_else(self, rng):
+        for g, max_order in oracle_graphs(rng):
+            cx = enumerate_cliques(g, max_order)
+            n = g.n_vertices
+            for order in range(1, max_order + 1):
+                level = cx.level(order)
+                assert np.array_equal(cx.locate(level), np.arange(len(level)))
+                others = rng.integers(-1, 2 * n + 4, size=(60, order))
+                present = set(cx.cliques(order))
+                expected = [cx.index(order)[t] if t in present else -1 for t in map(tuple, others.tolist())]
+                assert cx.locate(others).tolist() == expected
+
+    def test_locate_out_of_range_row_matches_no_key(self):
+        # with no valid prefix, (0, n+3) would reach key n+3-(n+1) = 2, the key of edge (1, 2)
+        cx = enumerate_cliques(cycle_graph(4), 3)
+        assert cx.locate([[1, 2], [0, 7], [9, 7], [0, 2]]).tolist() == [0, -1, -1, -1]
+
+    def test_locate_large_vertex_ids(self):
+        cx = enumerate_cliques(BIG_FIVE_CLIQUE, 5)
+        assert cx.locate([[3, 17, 40_000, 69_999], [17, 40_000, 69_999, 70_000]]).tolist() == [0, 4]
+        assert cx.locate([[3, 17, 40_000, 69_998], [3, 17, 40_000, 70_001]]).tolist() == [-1, -1]
+        assert cx.locate([[3, 17, 40_000, 69_999, 70_000]]).tolist() == [0]

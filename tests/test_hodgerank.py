@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphhodge import (
+    CliqueComplex,
     Cochain,
     ComparisonData,
     InputFormatError,
@@ -13,6 +14,7 @@ from graphhodge import (
     enumerate_cliques,
     rank,
 )
+from graphhodge.hodgerank import _pair_statistics
 
 from conftest import kendall_tau_distance
 
@@ -89,6 +91,81 @@ class TestAggregate:
         base = [("v1", "a", 5), ("v1", "b", 3), ("v2", "a", 2), ("v2", "b", 4)]
         shifted = [("v1", "a", 105), ("v1", "b", 103), ("v2", "a", 2), ("v2", "b", 4)]
         assert flow_by_pair(aggregate(ratings(base))) == flow_by_pair(aggregate(ratings(shifted)))
+
+
+def loop_aggregate(data, model):
+    """Per-pair flow and vote count, one np.mean or win count per pair: the replaced loop, kept as oracle."""
+    values, _ = _pair_statistics(data)
+    flow, weight = {}, {}
+    for (a, b), diffs in values.items():
+        if model == "mean":
+            flow[a, b] = float(np.mean(diffs))
+        else:
+            wins_a = sum(1 for d in diffs if d > 0)
+            wins_b = sum(1 for d in diffs if d < 0)
+            flow[a, b] = math.log((wins_a + 0.5) / (wins_b + 0.5))
+        weight[a, b] = float(len(diffs))
+    return flow, weight
+
+
+def vote_count_ratings(rng, counts, integer):
+    """Ratings in which pair number p is compared by exactly counts[p] voters, plus one dense voter pool."""
+    records = []
+    for p, c in enumerate(counts):
+        for v in range(c):
+            for item in (f"a{p}", f"b{p}"):
+                score = int(rng.integers(1, 6)) if integer else float(rng.normal(scale=10.0))
+                records.append((f"p{p}v{v}", item, score))
+    for v in range(40):
+        for item in rng.choice(12, 6, replace=False):
+            score = int(rng.integers(1, 6)) if integer else float(rng.random())
+            records.append((f"pool{v}", f"i{item:02d}", score))
+    return ratings(records)
+
+
+class TestAggregateOracle:
+    COUNTS = [*range(1, 40), 127, 128, 129, 200, 300]
+
+    @pytest.mark.parametrize("model", ["mean", "logodds"])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_flows_and_weights_bit_identical(self, rng, model, integer):
+        data = vote_count_ratings(rng, self.COUNTS, integer)
+        cf = aggregate(data, model=model)
+        flow, weight = loop_aggregate(data, model)
+        pairs = [(cf.items[u - 1], cf.items[v - 1]) for u, v in cf.graph.sorted_edges]
+        assert np.array_equal(cf.flow.values, [flow[p] for p in pairs])
+        assert np.array_equal(cf.weights.vector(cf.complex, 1), [weight[p] for p in pairs])
+        assert set(map(float, self.COUNTS)) <= set(weight.values())  # every group size occurs
+
+    @pytest.mark.parametrize("model", ["mean", "logodds"])
+    def test_pairwise_records(self, rng, model):
+        records = []
+        for v in range(30):
+            for _ in range(8):
+                a, b = rng.choice(10, 2, replace=False)
+                records.append((f"v{v}", f"i{a}", f"i{b}", float(rng.choice([-1.0, 0.0, 0.5, 2.0]))))
+        data = pairwise(dict(((r[0], frozenset(r[1:3])), r) for r in records).values())
+        cf = aggregate(data, model=model)
+        flow, _ = loop_aggregate(data, model)
+        pairs = [(cf.items[u - 1], cf.items[v - 1]) for u, v in cf.graph.sorted_edges]
+        assert np.array_equal(cf.flow.values, [flow[p] for p in pairs])
+
+
+def test_rank_path_builds_no_triangle_tuples(rng, monkeypatch):
+    cliques = CliqueComplex.cliques
+
+    def guarded(cx, order):
+        if order >= 3:
+            raise AssertionError(f"tuple view of the order-{order} level built")
+        return cliques(cx, order)
+
+    monkeypatch.setattr(CliqueComplex, "cliques", guarded)
+    records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6)))
+               for v in range(30) for i in rng.choice(15, 8, replace=False)]
+    cf = aggregate(ratings(records))
+    result = rank(cf)
+    assert cf.complex.n_cliques(3) > 100
+    assert result.certificate.norm_input > 0
 
 
 class TestRank:

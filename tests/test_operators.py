@@ -3,6 +3,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphhodge.operators as operators
 from graphhodge import (
@@ -30,6 +32,7 @@ from graphhodge import (
 )
 
 from conftest import (
+    BIG_FIVE_CLIQUE,
     CURL_A,
     FULL_ISO_A,
     GRAD_A,
@@ -41,6 +44,8 @@ from conftest import (
     LAPLACIAN_B,
     complete_graph,
     cycle_graph,
+    loop_enumerate_levels,
+    oracle_graphs,
     random_graph,
 )
 from test_games import seeded_game
@@ -106,6 +111,56 @@ class TestComposition:
             for k in range(0, cx.max_order - 2):
                 product = (coboundary(cx, k + 1).matrix @ coboundary(cx, k).matrix).toarray()
                 assert not np.any(product)
+
+
+def dict_coboundary(levels, k: int) -> sp.csr_matrix:
+    """d_k assembled one face at a time through a {clique: position} dict: the replaced path, as oracle."""
+    cols, rows = levels[k], levels[k + 1]
+    col_index = {c: i for i, c in enumerate(cols)}
+    data, ri, ci = [], [], []
+    for r, simplex in enumerate(rows):
+        for j in range(len(simplex)):
+            face = simplex[:j] + simplex[j + 1 :]
+            ri.append(r)
+            ci.append(col_index[face])
+            data.append(1.0 if j % 2 == 0 else -1.0)
+    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), len(cols)))
+
+
+class TestCoboundaryOracle:
+    def assert_bit_identical(self, got, ref):
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_matches_dict_assembly(self, rng):
+        for g, max_order in oracle_graphs(rng):
+            cx = enumerate_cliques(g, max_order)
+            levels = loop_enumerate_levels(g, max_order)
+            for k in range(max_order - 1):
+                self.assert_bit_identical(coboundary(cx, k).matrix, dict_coboundary(levels, k))
+
+    def test_top_degree_past_int64_base_keys(self):
+        # d_3 of a 5-clique among 70,000 vertices: faces are 4-cliques, 70001**4 > 2**63
+        assert (BIG_FIVE_CLIQUE.n_vertices + 1) ** 4 > 2**63
+        cx = enumerate_cliques(BIG_FIVE_CLIQUE, 5)
+        d3 = coboundary(cx, 3).matrix
+        self.assert_bit_identical(d3, dict_coboundary(loop_enumerate_levels(BIG_FIVE_CLIQUE, 5), 3))
+        assert d3.toarray().tolist() == [[1.0, -1.0, 1.0, -1.0, 1.0]]
+
+    @given(st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                                                 max_size=n * (n - 1) // 2))))
+    @settings(max_examples=60, deadline=None)
+    def test_coboundary_squares_to_zero(self, graph_bits):
+        n, bits = graph_bits
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        cx = enumerate_cliques(Graph(n, frozenset(e for e, b in zip(pairs, bits) if b)), 5)
+        for k in range(3):
+            product = coboundary(cx, k + 1).matrix @ coboundary(cx, k).matrix
+            assert product.shape == (cx.n_cliques(k + 3), cx.n_cliques(k + 1))
+            assert not np.any(product.toarray())
 
 
 class TestAdjoint:
