@@ -76,10 +76,22 @@ class WeightScheme:
 
     def vector(self, cx: CliqueComplex, degree: int) -> np.ndarray:
         """Weights of all (degree+1)-cliques in the complex's canonical order."""
+        out = np.ones(cx.n_cliques(degree + 1))
         table = self.tables.get(degree + 1)
-        if not table:
-            return np.ones(cx.n_cliques(degree + 1))
-        return np.array([table.get(c, 1.0) for c in cx.cliques(degree + 1)], dtype=float)
+        if table:
+            pos = cx.locate(_vertex_rows(list(table), degree + 1))  # -1: a clique not in cx
+            found = pos >= 0
+            out[pos[found]] = np.fromiter(table.values(), dtype=float, count=len(table))[found]
+        return out
+
+
+def _vertex_rows(keys: list, order: int) -> np.ndarray:
+    """Vertex-id tuples of one length as an int64 array of that many columns."""
+    try:
+        return np.array(keys, dtype=np.int64).reshape(-1, order)
+    except OverflowError:  # an id past int64 names no vertex, and neither does 0
+        return np.array([[x if abs(x) < 2**63 else 0 for x in map(int, key)] for key in keys],
+                        dtype=np.int64).reshape(-1, order)
 
 
 @dataclass(frozen=True)
@@ -117,11 +129,7 @@ class Cochain:
         keys = list(entries)
         sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
         sized_keys = [key for key, ok in zip(keys, sized) if ok]
-        try:
-            rows = np.array(sized_keys, dtype=np.int64).reshape(-1, order)
-        except OverflowError:  # an id past int64 names no vertex, and neither does 0
-            rows = np.array([[x if abs(x) < 2**63 else 0 for x in map(int, key)] for key in sized_keys],
-                            dtype=np.int64).reshape(-1, order)
+        rows = _vertex_rows(sized_keys, order)
         pos = np.full(len(keys), -1)
         pos[sized] = cx.locate(np.sort(rows, axis=1))  # a repeated vertex is never found
         if (pos < 0).any():
@@ -190,7 +198,12 @@ def inner_product(f: Cochain, g: Cochain, weights: WeightScheme | None = None) -
 
 
 def norm(f: Cochain, weights: WeightScheme | None = None) -> float:
-    return float(np.sqrt(max(inner_product(f, f, weights), 0.0)))
+    return _weighted_norm(f.values, (weights or WeightScheme.unit()).vector(f.complex, f.degree))
+
+
+def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
+    """sqrt(sum w * values^2), from a weight vector already built."""
+    return float(np.sqrt(max(float(np.dot(w * values, values)), 0.0)))
 
 
 def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) -> Cochain:

@@ -6,29 +6,40 @@ A degree-k cochain c splits orthogonally (in the weighted inner product) as
 
 with the harmonic part in ker(Delta_k). The two-solve route minimizes
 ``|d_{k-1} g - c|`` and ``|d_k* h - c|`` and takes the harmonic part as the
-leftover; the laplacian-residual route projects c onto im(Delta_k) =
-im(d_{k-1}) + im(d_k*), reads the harmonic part off the remainder, and splits
-the projection between the two images. Both work after symmetric diagonal
-scaling, so that norms and projections are the weighted ones.
+leftover; the laplacian-residual route projects c onto im(Delta_k), reads the
+harmonic part off the remainder, and splits the projection between the two
+images. Both work after symmetric diagonal scaling, so that norms and
+projections are the weighted ones: b = W_k^{1/2} c, A_e = W_k^{1/2} d_{k-1}
+and A_c = W_k^{-1/2} d_k^T W_{k+1}.
 
-The potential and prepotential problems are least squares with a rank-deficient
-operator; LSQR solves them. The projection onto im(Delta_k) is the solution u
-of the singular but consistent system Delta_k u = Delta_k c: conjugate
-gradients started from zero keep every iterate in the Krylov space of
-Delta_k c, inside im(Delta_k), and converge to that projection (Kaasschieter,
-J. Comput. Appl. Math. 1988). CG needs a few hundred iterations where LSQR on
-Delta_k, which is CG on Delta_k^2, needs thousands.
+Every solve is conjugate gradients from zero on a consistent symmetric PSD
+system in C^{k-1} or C^k, whose iterates stay in the image of its matrix and
+converge to the minimum-norm solution (Kaasschieter, J. Comput. Appl. Math.
+1988): A_e^T A_e g = A_e^T b for the potential g; A_c A_c^T u = A_c A_c^T b
+for the coexact part, u the projection of b onto im(A_c); A_c A_c^T y = u for
+the prepotential h = A_c^T y, solved only when read and Jacobi-preconditioned
+(every solution y gives the same h); Delta_k u = Delta_k b for the laplacian
+image. g and h are LSQR's limits, the least-norm minimizers.
+A_e and A_c act as products with the cached d_j and the weights. CG stops at
+a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|: |M|_2 |b| for
+the coexact part and the laplacian image, |A_e|_2 |b| for the potential and
+|b| for the prepotential, so that the stop scales with the weights as the
+answer does, and never relative to the right-hand side alone, which can be
+round-off (the exact part of a harmonic cochain). The residuals |b - A_e g|
+and |b - u| come from the returned parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, lsqr
+# lsqr is unused, but the benchmark's tracer (bench/tracing.py) wraps it under this name
+from scipy.sparse.linalg import LinearOperator, cg, lsqr  # noqa: F401
 
-from .cochains import Cochain, WeightScheme, norm
+from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
 from .operators import coboundary, hodge_laplacian
 
 SOLVER_RTOL = 1e-10
@@ -44,38 +55,36 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _solve_least_squares(A: sp.spmatrix, b: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """min_x |A x - b|_2 via LSQR with the package-wide tolerance and iteration cap."""
-    rows, cols = A.shape
-    if cols == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
-    if rows == 0:
-        return np.zeros(cols), 0.0
-    iter_lim = 10 * max(rows, cols) + 10
-    x, istop, itn, r1norm = lsqr(A, b, atol=SOLVER_RTOL, btol=SOLVER_RTOL, iter_lim=iter_lim)[:4]
-    if istop not in (0, 1, 2, 4, 5):
-        raise ConvergenceError(f"least-squares solve for {what} did not converge", float(r1norm), int(itn))
-    return x, float(r1norm)
-
-
-def _laplacian_image(lap: sp.spmatrix, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthogonal projection u of b onto im(lap), lap symmetric PSD, and |b - u|_2.
-
-    CG on the consistent system lap u = lap b, started from zero.
-    """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    rhs = lap @ b
-    u, info = cg(lap, rhs, rtol=SOLVER_RTOL, callback=count)
+def _cg(matvec, rhs: np.ndarray, atol: float, what: str, diag: np.ndarray | None = None) -> np.ndarray:
+    """x with M x = rhs by CG from zero, M = matvec symmetric PSD and rhs in im(M);
+    stops at |rhs - M x| <= atol. A positive diag preconditions (Jacobi), and x is then a
+    solution but not the least-norm one."""
+    if not rhs.any():
+        return np.zeros_like(rhs)
+    steps: list[int] = []
+    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
+    jacobi = None if diag is None else LinearOperator(op.shape, matvec=lambda r: r / diag, dtype=float)
+    x, info = cg(op, rhs, rtol=0.0, atol=atol, M=jacobi, callback=lambda _: steps.append(1))
     if info != 0:
-        residual = float(np.linalg.norm(rhs - lap @ u))
-        raise ConvergenceError("conjugate-gradient solve for the laplacian image did not converge",
-                               residual, iterations)
-    return u, float(np.linalg.norm(b - u))
+        raise ConvergenceError(f"conjugate-gradient solve for {what} did not converge",
+                               float(np.linalg.norm(rhs - matvec(x))), len(steps))
+    return x
+
+
+def _gram_bound(m: sp.spmatrix, right: np.ndarray) -> float:
+    """|D|_1 |D|_inf >= |D^T D|_2 = |D D^T|_2 for D = m diag(right)."""
+    mag = abs(m)
+    col_sums = right * (mag.T @ np.ones(m.shape[0]))
+    return float(np.max(mag @ right, initial=0.0) * np.max(col_sums, initial=0.0))
+
+
+def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
+    """(A_c A_c^T, bound >= |A_c A_c^T|_2, D) for A_c = W_k^{-1/2} D^T, applied as products with
+    D = W_{k+1} d_k: the cached d_k itself when order k+2 has no weight table."""
+    d = coboundary(cx, k).matrix
+    if w.tables.get(k + 2):
+        d = sp.diags(w.vector(cx, k + 1)) @ d
+    return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, _gram_bound(d, 1.0 / sqrt_w), d
 
 
 def _mean_zero_gauge(values: np.ndarray, cx) -> np.ndarray:
@@ -96,30 +105,34 @@ class HodgeSplit:
     harmonic: Cochain
     coexact: Cochain
     potential: Cochain | None
-    prepotential: Cochain | None
     norms: dict[str, float]
     residuals: dict[str, float]
     method: str
     weights: WeightScheme = field(repr=False, default_factory=WeightScheme.unit)
 
-    def to_json_dict(self) -> dict:
-        from .cochains import write_cochain_tsv
+    @cached_property
+    def prepotential(self) -> Cochain | None:
+        """h = A_c^T y, A_c A_c^T y = W^{1/2} coexact, the least-norm minimizer of |d_k* h - c|_w;
+        two-solve only, None without (k+2)-cliques, and solved on first read."""
+        cx, k = self.input.complex, self.input.degree
+        if self.method != "two-solve" or cx.n_cliques(k + 2) == 0:
+            return None
+        w_here = self.weights.vector(cx, k)
+        sqrt_w = np.sqrt(w_here)
+        gram, _, d = _coexact_operator(cx, k, self.weights, sqrt_w)
+        diag = (d.multiply(d).T @ np.ones(d.shape[0])) / w_here
+        atol = SOLVER_RTOL * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |b|
+        # every solution y gives the same h, so a preconditioner costs nothing in the answer
+        y = _cg(gram, sqrt_w * self.coexact.values, atol, "the prepotential", np.where(diag > 0, diag, 1.0))
+        return Cochain(k + 1, cx, d @ (y / sqrt_w))
 
-        out = {
-            "k": self.input.degree,
-            "method": self.method,
-            "norms": self.norms,
-            "residuals": self.residuals,
-            "input": write_cochain_tsv(self.input),
-            "exact": write_cochain_tsv(self.exact),
-            "harmonic": write_cochain_tsv(self.harmonic),
-            "coexact": write_cochain_tsv(self.coexact),
-            "solver_rtol": SOLVER_RTOL,
-        }
-        if self.potential is not None:
-            out["potential"] = write_cochain_tsv(self.potential)
-        if self.prepotential is not None:
-            out["prepotential"] = write_cochain_tsv(self.prepotential)
+    def to_json_dict(self) -> dict:
+        out = {"k": self.input.degree, "method": self.method, "norms": self.norms,
+               "residuals": self.residuals, "solver_rtol": SOLVER_RTOL}
+        for name in ("input", "exact", "harmonic", "coexact", "potential", "prepotential"):
+            part = getattr(self, name)
+            if part is not None:
+                out[name] = write_cochain_tsv(part)
         return out
 
 
@@ -135,66 +148,51 @@ def hodge_decompose(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     w = weights or WeightScheme.unit()
-    cx = c.complex
-    k = c.degree
+    cx, k = c.complex, c.degree
+    has_up = cx.n_cliques(k + 2) > 0  # raises when level k+2 was never enumerated
     w_here = w.vector(cx, k)
     sqrt_w = np.sqrt(w_here)
-
-    down = coboundary(cx, k - 1) if k >= 1 else None
-    up = coboundary(cx, k)
+    b = sqrt_w * c.values
+    scale = np.linalg.norm(b)
 
     def solve_exact(target: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
         """min_g |d_{k-1} g - target|_w; returns (exact coords, potential, residual)."""
-        if down is None or down.matrix.shape[1] == 0:
+        if k == 0 or cx.n_cliques(k) == 0:
             return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
-        A = sp.diags(sqrt_w) @ down.matrix
-        g, res = _solve_least_squares(A, sqrt_w * target, "the potential")
+        d = coboundary(cx, k - 1).matrix
+        atol = SOLVER_RTOL * np.sqrt(_gram_bound(d.T, sqrt_w)) * scale  # |rhs| <= |A_e|_2 |b|
+        g = _cg(lambda x: d.T @ (w_here * (d @ x)), d.T @ (w_here * target), atol, "the potential")
         if k - 1 == 0:
             g = _mean_zero_gauge(g, cx)
-        return down.matrix @ g, g, res
-
-    def solve_coexact(target: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """min_h |d_k* h - target|_w; returns (coexact coords, prepotential, residual)."""
-        if up.matrix.shape[0] == 0:
-            return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
-        w_up = w.vector(cx, k + 1)
-        A = sp.diags(1.0 / sqrt_w) @ up.matrix.transpose() @ sp.diags(w_up)
-        h, res = _solve_least_squares(A, sqrt_w * target, "the prepotential")
-        coex = (up.matrix.transpose() @ (w_up * h)) / w_here
-        return coex, h, res
+        exact = d @ g
+        return exact, g, float(np.linalg.norm(sqrt_w * (target - exact)))
 
     residuals: dict[str, float] = {}
     if method == "two-solve":
-        exact_vals, g, res_e = solve_exact(c.values)
-        coexact_vals, h, res_c = solve_coexact(c.values)
+        exact_vals, g, residuals["exact_solve"] = solve_exact(c.values)
+        coexact_vals = np.zeros_like(c.values)
+        if has_up:
+            gram, bound, _ = _coexact_operator(cx, k, w, sqrt_w)
+            coexact_vals = _cg(gram, gram(b), SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
+        residuals["coexact_solve"] = float(np.linalg.norm(sqrt_w * (c.values - coexact_vals)))
         harmonic_vals = c.values - exact_vals - coexact_vals
-        residuals["exact_solve"] = res_e
-        residuals["coexact_solve"] = res_c
     else:
-        lap = hodge_laplacian(cx, k, w)
-        image_scaled, res_l = _laplacian_image(lap.matrix, sqrt_w * c.values)
-        image_vals = image_scaled / sqrt_w if image_scaled.size else image_scaled
+        lap = hodge_laplacian(cx, k, w).matrix
+        bound = float(np.max(abs(lap) @ np.ones(lap.shape[0]), initial=0.0))  # |lap|_1 >= |lap|_2
+        image_scaled = _cg(lap.dot, lap @ b, SOLVER_RTOL * bound * scale, "the laplacian image")
+        residuals["laplacian_solve"] = float(np.linalg.norm(b - image_scaled))
+        image_vals = image_scaled / sqrt_w
         harmonic_vals = c.values - image_vals
-        exact_vals, g, res_e = solve_exact(image_vals)
+        exact_vals, g, residuals["split_solve"] = solve_exact(image_vals)
         coexact_vals = image_vals - exact_vals
-        h = None
-        residuals["laplacian_solve"] = res_l
-        residuals["split_solve"] = res_e
 
-    exact = Cochain(k, cx, exact_vals)
-    harmonic = Cochain(k, cx, harmonic_vals)
-    coexact = Cochain(k, cx, coexact_vals)
+    parts = (exact_vals, harmonic_vals, coexact_vals)
     recon = c.values - (exact_vals + harmonic_vals + coexact_vals)
     residuals["reconstruction"] = float(np.linalg.norm(sqrt_w * recon))
-    norms = {
-        "input": norm(c, w),
-        "exact": norm(exact, w),
-        "harmonic": norm(harmonic, w),
-        "coexact": norm(coexact, w),
-    }
+    names = ("input", "exact", "harmonic", "coexact")
+    norms = {name: _weighted_norm(v, w_here) for name, v in zip(names, (c.values, *parts))}
     potential = Cochain(k - 1, cx, g) if g is not None else None
-    prepotential = Cochain(k + 1, cx, h) if h is not None else None
-    return HodgeSplit(c, exact, harmonic, coexact, potential, prepotential, norms, residuals, method, w)
+    return HodgeSplit(c, *(Cochain(k, cx, v) for v in parts), potential, norms, residuals, method, w)
 
 
 def harmonic_project(c: Cochain, weights: WeightScheme | None = None) -> Cochain:

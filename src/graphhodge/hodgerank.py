@@ -103,28 +103,43 @@ class ComparisonFlow:
 
 
 def _pair_statistics(data: ComparisonData):
-    """Per unordered pair: list of signed per-voter values (positive favors the smaller label)."""
-    values: dict[tuple[str, str], list[float]] = {}
-    universe: set[str] = set()
+    """Every compared pair's signed per-voter values, grouped by pair.
+
+    Returns (names, pairs, counts, votes). names is the sorted item universe;
+    pairs[p] = (i, j), i < j, indexes it, and the rows ascend. Pair p's values
+    are votes[s : s + counts[p]], s = counts[:p].sum(), in voter order (first
+    appearance for ratings, record order for pairwise data); a positive value
+    favors names[i].
+    """
     if data.ratings:
-        by_voter: dict[str, dict[str, float]] = {}
-        for voter, item, score in data.ratings:
-            by_voter.setdefault(voter, {})[item] = score
-            universe.add(item)
-        for scores in by_voter.values():
-            names = sorted(scores)
-            for idx, a in enumerate(names):
-                for b in names[idx + 1 :]:
-                    values.setdefault((a, b), []).append(scores[a] - scores[b])
+        voters, items, scores = zip(*data.ratings)
     else:
-        for voter, a, b, value in data.pairwise:
-            universe.add(a)
-            universe.add(b)
-            if a < b:
-                values.setdefault((a, b), []).append(value)
-            else:
-                values.setdefault((b, a), []).append(-value)
-    return values, universe
+        _, firsts, seconds, values = zip(*data.pairwise)
+        items = firsts + seconds
+    names = sorted(set(items))
+    index = dict(zip(names, range(len(names))))
+    ids = np.array([index[name] for name in items], dtype=np.int64)
+    if data.ratings:
+        seen: dict[str, int] = {}
+        voter = np.array([seen.setdefault(v, len(seen)) for v in voters], dtype=np.int64)
+        by_voter = np.lexsort((ids, voter))  # each voter's ratings, by name
+        voter, ids, score = voter[by_voter], ids[by_voter], np.array(scores, dtype=float)[by_voter]
+        # rating t pairs with each later rating of its voter, t = first[p] < second[p]
+        later = np.searchsorted(voter, voter, side="right") - np.arange(len(voter)) - 1
+        first = np.repeat(np.arange(len(voter)), later)
+        second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        lo, hi, value, rank = ids[first], ids[second], score[first] - score[second], voter[first]
+    else:
+        first, second = ids[: len(firsts)], ids[len(firsts) :]
+        lo, hi = np.minimum(first, second), np.maximum(first, second)
+        value = np.where(first < second, 1.0, -1.0) * np.array(values, dtype=float)
+        rank = np.arange(len(first))
+    key = lo * len(names) + hi
+    order = np.lexsort((rank, key))
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    pairs = np.column_stack([lo[order][starts], hi[order][starts]])
+    return names, pairs, np.diff(starts, append=len(key)), value[order]
 
 
 def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
@@ -133,34 +148,32 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if not data.ratings and not data.pairwise:
         raise ValueError("no comparison records")
-    values, universe = _pair_statistics(data)
-    compared = sorted({name for pair in values for name in pair})
-    excluded = tuple(sorted(universe - set(compared)))
+    names, pairs, counts, votes = _pair_statistics(data)
+    used = np.zeros(len(names), dtype=bool)
+    used[pairs.ravel()] = True
+    compared = tuple(name for name, u in zip(names, used) if u)
+    excluded = tuple(name for name, u in zip(names, used) if not u)
     if excluded:
         warnings.warn(f"items never compared with another item were excluded: {excluded}")
     if not compared:
         raise ValueError("no comparable pair in the data")
-    vid = {name: i + 1 for i, name in enumerate(compared)}
-
-    edges = {(vid[a], vid[b]) for a, b in values}
+    vid = np.cumsum(used)  # vertex id of each compared name, ascending with the name
+    edges = list(map(tuple, vid[pairs].tolist()))  # ascending: the complex's edge order
     graph = Graph(len(compared), frozenset(edges))
     cx = enumerate_cliques(graph, max_order=3)
-    diffs = list(values.values())
-    counts = np.fromiter(map(len, diffs), dtype=np.int64, count=len(diffs))
-    x = np.empty(len(diffs))
+    x = np.empty(len(edges))
+    offsets = np.cumsum(counts) - counts
     for c in np.unique(counts):
         # the pairs with c votes: a (G, c) block, whose row means equal np.mean of each list bit for bit
         group = np.flatnonzero(counts == c)
-        block = np.array([diffs[i] for i in group])
+        block = votes[offsets[group][:, None] + np.arange(c)]
         if model == "mean":
             x[group] = block.mean(axis=1)
         else:
             odds = ((block > 0).sum(axis=1) + 0.5) / ((block < 0).sum(axis=1) + 0.5)
             x[group] = [math.log(r) for r in odds.tolist()]
-    edges = [(vid[a], vid[b]) for a, b in values]
-    flow = Cochain.from_dict(cx, 1, dict(zip(edges, x.tolist())))
-    weights = WeightScheme.from_table(dict(zip(edges, counts.astype(float).tolist())))
-    return ComparisonFlow(flow, weights, graph, tuple(compared), excluded)
+    weights = WeightScheme({2: dict(zip(edges, counts.astype(float).tolist()))})
+    return ComparisonFlow(Cochain(1, cx, x), weights, graph, compared, excluded)
 
 
 @dataclass(frozen=True)
@@ -232,7 +245,7 @@ def rank(cf: ComparisonFlow) -> RankingResult:
     )
     comps = cf.graph.connected_components()
     components = tuple(tuple(cf.items[v - 1] for v in comp) for comp in comps)
-    edge_weights = {e: cf.weights.weight(e) for e in cf.graph.sorted_edges}
+    edge_weights = dict(zip(cf.graph.sorted_edges, cf.weights.vector(cf.complex, 1).tolist()))
     return RankingResult(
         cf.items, scores, order, cert, cf.graph, edge_weights, len(comps) == 1, components
     )

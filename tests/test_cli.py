@@ -230,14 +230,20 @@ class TestContract:
     ):
         import graphhodge.decompose as module
 
-        monkeypatch.setattr(
-            module, "lsqr", lambda A, b, **kw: (np.zeros(A.shape[1]), 7, 9, 0.5)
-        )
+        def fake_cg(A, b, callback=None, **kwargs):
+            # the potential solve: b = (-1, 1, 0, 0) and Delta_0 (b / 4) = (-3, 3, -1, 1) / 4 on the
+            # 4-cycle, which leaves the residual (-1, 1, 1, -1) / 4 of norm 0.5
+            for _ in range(9):
+                callback(b / 4)
+            return b / 4, 9
+
+        monkeypatch.setattr(module, "cg", fake_cg)
         cochain = write(tmp_path, "x.tsv", "1 2 1\n")
         code, out = run(capsys, "decompose", "--input", c4_file, "--cochain", cochain)
         assert code == 2
         doc = json.loads(out)
         assert doc["residual"] == 0.5
+        assert doc["iterations"] == 9
         assert "error" in doc
 
     def test_laplacian_image_failure_exits_two_with_diagnostic(
@@ -413,9 +419,12 @@ class TestNonFinite:
     def test_non_finite_residual_still_gives_exit_two_document(self, capsys, tmp_path, c4_file, monkeypatch):
         import graphhodge.decompose as module
 
-        monkeypatch.setattr(
-            module, "lsqr", lambda A, b, **kw: (np.zeros(A.shape[1]), 7, 9, float("nan"))
-        )
+        def fake_cg(A, b, callback=None, **kwargs):
+            for _ in range(9):
+                callback(b)
+            return np.full_like(b, np.nan), 9
+
+        monkeypatch.setattr(module, "cg", fake_cg)
         cochain = write(tmp_path, "x.tsv", "1 2 1\n")
         code, out = run(capsys, "decompose", "--input", c4_file, "--cochain", cochain)
         assert code == 2

@@ -226,6 +226,28 @@ def outcome(build):
         return str(exc)
 
 
+def loop_vector(w, cx, degree):
+    """One dict lookup per clique: the replaced WeightScheme.vector, kept as oracle."""
+    table = w.tables.get(degree + 1)
+    if not table:
+        return np.ones(cx.n_cliques(degree + 1))
+    return np.array([table.get(c, 1.0) for c in cx.cliques(degree + 1)], dtype=float)
+
+
+class TestWeightVectorOracle:
+    def test_bit_identical_with_partial_tables_and_stray_keys(self, rng):
+        for _ in range(20):
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(1, 11)), 0.6), 4)
+            entries = {c: float(rng.uniform(0.1, 5.0)) for order in range(1, 5) for c in cx.cliques(order)
+                       if rng.random() < 0.6}
+            # keys that name no clique here: absent vertices, a repeat, ids past int64
+            entries.update({(0,): 2.0, (1, 99): 3.0, (-1, 2): 0.5, (2, 2, 5): 1.5, (1, 10**20): 4.0,
+                            (2**64, 3, 1): 7.0, (1, 2, 3, 12): 9.0})
+            w = WeightScheme.from_table(entries)
+            for degree in range(4):
+                assert w.vector(cx, degree).tobytes() == loop_vector(w, cx, degree).tobytes()
+
+
 class TestFromDictOracle:
     def test_values_bit_identical(self, rng):
         for _ in range(20):

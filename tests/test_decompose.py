@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import lsqr
 
 from graphhodge import (
@@ -15,10 +18,12 @@ from graphhodge import (
     norm,
     verify_operator_pair,
 )
-from graphhodge.decompose import SOLVER_RTOL
+import graphhodge.decompose as decompose
+from graphhodge.cli import main
+from graphhodge.decompose import SOLVER_RTOL, _mean_zero_gauge
 
-from conftest import LAP_ISO_A, cycle_graph, pinv_split, random_connected_graph, random_graph
-from test_operators import random_table_weights
+from conftest import LAP_ISO_A, complete_graph, cycle_graph, pinv_split, random_connected_graph, random_graph
+from test_operators import random_table_weights, weight_schemes
 
 
 def decompose_setup(rng, n=None):
@@ -179,14 +184,19 @@ class TestConvergenceFailure:
     def test_error_carries_best_residual(self, rng, monkeypatch):
         import graphhodge.decompose as module
 
-        def fake_lsqr(A, b, **kwargs):
-            return np.zeros(A.shape[1]), 7, 42, 0.125
+        seen = {}
 
-        monkeypatch.setattr(module, "lsqr", fake_lsqr)
+        def fake_cg(A, b, callback=None, **kwargs):
+            seen["rhs_norm"] = float(np.linalg.norm(b))
+            for _ in range(42):
+                callback(np.zeros_like(b))
+            return np.zeros_like(b), 42
+
+        monkeypatch.setattr(module, "cg", fake_cg)
         cx, x = decompose_setup(rng, n=6)
         with pytest.raises(module.ConvergenceError) as info:
             hodge_decompose(x)
-        assert info.value.residual == 0.125
+        assert info.value.residual == seen["rhs_norm"] > 0  # |rhs - M 0| at the iterate returned
         assert info.value.iterations == 42
 
 
@@ -261,6 +271,150 @@ class TestLaplacianImageOracle:
             got = self.assert_matches_oracle(Cochain.zero(cx, k), random_table_weights(rng, cx))
             assert got.residuals["laplacian_solve"] == 0.0
             assert norm(got.harmonic) == 0.0
+
+
+def lsqr_min_norm(A, b):
+    """min_x |A x - b|_2 by LSQR as the two-solve route ran it: the least-norm x in the limit."""
+    rows, cols = A.shape
+    if cols == 0 or rows == 0:
+        return np.zeros(cols)
+    return lsqr(A, b, atol=SOLVER_RTOL, btol=SOLVER_RTOL, iter_lim=10 * max(rows, cols) + 10)[0]
+
+
+def lsqr_two_solve(c, w):
+    """The two-solve route as LSQR solved it, kept as oracle: potential g over C^{k-1} and
+    prepotential h over C^{k+1} as unknowns. Returns (exact, harmonic, coexact, g, h)."""
+    cx, k = c.complex, c.degree
+    w_here = w.vector(cx, k)
+    sqrt_w = np.sqrt(w_here)
+    exact, g = np.zeros_like(c.values), None
+    if k >= 1 and cx.n_cliques(k):
+        down = coboundary(cx, k - 1).matrix
+        g = lsqr_min_norm(sp.diags(sqrt_w) @ down, sqrt_w * c.values)
+        g = _mean_zero_gauge(g, cx) if k == 1 else g
+        exact = down @ g
+    coexact, h = np.zeros_like(c.values), None
+    up = coboundary(cx, k).matrix
+    if up.shape[0]:
+        w_up = w.vector(cx, k + 1)
+        h = lsqr_min_norm(sp.diags(1.0 / sqrt_w) @ up.T @ sp.diags(w_up), sqrt_w * c.values)
+        coexact = (up.T @ (w_up * h)) / w_here
+    return exact, c.values - exact - coexact, coexact, g, h
+
+
+class TestTwoSolveOracle:
+    def assert_matches_lsqr(self, c, w):
+        got = hodge_decompose(c, w)
+        exact, harmonic, coexact, g, h = lsqr_two_solve(c, w)
+        tol = 1e-7 * np.linalg.norm(c.values)
+        for part, ref in ((got.exact, exact), (got.harmonic, harmonic), (got.coexact, coexact)):
+            assert np.linalg.norm(part.values - ref) <= tol
+        for pot, ref in ((got.potential, g), (got.prepotential, h)):
+            assert (pot is None) == (ref is None)
+            assert pot is None or np.linalg.norm(pot.values - ref) <= tol
+        return got
+
+    def test_degrees_0_to_2_under_every_weight_scheme(self, rng):
+        graphs = [random_connected_graph(rng, int(rng.integers(6, 13)), extra=0.6) for _ in range(5)]
+        for g in graphs + [complete_graph(6), cycle_graph(12)]:
+            cx = enumerate_cliques(g, 5)
+            for w in weight_schemes(rng, cx):
+                for k in range(3):
+                    if cx.n_cliques(k + 1):
+                        self.assert_matches_lsqr(Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1))), w)
+
+    def test_weighted_prepotential_is_the_least_2_norm_one(self, rng):
+        """Not the least W-norm prepotential W_{k+1}^{-1/2} z of B_k: a weighted case tells them apart."""
+        g = random_connected_graph(rng, 14, extra=0.6)
+        cx = enumerate_cliques(g, 4)
+        assert cx.n_cliques(4) > 0
+        w = random_table_weights(rng, cx)
+        c = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)))
+        h = self.assert_matches_lsqr(c, w).prepotential.values
+        up = coboundary(cx, 1).matrix.toarray()
+        w_here, w_up = w.vector(cx, 1), w.vector(cx, 2)
+        a_c = (up.T * w_up) / np.sqrt(w_here)[:, None]
+        least_w_norm = np.linalg.pinv(a_c / np.sqrt(w_up)) @ (np.sqrt(w_here) * c.values) / np.sqrt(w_up)
+        assert np.allclose(a_c @ least_w_norm, a_c @ h, atol=1e-8)  # the same coexact part
+        assert np.linalg.norm(least_w_norm - h) > 1e-3 * np.linalg.norm(c.values)
+
+    def test_stops_scale_with_the_weights(self, rng):
+        """Every table times 1e8, or the triangles' alone times 1e3, leaves each stop as tight
+        relative to its answer as at the original weights."""
+        cx = enumerate_cliques(random_connected_graph(rng, 11, extra=0.6), 5)
+        assert cx.n_cliques(4) > 0
+        for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+            tables = {order: dict.fromkeys(cx.cliques(order), 1.0) | w.tables.get(order, {}) for order in range(1, 5)}
+            heavy = WeightScheme({o: {c: 1e8 * x for c, x in t.items()} for o, t in tables.items()})
+            heavy_triangles = WeightScheme(tables | {3: {c: 1e3 * x for c, x in tables[3].items()}})
+            for scheme in (heavy, heavy_triangles):
+                for k in range(3):
+                    self.assert_matches_lsqr(Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1))), scheme)
+        triangle = enumerate_cliques(complete_graph(3), 3)
+        c = Cochain(1, triangle, np.array([1.0, 0.0, 0.0]))
+        got = self.assert_matches_lsqr(c, WeightScheme({o: dict.fromkeys(triangle.cliques(o), 1e11) for o in (1, 2, 3)}))
+        assert np.allclose(got.prepotential.values, [1 / 3]) and np.allclose(got.coexact.values, [1 / 3, -1 / 3, 1 / 3])
+
+    def test_round_off_right_hand_sides(self, rng):
+        g = random_connected_graph(rng, 10, extra=0.6)
+        cx = enumerate_cliques(g, 4)
+        for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+            split = hodge_decompose(Cochain(1, cx, rng.normal(size=cx.n_cliques(2))), w)
+            # each part of a split splits again into itself and two parts of round-off
+            for part in (split.exact, split.harmonic, split.coexact):
+                again = self.assert_matches_lsqr(part, w)
+                assert np.isfinite(again.prepotential.values).all() and np.isfinite(again.potential.values).all()
+
+    def test_zero_and_empty_cochains(self, rng, c4_complex):
+        cx = enumerate_cliques(random_connected_graph(rng, 8, extra=0.6), 4)
+        edgeless = enumerate_cliques(random_graph(rng, 4, 0.0), 3)
+        cases = [(cx, 0), (cx, 1), (cx, 2), (c4_complex, 2), (edgeless, 1), (edgeless, 0)]
+        for cx, k in cases:
+            got = self.assert_matches_lsqr(Cochain.zero(cx, k), random_table_weights(rng, cx))
+            for part in (got.exact, got.harmonic, got.coexact, got.potential, got.prepotential):
+                assert part is None or not part.values.any()
+            assert not any(got.residuals.values()) and not any(got.norms.values())
+
+
+class TestPrepotentialOnDemand:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        seen = []
+        solve = decompose._cg
+
+        def recording(matvec, rhs, atol, what, *diag):
+            seen.append(what)
+            return solve(matvec, rhs, atol, what, *diag)
+
+        monkeypatch.setattr(decompose, "_cg", recording)
+        return seen
+
+    def test_only_a_read_solves_for_it(self, rng, solves):
+        cx, x = decompose_setup(rng, n=9)
+        split = hodge_decompose(x)
+        assert solves == ["the potential", "the coexact part"]
+        assert split.prepotential is split.prepotential
+        assert solves == ["the potential", "the coexact part", "the prepotential"]
+
+    def test_rank_and_game_never_solve_for_it(self, solves, capsys, tmp_path, rng):
+        records = [f"v{v},i{i},{int(rng.integers(1, 6))}" for v in range(12) for i in rng.choice(9, 5, replace=False)]
+        ratings = tmp_path / "r.csv"
+        ratings.write_text("voter,item,score\n" + "\n".join(records) + "\n")
+        utilities = [{f"{a},{b}": float(rng.normal()) for a in "xyz" for b in "xyz"} for _ in range(2)]
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps({"strategies": [list("xyz"), list("xyz")], "utilities": utilities}))
+        assert main(["rank", "--input", str(ratings)]) == 0
+        assert main(["game", "--input", str(game)]) == 0
+        assert solves and "the prepotential" not in solves
+        assert "the coexact part" in solves  # both flows live on complexes with triangles
+        del solves[:]
+        cochain = tmp_path / "x.tsv"
+        cochain.write_text("1 2 1\n2 3 -0.5\n")
+        triangle = tmp_path / "c3.txt"
+        triangle.write_text("1 2\n2 3\n1 3\n")
+        assert main(["decompose", "--input", str(triangle), "--cochain", str(cochain)]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["prepotential"]
+        assert solves[-1] == "the prepotential"
 
 
 def random_pair(rng, m=8, n=12, p=3):

@@ -93,9 +93,35 @@ class TestAggregate:
         assert flow_by_pair(aggregate(ratings(base))) == flow_by_pair(aggregate(ratings(shifted)))
 
 
+def loop_pair_statistics(data):
+    """Per unordered pair, the list of signed per-voter values, built in nested loops: the replaced
+    grouping, kept as oracle. Returns (values, universe)."""
+    values: dict[tuple[str, str], list[float]] = {}
+    universe: set[str] = set()
+    if data.ratings:
+        by_voter: dict[str, dict[str, float]] = {}
+        for voter, item, score in data.ratings:
+            by_voter.setdefault(voter, {})[item] = score
+            universe.add(item)
+        for scores in by_voter.values():
+            names = sorted(scores)
+            for idx, a in enumerate(names):
+                for b in names[idx + 1 :]:
+                    values.setdefault((a, b), []).append(scores[a] - scores[b])
+    else:
+        for voter, a, b, value in data.pairwise:
+            universe.add(a)
+            universe.add(b)
+            if a < b:
+                values.setdefault((a, b), []).append(value)
+            else:
+                values.setdefault((b, a), []).append(-value)
+    return values, universe
+
+
 def loop_aggregate(data, model):
     """Per-pair flow and vote count, one np.mean or win count per pair: the replaced loop, kept as oracle."""
-    values, _ = _pair_statistics(data)
+    values, _ = loop_pair_statistics(data)
     flow, weight = {}, {}
     for (a, b), diffs in values.items():
         if model == "mean":
@@ -121,6 +147,46 @@ def vote_count_ratings(rng, counts, integer):
             score = int(rng.integers(1, 6)) if integer else float(rng.random())
             records.append((f"pool{v}", f"i{item:02d}", score))
     return ratings(records)
+
+
+class TestPairStatisticsOracle:
+    def assert_matches_loop(self, data):
+        names, pairs, counts, votes = _pair_statistics(data)
+        values, universe = loop_pair_statistics(data)
+        assert list(names) == sorted(universe)
+        keys = [(names[i], names[j]) for i, j in pairs.tolist()]
+        assert keys == sorted(values)
+        assert np.array_equal(counts, [len(values[k]) for k in keys])
+        # each pair's votes in the loop's voter order, bit for bit
+        assert np.array_equal(votes, [x for k in keys for x in values[k]])
+        return pairs
+
+    def test_shuffled_ratings(self, rng):
+        for _ in range(20):
+            records = [(f"v{v}", f"i{i}", float(rng.choice([1.0, 2.5, 3.0, -0.0, 1e-300])))
+                       for v in range(int(rng.integers(1, 25)))
+                       for i in rng.choice(12, int(rng.integers(1, 9)), replace=False)]
+            self.assert_matches_loop(ratings([records[i] for i in rng.permutation(len(records))]))
+
+    def test_interleaved_pairwise_records(self, rng):
+        for _ in range(20):
+            records = {}
+            for _ in range(int(rng.integers(1, 80))):
+                v, (a, b) = int(rng.integers(6)), rng.choice(9, 2, replace=False)
+                records[v, frozenset((a, b))] = (f"v{v}", f"i{a}", f"i{b}", float(rng.normal()))
+            self.assert_matches_loop(pairwise(records.values()))
+
+    def test_no_pair(self):
+        pairs = self.assert_matches_loop(ratings([("v1", "a", 1.0), ("v2", "b", 2.0)]))
+        assert pairs.shape == (0, 2)
+
+    def test_flow_is_in_the_complex_edge_order(self, rng):
+        records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6)))
+                   for v in range(20) for i in rng.choice(15, 6, replace=False)]
+        cf = aggregate(ratings(records))
+        assert cf.graph.sorted_edges == cf.complex.cliques(2)
+        flow, _ = loop_aggregate(ratings(records), "mean")
+        assert flow_by_pair(cf) == flow
 
 
 class TestAggregateOracle:
@@ -169,6 +235,16 @@ def test_rank_path_builds_no_triangle_tuples(rng, monkeypatch):
 
 
 class TestRank:
+    def test_edge_weights_are_vote_counts_in_edge_order(self, rng):
+        records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6)))
+                   for v in range(25) for i in rng.choice(12, int(rng.integers(2, 8)), replace=False)]
+        cf = aggregate(ratings(records))
+        _, weight = loop_aggregate(ratings(records), "mean")
+        result = rank(cf)
+        assert list(result.edge_weights) == list(cf.graph.sorted_edges)
+        assert result.edge_weights == {(u, v): weight[cf.items[u - 1], cf.items[v - 1]] for u, v in cf.graph.sorted_edges}
+        assert len(set(result.edge_weights.values())) > 1
+
     def test_consistent_data_recovers_order(self):
         cf = aggregate(ratings([("v1", "a", 5), ("v1", "b", 3), ("v1", "c", 1)]))
         result = rank(cf)
