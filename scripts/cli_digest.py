@@ -14,8 +14,9 @@ and prints one line per run:
 where each file is shown by the first 16 hex digits of its sha256, or "-"
 when the run wrote none. A run that raises instead of exiting shows the
 exception's type as its exit code. The corpus covers every subcommand, k =
-0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3, and
-isospectral at --max-k 1..3; it ends with runs that must exit 1 (--max-order
+0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3,
+cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
+and isospectral at --max-k 1..3; it ends with runs that must exit 1 (--max-order
 on a degree-k subcommand, p < 1, non-finite inputs, overflowing results).
 --small keeps the runs on the bundled data/ files only.
 
@@ -135,6 +136,15 @@ def application_inputs(root: Path, small: bool) -> dict:
     path_edges = [(i, i + 1) for i in range(1, 10)]
     cheeger.write_text(graph_text(10, sorted(set(path_edges) | set(random_edges(rng, 10, 0.3)))))
     files["cheeger"] = [cheeger]
+    # up to the 24-vertex cap, on a generator of their own so the runs above keep their inputs
+    cut_rng = np.random.default_rng(22)
+    large = {f"cheeger{n}": (n, [(i, i + 1) for i in range(1, n)] + random_edges(cut_rng, n, 0.25))
+             for n in (21, 22)}
+    large["k22"] = (22, list(combinations(range(1, 23), 2)))
+    large["c24"] = (24, [(i, i + 1) for i in range(1, 24)] + [(1, 24)])
+    for name, (n, edges) in large.items():
+        files["cheeger"].append(root / f"{name}.txt")
+        files["cheeger"][-1].write_text(graph_text(n, sorted(set(edges))))
     plap_edges = random_edges(rng, 40, 0.15)
     plap_graph = root / "plap.txt"
     plap_graph.write_text(graph_text(40, plap_edges))

@@ -223,10 +223,9 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_plap(args) -> int:
-    graph = _load_graph(args.input)
-    cx = enumerate_cliques(graph, 1)
+    cx = enumerate_cliques(_load_graph(args.input), 2)
     values = read_cochain_tsv(_read_text(args.f), cx, 0).values
-    out = apply_p_laplacian(graph, values, args.p, mode=args.mode)
+    out = apply_p_laplacian(cx, values, args.p, mode=args.mode)
     payload = {"p": args.p, "intervals" if out.ndim == 2 else "values": out}
     if args.p == 1:
         payload["mode"] = args.mode

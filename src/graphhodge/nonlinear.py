@@ -17,12 +17,17 @@ The Cheeger constant of a connected graph,
 
     h(G) = min over nonempty proper S of |E(S, V\\S)| / min(Vol(S), Vol(V\\S)),
 
-with Vol the sum of degrees, is computed exactly by enumerating every subset
-containing vertex 1 (complement symmetry halves the work). The classical
-two-sided eigenvalue bound lambda_2/2 <= h <= sqrt(2 lambda_2) is reported for
-both the plain and the degree-normalized Laplacian; only the normalized form
-is guaranteed by this package (the plain form fails already on the 4-cycle
-with this volume-based h).
+with Vol the sum of degrees, is computed exactly over every subset containing
+vertex 1 (complement symmetry halves the work). The vertices are split in two
+halves; each half's cut counts are tabulated once, and a block of cuts is one
+small matrix product over the adjacency block between the halves. All counts
+are integers, held exactly in float64; ties are settled exactly, by
+cross-multiplication and then the lexicographically smallest subset.
+
+The classical two-sided eigenvalue bound lambda_2/2 <= h <= sqrt(2 lambda_2)
+is reported for both the plain and the degree-normalized Laplacian; only the
+normalized form is guaranteed by this package (the plain form fails already
+on the 4-cycle with this volume-based h).
 """
 
 from __future__ import annotations
@@ -32,15 +37,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Graph, enumerate_cliques
+from .complexes import CliqueComplex, Graph, enumerate_cliques
 from .operators import coboundary
 
 MAX_EXHAUSTIVE_VERTICES = 24
 _CHUNK = 1 << 18
 
 
-def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
+def apply_p_laplacian(graph: Graph | CliqueComplex, f, p: float, mode: str = "interval"):
     """Evaluate the nonlinear p-Laplacian at a vertex function (unit weights).
+
+    `graph` may also be a clique complex enumerated through order 2, whose
+    d_0 is then reused instead of enumerating the graph again.
 
     For p > 1 returns the value vector. For p = 1 returns an (n, 2) array of
     per-vertex [lo, hi] attainable values when mode="interval", or the single
@@ -48,10 +56,12 @@ def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
+    cx = graph if isinstance(graph, CliqueComplex) else enumerate_cliques(graph, 2)
     values = np.asarray(f, dtype=float)
-    if values.shape != (graph.n_vertices,):
-        raise ValueError(f"expected {graph.n_vertices} vertex values, got shape {values.shape}")
-    A = coboundary(enumerate_cliques(graph, 2), 0).matrix
+    n = cx.graph.n_vertices
+    if values.shape != (n,):
+        raise ValueError(f"expected {n} vertex values, got shape {values.shape}")
+    A = coboundary(cx, 0).matrix
     grad = A @ values
     if p > 1:
         edge_term = np.sign(grad) * np.abs(grad) ** (p - 1.0)
@@ -85,11 +95,26 @@ class Cut:
 
 
 def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
-    """Exact Cheeger constant by exhaustive cuts, with a witnessing cut.
+    """Exact Cheeger constant over every cut, with a witnessing cut.
 
-    Ties are broken by the lexicographically smallest subset among those
-    containing vertex 1. Limited to 24 vertices; larger graphs need heuristics
-    that are out of scope here.
+    Meet in the middle (Horowitz and Sahni, J. ACM 1974): the first
+    a = ceil(n/2) vertices form the half L, with vertex 1 always in S, and
+    the rest form R. For indicator rows x = (x_L, x_R),
+
+        Vol(S) = vol_L + vol_R,  vol_H = x_H . deg_H,
+        |E(S, V\\S)| = x . deg - x A x^T = b_L + b_R - 2 x_L C x_R^T,
+        b_H = vol_H - x_H A_HH x_H^T,
+
+    with C the L-by-R block of the adjacency matrix A. Each half is tabulated
+    once, and a block of L rows against every R row is one matrix product.
+    Every count is an integer below 2^53, so float64 holds it exactly.
+
+    Rounding keeps order, and two distinct ratios b/m with b, m <= |E| differ
+    by a relative 1/|E|^3 or more, far above float64 rounding, so a block's
+    smallest float ratio b*/m* is an exact minimum. The cuts tied with it are
+    found exactly by cross-multiplication, b m* = b* m. Among the tied cuts
+    the lexicographically smallest subset wins. Limited to 24 vertices;
+    larger graphs need heuristics that are out of scope here.
     """
     n = graph.n_vertices
     if n > MAX_EXHAUSTIVE_VERTICES:
@@ -102,38 +127,75 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
     if not graph.is_connected():
         raise ValueError("Cheeger constant is defined for connected graphs only")
 
-    degrees = np.array(graph.degrees, dtype=np.int64)
-    total_volume = int(degrees.sum())
-    edge_bits = [(u - 1, v - 1) for u, v in graph.sorted_edges]
+    degrees = np.array(graph.degrees, dtype=float)
+    total_volume = degrees.sum()
+    adjacency = np.zeros((n, n))
+    u, v = (np.array(graph.sorted_edges) - 1).T
+    adjacency[u, v] = adjacency[v, u] = 1.0
 
-    best: tuple[Fraction, tuple[int, ...], int, int] | None = None
-    # masks with bit 0 set cover every bipartition once (complement symmetry)
-    for start in range(0, 1 << (n - 1), _CHUNK):
-        stop = min(start + _CHUNK, 1 << (n - 1))
-        masks = (np.arange(start, stop, dtype=np.int64) << 1) | 1
-        in_side = [(masks >> b) & 1 for b in range(n)]
-        boundary = np.zeros(masks.shape[0], dtype=np.int64)
-        for u, v in edge_bits:
-            boundary += in_side[u] ^ in_side[v]
-        vol = np.zeros(masks.shape[0], dtype=np.int64)
-        for b in range(n):
-            vol += in_side[b] * degrees[b]
-        proper = vol < total_volume  # excludes S = V (mask with every vertex)
-        min_vol = np.minimum(vol, total_volume - vol)
-        ratios = np.where(proper & (min_vol > 0), boundary / np.maximum(min_vol, 1), np.inf)
-        near = np.flatnonzero(ratios <= ratios.min() * (1 + 1e-12) + 1e-300)
-        for idx in near:
-            if not proper[idx] or min_vol[idx] == 0:
-                continue
-            ratio = Fraction(int(boundary[idx]), int(min_vol[idx]))
-            subset = tuple(b + 1 for b in range(n) if (int(masks[idx]) >> b) & 1)
-            key = (ratio, subset, int(boundary[idx]), int(vol[idx]))
-            if best is None or key[:2] < best[:2]:
-                best = key
-    assert best is not None
-    ratio, subset, boundary_edges, vol_s = best
-    cut = Cut(subset, boundary_edges, (vol_s, total_volume - vol_s), ratio)
-    return ratio, cut
+    a = (n + 1) // 2
+    left_masks = (np.arange(1 << (a - 1)) << 1) | 1  # bit 0 set: one side of every bipartition
+    right_masks = np.arange(1 << (n - a))
+    x_left, x_right = _bit_rows(left_masks, a), _bit_rows(right_masks, n - a)
+    vol_left, vol_right = x_left @ degrees[:a], x_right @ degrees[a:]
+    b_left = vol_left - np.einsum("ij,jk,ik->i", x_left, adjacency[:a, :a], x_left)
+    b_right = vol_right - np.einsum("ij,jk,ik->i", x_right, adjacency[a:, a:], x_right)
+    cross = adjacency[:a, a:] @ x_right.T
+
+    best_b, best_m, best_mask = 1, 0, None  # the smallest ratio so far, 1/0 before any cut
+    step = _CHUNK // len(right_masks)
+    for start in range(0, len(left_masks), step):
+        rows = slice(start, start + step)
+        boundary = x_left[rows] @ cross
+        boundary *= -2.0
+        boundary += b_left[rows, None]
+        boundary += b_right
+        vol = vol_left[rows, None] + vol_right
+        small = np.minimum(vol, total_volume - vol)  # 0 only for S = V
+        ratio = np.divide(boundary, small, out=np.full_like(boundary, np.inf), where=small > 0)
+        k = int(np.argmin(ratio))
+        b, m = int(boundary.flat[k]), int(small.flat[k])
+        if b * best_m > best_b * m:
+            continue
+        tied = np.flatnonzero((boundary * m == b * small) & (small > 0))
+        i, j = np.divmod(tied, len(right_masks))
+        mask = _lexicographic_min(left_masks[start + i] | (right_masks[j] << a))
+        if b * best_m == best_b * m:
+            mask = _lexicographic_min(np.array([best_mask, mask]))
+        best_b, best_m, best_mask = b, m, mask
+
+    # the winner's own counts: tied cuts share the ratio, not always b* and m*
+    x = _bit_rows(np.array([best_mask]), n)[0]
+    vol_s = int(x @ degrees)
+    boundary_edges = vol_s - int(x @ adjacency @ x)
+    volumes = (vol_s, int(total_volume) - vol_s)
+    ratio = Fraction(boundary_edges, min(volumes))
+    subset = tuple(int(i) + 1 for i in np.flatnonzero(x))
+    return ratio, Cut(subset, boundary_edges, volumes, ratio)
+
+
+def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
+    """0/1 float rows: column b holds bit b of each mask."""
+    return ((masks[:, None] >> np.arange(width)) & 1).astype(float)
+
+
+def _lexicographic_min(masks: np.ndarray) -> int:
+    """The mask whose ascending vertex tuple is smallest, among distinct masks.
+
+    One pass over the bits keeps the rows that tie on every lower bit. A row
+    with no bit at or above the current one is a prefix of the others, so it
+    is smallest; otherwise the rows with the current bit set are smaller.
+    """
+    bit = 0
+    while len(masks) > 1:
+        high = masks >> bit
+        if not high.all():
+            return int(masks[high == 0][0])
+        ones = high & 1 == 1
+        if ones.any():
+            masks = masks[ones]
+        bit += 1
+    return int(masks[0])
 
 
 def _lambda2(matrix: np.ndarray) -> float:

@@ -334,6 +334,17 @@ class TestDerivedEnumeration:
         assert run(capsys, "decompose", "--input", golden_file, "--cochain", cochain)[0] == 0
         assert orders == [2]
 
+    def test_plap_enumerates_once(self, capsys, tmp_path, c4_file, monkeypatch):
+        import graphhodge.nonlinear as nonlinear
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated the graph a second time")
+
+        monkeypatch.setattr(nonlinear, "enumerate_cliques", forbidden)
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
+        for p in ("1", "3"):
+            assert run(capsys, "plap", "--input", c4_file, "--f", f, "--p", p)[0] == 0
+
     def test_negative_k_keeps_its_message(self, capsys, c4_file):
         for name in DEGREE_K_COMMANDS:
             assert main([name, "--k", "-1", "--input", c4_file]) == 1

@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from graphhodge import (
+    Cut,
     Graph,
     apply_p_laplacian,
     cheeger_check,
@@ -47,6 +50,61 @@ def dense_p1_intervals(graph: Graph, f: np.ndarray) -> np.ndarray:
     return np.column_stack([fixed - slack, fixed + slack])
 
 
+def scan_cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
+    """The chunked scan the meet-in-the-middle split replaced: one bit plane per vertex.
+
+    Every mask with bit 0 set, 2^18 at a time; near-minimal masks are settled
+    exactly as (Fraction, subset tuple) keys in a Python loop.
+    """
+    n = graph.n_vertices
+    chunk = 1 << 18
+    degrees = np.array(graph.degrees, dtype=np.int64)
+    total_volume = int(degrees.sum())
+    edge_bits = [(u - 1, v - 1) for u, v in graph.sorted_edges]
+
+    best = None
+    for start in range(0, 1 << (n - 1), chunk):
+        stop = min(start + chunk, 1 << (n - 1))
+        masks = (np.arange(start, stop, dtype=np.int64) << 1) | 1
+        in_side = [(masks >> b) & 1 for b in range(n)]
+        boundary = np.zeros(masks.shape[0], dtype=np.int64)
+        for u, v in edge_bits:
+            boundary += in_side[u] ^ in_side[v]
+        vol = np.zeros(masks.shape[0], dtype=np.int64)
+        for b in range(n):
+            vol += in_side[b] * degrees[b]
+        proper = vol < total_volume
+        min_vol = np.minimum(vol, total_volume - vol)
+        ratios = np.where(proper & (min_vol > 0), boundary / np.maximum(min_vol, 1), np.inf)
+        near = np.flatnonzero(ratios <= ratios.min() * (1 + 1e-12) + 1e-300)
+        for idx in near:
+            if not proper[idx] or min_vol[idx] == 0:
+                continue
+            ratio = Fraction(int(boundary[idx]), int(min_vol[idx]))
+            subset = tuple(b + 1 for b in range(n) if (int(masks[idx]) >> b) & 1)
+            key = (ratio, subset, int(boundary[idx]), int(vol[idx]))
+            if best is None or key[:2] < best[:2]:
+                best = key
+    ratio, subset, boundary_edges, vol_s = best
+    return ratio, Cut(subset, boundary_edges, (vol_s, total_volume - vol_s), ratio)
+
+
+def star_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)])
+
+
+def barbell_graph(n: int) -> Graph:
+    """Two K_{n//2} joined by an edge, or through a middle vertex when n is odd."""
+    m = n // 2
+    edges = [*combinations(range(1, m + 1), 2), *combinations(range(n - m + 1, n + 1), 2)]
+    edges += [(m, m + 1), (m + 1, n - m + 1)] if n % 2 else [(m, m + 1)]
+    return Graph.from_edges(n, edges)
+
+
 EDGELESS = Graph(5, frozenset())
 ISOLATED_VERTICES = Graph.from_edges(8, [(1, 2), (2, 3), (1, 3), (5, 6)])  # 4, 7, 8 isolated
 
@@ -71,9 +129,9 @@ class TestPLaplacian:
         for p in (1.5, 2.0, 2.5, 3.0, 4.0):
             for g in (random_connected_graph(rng, 7), EDGELESS, ISOLATED_VERTICES):
                 f = rng.normal(size=g.n_vertices)
-                assert np.allclose(
-                    apply_p_laplacian(g, f, p), p_laplacian_oracle(g, f, p), atol=1e-10
-                )
+                got = apply_p_laplacian(g, f, p)
+                assert np.allclose(got, p_laplacian_oracle(g, f, p), atol=1e-10)
+                assert np.array_equal(apply_p_laplacian(enumerate_cliques(g, 2), f, p), got)
 
     def test_oddness(self, rng):
         g = random_connected_graph(rng, 6)
@@ -124,8 +182,9 @@ class TestPLaplacian:
                 apply_p_laplacian(cycle_graph(3), np.zeros(3), p)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="vertex values"):
-            apply_p_laplacian(cycle_graph(3), np.zeros(4), 2.0)
+        for source in (cycle_graph(3), enumerate_cliques(cycle_graph(3), 2)):
+            with pytest.raises(ValueError, match="expected 3 vertex values"):
+                apply_p_laplacian(source, np.zeros(4), 2.0)
 
 
 class TestDenseIncidenceOracle:
@@ -138,7 +197,8 @@ class TestDenseIncidenceOracle:
     def test_p1_intervals_are_exact(self, rng):
         for g in self.graphs(rng):
             f = rng.integers(-2, 3, size=g.n_vertices).astype(float)
-            assert np.array_equal(apply_p_laplacian(g, f, 1.0), dense_p1_intervals(g, f))
+            for source in (g, enumerate_cliques(g, 2)):
+                assert np.array_equal(apply_p_laplacian(source, f, 1.0), dense_p1_intervals(g, f))
 
     def test_p_above_one_matches_dense_product(self, rng):
         for g in self.graphs(rng):
@@ -216,10 +276,50 @@ class TestCheegerConstant:
             cheeger_constant(g)
 
     def test_complete_graph_closed_form(self):
-        # h(K_n) = ceil(n/2) / (n-1)
-        for n in range(2, 9):
-            h, _ = cheeger_constant(complete_graph(n))
+        # h(K_n) = ceil(n/2) / (n-1); every half ties, and the first floor(n/2) vertices win
+        for n in (*range(2, 9), 24):
+            h, cut = cheeger_constant(complete_graph(n))
             assert h == Fraction((n + 1) // 2, n - 1)
+            assert cut.subset == tuple(range(1, n // 2 + 1))
+
+    def test_cycle_closed_form(self):
+        # h(C_n) = 1 / floor(n/2): two edges cut off an arc of floor(n/2) vertices
+        for n in (*range(3, 10), 24):
+            h, cut = cheeger_constant(cycle_graph(n))
+            assert h == Fraction(1, n // 2)
+            assert cut.subset == tuple(range(1, n // 2 + 1))
+            assert cut.boundary_edges == 2
+            assert cut.volumes == (2 * (n // 2), 2 * (n - n // 2))
+
+    def test_memory_is_bounded_by_the_block(self, rng):
+        g = random_connected_graph(rng, 24)
+        tracemalloc.start()
+        try:
+            cheeger_constant(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+
+class TestCheegerScanOracle:
+    def test_seeded_graphs_at_every_n(self, rng):
+        for n in range(2, 23):
+            for extra in (0.1, 0.4) if n <= 16 else (0.3,):
+                g = random_connected_graph(rng, n, extra)
+                assert cheeger_constant(g) == scan_cheeger_constant(g), (n, extra)
+
+    def test_tie_heavy_families(self):
+        # from n = 20 on the cuts span several blocks, and the cycles' tied arcs lie in different ones
+        graphs = [cycle_graph(21), cycle_graph(22)]
+        for n in range(2, 17):
+            graphs += [complete_graph(n), star_graph(n), complete_bipartite_graph(n // 2, n - n // 2)]
+            if n >= 3:
+                graphs.append(cycle_graph(n))
+            if n >= 4:
+                graphs += [barbell_graph(n), complete_bipartite_graph(1 + n // 4, n - 1 - n // 4)]
+        for g in graphs:
+            assert cheeger_constant(g) == scan_cheeger_constant(g), g
 
 
 class TestCheegerInequality:
