@@ -17,7 +17,9 @@ exception's type as its exit code. The corpus covers every subcommand, k =
 0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3,
 cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
 and isospectral at --max-k 1..3; it ends with runs that must exit 1 (--max-order
-on a degree-k subcommand, p < 1, non-finite inputs, overflowing results).
+on a degree-k subcommand, p < 1, non-finite inputs, overflowing results, a
+negative kernel tolerance, overflowing comparison flows, ambiguous game
+profile keys).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -228,6 +230,17 @@ def must_exit_one(root: Path, f4: Path):
         yield ["laplacian", "--input", c4, "--k", "1", "--weights", bad["weights"]], None
         yield ["rank", "--input", bad["ratings"]], None
         yield ["game", "--input", bad["game"]], None
+    triangle = root / "triangle.txt"
+    triangle.write_text("1 2\n2 3\n1 3\n3 4\n")
+    yield ["betti", "--input", triangle, "--k", "0", "--tolerance", "-1"], None
+    for name, records in (("differences", "v,a,1e308\nv,b,-1e308\n"), ("sums", "v1,a,b,1e308\nv2,a,b,1e308\n")):
+        overflowing = root / f"overflowing.{name}.csv"  # finite records whose aggregate overflows
+        overflowing.write_text(records)
+        yield ["rank", "--input", overflowing, "--model", "mean"], None
+    ambiguous = root / "ambiguous.json"  # ("a", "b,x") and ("a,b", "x") both join to "a,b,x"
+    table = {"a,x": 1.0, "a,b,x": 2.0, "a,b,b,x": 3.0}
+    ambiguous.write_text(json.dumps({"strategies": [["a", "a,b"], ["x", "b,x"]], "utilities": [table, table]}))
+    yield ["game", "--input", ambiguous], None
 
 
 def digest(path: Path) -> str:

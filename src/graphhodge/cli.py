@@ -223,9 +223,9 @@ def _cmd_cheeger(args) -> int:
 
 
 def _cmd_plap(args) -> int:
-    cx = enumerate_cliques(_load_graph(args.input), 2)
-    values = read_cochain_tsv(_read_text(args.f), cx, 0).values
-    out = apply_p_laplacian(cx, values, args.p, mode=args.mode)
+    graph = _load_graph(args.input)
+    values = read_cochain_tsv(_read_text(args.f), enumerate_cliques(graph, 1), 0).values
+    out = apply_p_laplacian(graph, values, args.p, mode=args.mode)
     payload = {"p": args.p, "intervals" if out.ndim == 2 else "values": out}
     if args.p == 1:
         payload["mode"] = args.mode
@@ -324,6 +324,9 @@ def main(argv=None) -> int:
         return 2
     except (InputFormatError, ValueError) as exc:
         sys.stderr.write(f"graphhodge: error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"graphhodge: error: out of memory: {exc}\n")
         return 1
 
 

@@ -5,9 +5,9 @@ complex stores, for every order k in 1..max_order, the k-cliques as a sorted
 (N, k) integer array: one strictly ascending clique per row, rows in
 lexicographic order. That ordering is the canonical basis used by every
 operator matrix in this package, so it must be reproducible bit for bit.
-cliques(k) is a tuple-of-tuples view of the same level, built once on first
-use; locate() finds rows of vertex ids in a level by binary search on keys
-that cannot overflow.
+cliques(k) is a tuple-of-tuples view of the same level; locate() finds rows of
+vertex ids in a level by binary search on keys that cannot overflow. The levels
+and everything built from them are kept once per graph (CliqueComplex._memo).
 """
 
 from __future__ import annotations
@@ -90,6 +90,18 @@ class Graph:
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
+
+    @cached_property
+    def _levels(self) -> list[np.ndarray]:
+        """The clique levels enumerated so far, orders 1, 2, ...; enumerate_cliques only appends."""
+        vertices = np.arange(1, self.n_vertices + 1, dtype=np.int64)[:, None]
+        vertices.setflags(write=False)
+        return [vertices]
+
+    @cached_property
+    def _memo(self) -> dict:
+        """What CliqueComplex._memo built from the levels, keyed by (kind, order)."""
+        return {}
 
 
 def parse_graph(text: str) -> Graph:
@@ -187,11 +199,8 @@ class CliqueComplex:
         )
 
     def cliques(self, order: int) -> tuple[tuple[int, ...], ...]:
-        """The cliques of the given order as ascending tuples: a view of level(order), built once."""
-        cache = self._tuple_cache
-        if order not in cache:
-            cache[order] = tuple(map(tuple, self.level(order).tolist()))
-        return cache[order]
+        """The cliques of the given order as ascending tuples: a view of level(order)."""
+        return self._memo("cliques", order, lambda: tuple(map(tuple, self.level(order).tolist())))
 
     def n_cliques(self, order: int) -> int:
         """Size of a level, read without building its tuple view."""
@@ -199,10 +208,7 @@ class CliqueComplex:
 
     def index(self, order: int) -> dict[tuple[int, ...], int]:
         """Position of each clique of the given order in the lexicographic list."""
-        cache = self._index_cache
-        if order not in cache:
-            cache[order] = {c: i for i, c in enumerate(self.cliques(order))}
-        return cache[order]
+        return self._memo("index", order, lambda: {c: i for i, c in enumerate(self.cliques(order))})
 
     def locate(self, rows) -> np.ndarray:
         """Position of each row of vertex ids in the level of its length, or -1 where the row is no clique.
@@ -223,31 +229,22 @@ class CliqueComplex:
 
     def _keys(self, order: int) -> np.ndarray:
         """The ascending _key of every clique of the given order (>= 2)."""
-        cache = self._key_cache
-        if order not in cache:
-            level = self.level(order)
-            cache[order] = _key(self.locate(level[:, :-1]), level[:, -1], self.graph.n_vertices)
-        return cache[order]
+        level = self.level(order)
+        n = self.graph.n_vertices
+        return self._memo("keys", order, lambda: _key(self.locate(level[:, :-1]), level[:, -1], n))
 
-    @cached_property
-    def _tuple_cache(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        return {}
+    def _memo(self, kind: str, order: int, build):
+        """build(), run once per graph and shared under (kind, order) by all its complexes.
 
-    @cached_property
-    def _index_cache(self) -> dict[int, dict[tuple[int, ...], int]]:
-        return {}
-
-    @cached_property
-    def _key_cache(self) -> dict[int, np.ndarray]:
-        return {}
-
-    @cached_property
-    def _operator_cache(self) -> dict[tuple[str, int], object]:
-        """Operators and spectra built once from this complex, keyed by (kind, degree).
-
-        Entries are shared by every caller and must never be modified in place.
+        order is the highest clique order the entry reads: level(order) raises
+        first if this complex does not cover it, even when the graph holds it.
+        Entries must never be modified in place, nor refer to a complex or the graph.
         """
-        return {}
+        self.level(order)
+        memo = self.graph._memo
+        if (kind, order) not in memo:
+            memo[kind, order] = build()
+        return memo[kind, order]
 
     def clique_number(self) -> int | None:
         """omega(G) when the enumeration settles it, else None (omega >= max_order)."""
@@ -258,7 +255,17 @@ class CliqueComplex:
 
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
-    """Enumerate all cliques of order 1..max_order by lexicographic extension.
+    """All cliques of order 1..max_order, extending the levels already kept on the graph."""
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
+    levels = graph._levels
+    if len(levels) < max_order:
+        _extend(graph, levels, max_order)
+    return CliqueComplex(graph, max_order, tuple(levels[:max_order]))
+
+
+def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
+    """Append levels up to order max_order, each by lexicographic extension of the one below.
 
     Each k-clique is extended by the neighbours of its last vertex that are
     larger than it, in ascending order, and a candidate is kept when its new
@@ -266,15 +273,12 @@ def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
     the sorted edge keys. Extending the cliques in order yields every level
     already sorted.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     n = graph.n_vertices
     edges = np.array(graph.sorted_edges, dtype=np.int64).reshape(-1, 2)
     edge_keys = _key(edges[:, 0] - 1, edges[:, 1], n)
     # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
-    levels = [np.arange(1, n + 1, dtype=np.int64)[:, None]]
-    for _ in range(2, max_order + 1):
+    while len(levels) < max_order:
         level = levels[-1]
         start = first[level[:, -1] - 1]
         count = first[level[:, -1]] - start
@@ -285,7 +289,6 @@ def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
             key = _key(level[parent, j] - 1, vertex, n)
             keep = edge_keys[np.minimum(np.searchsorted(edge_keys, key), len(edge_keys) - 1)] == key
             parent, vertex = parent[keep], vertex[keep]
-        levels.append(np.column_stack([level[parent], vertex]))
-    for level in levels:
+        level = np.column_stack([level[parent], vertex])
         level.setflags(write=False)
-    return CliqueComplex(graph, max_order, tuple(levels))
+        levels.append(level)

@@ -16,6 +16,7 @@ game_flow's default builds the strategy graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -71,6 +72,9 @@ class GameForm:
         strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
         shape = tuple(len(s) for s in strategy_sets)
         keys = [",".join(profile) for profile in product(*strategy_sets)]
+        repeated = [key for key, count in Counter(keys).items() if count > 1]
+        if repeated:
+            raise ValueError(f"profile key {repeated[0]!r} is ambiguous: several profiles join to it")
         utilities = []
         for player, table in enumerate(tables):
             values = []

@@ -142,8 +142,13 @@ def _pair_statistics(data: ComparisonData):
     return names, pairs, np.diff(starts, append=len(key)), value[order]
 
 
+@np.errstate(over="ignore")  # an overflowing pair is named below instead
 def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
-    """Aggregate voter records into an edge flow, vote-count weights, and a graph."""
+    """Aggregate voter records into an edge flow, vote-count weights, and a graph.
+
+    Raises ValueError naming the first pair whose aggregated value is not
+    finite (finite records whose differences or sums overflow).
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if not data.ratings and not data.pairwise:
@@ -172,6 +177,10 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
         else:
             odds = ((block > 0).sum(axis=1) + 0.5) / ((block < 0).sum(axis=1) + 0.5)
             x[group] = [math.log(r) for r in odds.tolist()]
+    overflow = np.flatnonzero(~np.isfinite(x))
+    if overflow.size:
+        a, b = (names[i] for i in pairs[overflow[0]])
+        raise ValueError(f"the {model} comparison of {a!r} and {b!r} is not finite: its records overflow")
     weights = WeightScheme({2: dict(zip(edges, counts.astype(float).tolist()))})
     return ComparisonFlow(Cochain(1, cx, x), weights, graph, compared, excluded)
 

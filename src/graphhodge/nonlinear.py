@@ -37,18 +37,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import CliqueComplex, Graph, enumerate_cliques
+from .complexes import Graph, enumerate_cliques
 from .operators import coboundary
 
 MAX_EXHAUSTIVE_VERTICES = 24
 _CHUNK = 1 << 18
 
 
-def apply_p_laplacian(graph: Graph | CliqueComplex, f, p: float, mode: str = "interval"):
+def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
     """Evaluate the nonlinear p-Laplacian at a vertex function (unit weights).
 
-    `graph` may also be a clique complex enumerated through order 2, whose
-    d_0 is then reused instead of enumerating the graph again.
+    The gradient d_0 is assembled once per graph, so repeated calls on the
+    same graph reuse it.
 
     For p > 1 returns the value vector. For p = 1 returns an (n, 2) array of
     per-vertex [lo, hi] attainable values when mode="interval", or the single
@@ -56,9 +56,9 @@ def apply_p_laplacian(graph: Graph | CliqueComplex, f, p: float, mode: str = "in
     """
     if not p >= 1:  # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p}")
-    cx = graph if isinstance(graph, CliqueComplex) else enumerate_cliques(graph, 2)
+    cx = enumerate_cliques(graph, 2)
     values = np.asarray(f, dtype=float)
-    n = cx.graph.n_vertices
+    n = graph.n_vertices
     if values.shape != (n,):
         raise ValueError(f"expected {n} vertex values, got shape {values.shape}")
     A = coboundary(cx, 0).matrix

@@ -18,7 +18,7 @@ B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
 table, and B_j is d_j itself when neither of its levels has one.
 
 coboundary() is the package's only incidence builder, and it assembles each
-d_k once per complex: the gradient used by the nonlinear p-Laplacian and the
+d_k once per graph: the gradient used by the nonlinear p-Laplacian and the
 Cheeger report is coboundary(cx, 0), and every Hodge Laplacian is a sparse sum
 of B products. spectral eigensolves the Grams of the same B_j instead; only
 harmonic_basis turns a Laplacian dense.
@@ -50,19 +50,15 @@ class CoboundaryOperator:
 
 
 def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
-    """d_k, assembled once per complex. Requires levels k+1 and k+2 to be known (the latter may be empty).
+    """d_k, assembled once per graph. Requires levels k+1 and k+2 to be known (the latter may be empty).
 
-    Every caller on the same complex gets the same matrix, so it must never be
+    Every caller on the same graph gets the same matrix, so it must never be
     modified in place.
     """
     if k < 0:
         raise ValueError(f"coboundary degree must be >= 0, got {k}")
-    cache = cx._operator_cache
-    key = ("coboundary", k)
-    if key not in cache:
-        # the matrix alone: an operator would refer back to cx and keep it alive in a cycle
-        cache[key] = _assemble_coboundary(cx, k)
-    return CoboundaryOperator(k, cx, cache[key])
+    # the memo keeps the matrix alone: an operator refers back to cx
+    return CoboundaryOperator(k, cx, cx._memo("coboundary", k + 2, lambda: _assemble_coboundary(cx, k)))
 
 
 def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:

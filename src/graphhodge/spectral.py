@@ -8,7 +8,7 @@ isospectral_fingerprint therefore eigensolve, for each scaled coboundary B_j
 that operators builds Delta_k from, only the smaller of B_j B_j^T and
 B_j^T B_j, and build no Hodge Laplacian; kernel eigenvalues come out as exact
 zeros. When B_j is d_j (no weight table on its levels) its Gram spectrum is
-kept on the complex, so d_j is eigensolved once for Delta_j and Delta_{j+1}.
+computed once per graph, so d_j is eigensolved once for Delta_j and Delta_{j+1}.
 harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
 """
 
@@ -56,26 +56,24 @@ class Spectrum:
         }
 
     def with_tolerance(self, tol: float) -> "Spectrum":
-        """The same eigenvalues with the kernel recounted at another tolerance."""
+        """The same eigenvalues with the kernel recounted at another tolerance (finite, >= 0)."""
+        if not 0 <= tol < np.inf:  # also rejects NaN
+            raise ValueError(f"kernel tolerance must be finite and >= 0, got {tol}")
         mask, tol = _kernel_mask(self.eigenvalues, tol)
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 
 def _gram_eigenvalues(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
-    """Ascending eigenvalues of the smaller Gram of B_j, kept on the complex when B_j is d_j."""
-    cached = _unscaled(w, j)
-    key = ("gram", j)
-    if cached and key in cx._operator_cache:
-        return cx._operator_cache[key]
-    b = _weighted_coboundary(cx, j, w)
-    if min(b.shape) == 0:
-        eigvals = np.zeros(0)
-    else:
+    """Ascending eigenvalues of the smaller Gram of B_j, computed once per graph when B_j is d_j."""
+
+    def solve() -> np.ndarray:
+        b = _weighted_coboundary(cx, j, w)
+        if min(b.shape) == 0:
+            return np.zeros(0)
         gram = b @ b.T if b.shape[0] < b.shape[1] else b.T @ b
-        eigvals = np.linalg.eigvalsh(gram.toarray())
-    if cached:
-        cx._operator_cache[key] = eigvals
-    return eigvals
+        return np.linalg.eigvalsh(gram.toarray())
+
+    return cx._memo("gram", j + 2, solve) if _unscaled(w, j) else solve()
 
 
 def _hodge_spectrum(cx: CliqueComplex, k: int, w: WeightScheme) -> Spectrum:

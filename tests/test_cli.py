@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,43 @@ class TestContract:
         assert doc["residual"] > 0
         assert "conjugate-gradient" in doc["error"]
 
+    def test_ambiguous_profile_keys_exit_one(self, capsys, tmp_path):
+        # ("a", "b,x") and ("a,b", "x") both join to "a,b,x"
+        table = {"a,x": 1.0, "a,b,x": 2.0, "a,b,b,x": 3.0}
+        game = write(tmp_path, "g.json", json.dumps({"strategies": [["a", "a,b"], ["x", "b,x"]],
+                                                     "utilities": [table, table]}))
+        assert main(["game", "--input", game]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "graphhodge: error: profile key 'a,b,x' is ambiguous: several profiles join to it\n"
+
+    def test_comma_in_a_label_is_kept_when_keys_stay_distinct(self, capsys, tmp_path):
+        docs = []
+        for label in ("a,b", "ab"):
+            keys = [f"{s},{t}" for s in (label, "c") for t in ("x", "y")]
+            game = write(tmp_path, "g.json", json.dumps({
+                "strategies": [[label, "c"], ["x", "y"]],
+                "utilities": [dict(zip(keys, [1.0, 2.0, 0.5, 3.0])), dict(zip(keys, [2.0, 0.0, 1.0, 4.0]))]}))
+            code, out = run(capsys, "game", "--input", game)
+            assert code == 0
+            docs.append(out)
+        assert docs[0].replace("a,b", "ab") == docs[1]
+
+    def test_memory_error_exits_one(self, capsys, tmp_path, monkeypatch):
+        import graphhodge.cli as cli
+
+        message = "Unable to allocate 745. GiB for an array with shape (99999999999,) and data type int64"
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "enumerate_cliques", exhausted)
+        graph = write(tmp_path, "g.txt", "1 99999999999\n")
+        assert main(["cliques", "--input", graph]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"graphhodge: error: out of memory: {message}\n"
+
     def test_output_file(self, capsys, tmp_path, c4_file):
         out_path = tmp_path / "out.json"
         code, _ = run(capsys, "betti", "--k", "1", "--input", c4_file, "--output", str(out_path))
@@ -335,15 +373,19 @@ class TestDerivedEnumeration:
         assert orders == [2]
 
     def test_plap_enumerates_once(self, capsys, tmp_path, c4_file, monkeypatch):
-        import graphhodge.nonlinear as nonlinear
+        import graphhodge.complexes as complexes
+        import graphhodge.operators as operators
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("enumerated the graph a second time")
-
-        monkeypatch.setattr(nonlinear, "enumerate_cliques", forbidden)
+        builds = []
+        extend, assemble = complexes._extend, operators._assemble_coboundary
+        monkeypatch.setattr(complexes, "_extend", lambda *args: builds.append("levels") or extend(*args))
+        monkeypatch.setattr(operators, "_assemble_coboundary",
+                            lambda cx, k: builds.append(f"d{k}") or assemble(cx, k))
         f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
         for p in ("1", "3"):
+            builds.clear()
             assert run(capsys, "plap", "--input", c4_file, "--f", f, "--p", p)[0] == 0
+            assert builds == ["levels", "d0"]  # the edges once, and d_0 from them once
 
     def test_negative_k_keeps_its_message(self, capsys, c4_file):
         for name in DEGREE_K_COMMANDS:
@@ -426,6 +468,33 @@ class TestNonFinite:
         game = write(tmp_path, "g.json", json.dumps(
             {"strategies": [["a", "b"]], "utilities": [{"a": 1.0, "b": float(value)}]}))
         assert run(capsys, "game", "--input", game) == (1, "")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol):
+        graph = write(tmp_path, "g.txt", "1 2\n2 3\n1 3\n3 4\n")
+        for name in ("spectrum", "betti"):
+            assert main([name, "--k", "0", "--input", graph, "--tolerance", tol]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = f"kernel tolerance must be finite and >= 0, got {float(tol)}"
+            assert captured.err == f"graphhodge: error: {message}\n"
+
+    def test_tolerance_zero_and_positive_documents_unchanged(self, capsys, tmp_path):
+        graph = write(tmp_path, "g.txt", "1 2\n2 3\n1 3\n3 4\n")
+        for tol, document in (("0", '{"betti": 1, "k": 0, "tolerance": 0}\n'),
+                              ("0.5", '{"betti": 1, "k": 0, "tolerance": 0.5}\n')):
+            assert run(capsys, "betti", "--k", "0", "--input", graph, "--tolerance", tol) == (0, document)
+
+    @pytest.mark.parametrize("records", ["v,a,1e308\nv,b,-1e308\n", "v1,a,b,1e308\nv2,a,b,1e308\n"])
+    def test_overflowing_comparison_flow_exits_one(self, capsys, tmp_path, records):
+        csv = write(tmp_path, "r.csv", records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            assert main(["rank", "--input", csv, "--model", "mean"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "the mean comparison of 'a' and 'b' is not finite: its records overflow"
+        assert captured.err == f"graphhodge: error: {message}\n"
 
     def test_non_finite_residual_still_gives_exit_two_document(self, capsys, tmp_path, c4_file, monkeypatch):
         import graphhodge.decompose as module

@@ -153,13 +153,16 @@ class TestEnumerateCliques:
 class TestArrayLevels:
     def test_levels_match_loop_oracle(self, rng):
         for g, max_order in oracle_graphs(rng):
-            cx = enumerate_cliques(g, max_order)
+            stepped = Graph(g.n_vertices, g.edges)  # its levels are extended one order per call
+            for order in range(1, max_order):
+                enumerate_cliques(stepped, order)
             expected = loop_enumerate_levels(g, max_order)
-            for order, (level, ref) in enumerate(zip(cx.levels, expected), start=1):
-                assert level.dtype == np.int64 and level.shape == (len(ref), order)
-                assert not level.flags.writeable
-                assert cx.cliques(order) == ref
-                assert all(type(v) is int for c in cx.cliques(order) for v in c)
+            for cx in (enumerate_cliques(g, max_order), enumerate_cliques(stepped, max_order)):
+                for order, (level, ref) in enumerate(zip(cx.levels, expected), start=1):
+                    assert level.dtype == np.int64 and level.shape == (len(ref), order)
+                    assert not level.flags.writeable
+                    assert cx.cliques(order) == ref
+                    assert all(type(v) is int for c in cx.cliques(order) for v in c)
 
     def test_levels_match_networkx(self, rng):
         for g, max_order in oracle_graphs(rng):

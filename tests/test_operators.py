@@ -275,9 +275,19 @@ class TestHodgeLaplacian:
         assert not np.array_equal(edge_laplacian, helmholtzian)
 
     def test_unknown_up_level_is_error(self):
-        cx = enumerate_cliques(complete_graph(4), 2)
-        with pytest.raises(ValueError, match="not enumerated"):
-            hodge_laplacian(cx, 1)
+        deep = complete_graph(4)
+        cx = enumerate_cliques(deep, 4)
+        cx.index(3)
+        cx.locate([[1, 2, 3]])
+        betti(cx, 1)  # leaves the triangles, their views and keys, d_1 and its Gram on the graph
+        for g in (complete_graph(4), deep):
+            shallow = enumerate_cliques(g, 2)
+            for unknown in (lambda: hodge_laplacian(shallow, 1), lambda: shallow.level(3),
+                            lambda: shallow.cliques(3), lambda: shallow.index(3),
+                            lambda: shallow.locate([[1, 2, 3]]), lambda: coboundary(shallow, 1),
+                            lambda: betti(shallow, 1)):
+                with pytest.raises(ValueError, match="not enumerated"):
+                    unknown()
 
     def test_degree_out_of_range(self, c4_complex):
         with pytest.raises(ValueError):
@@ -429,18 +439,27 @@ class TestCoboundaryCache:
                 assert coboundary(cx, k).matrix is coboundary(cx, k).matrix
                 hodge_laplacian(cx, k)
         assert calls == [0, 1, 2]
-        # an equal but separately enumerated complex builds its own operators
+        # every complex of the same graph shares its levels and operators
         coboundary(enumerate_cliques(cx.graph, 4), 1)
+        shallow = enumerate_cliques(cx.graph, 2)
+        assert shallow.level(2) is cx.level(2)
+        assert coboundary(shallow, 0).matrix is coboundary(cx, 0).matrix
+        assert calls == [0, 1, 2]
+        # an equal but distinct graph builds its own
+        coboundary(enumerate_cliques(Graph(cx.graph.n_vertices, cx.graph.edges), 4), 1)
         assert calls == [0, 1, 2, 1]
 
     def test_cache_keeps_no_reference_cycle(self, rng):
-        cx = enumerate_cliques(random_graph(rng, 8, 0.6), 4)
+        g = random_graph(rng, 8, 0.6)
+        cx = enumerate_cliques(g, 4)
         for k in range(3):
             coboundary(cx, k)
             betti(cx, k)
-        ref = weakref.ref(cx)
-        del cx
-        assert ref() is None  # freed by reference counting, without a cyclic collection
+            cx.index(k + 1)
+        refs = weakref.ref(cx), weakref.ref(g)
+        del cx, g
+        # both freed by reference counting, without a cyclic collection
+        assert [ref() for ref in refs] == [None, None]
 
     def test_game_run_assembles_d1_once(self, monkeypatch):
         calls = self.count_assembly(monkeypatch)

@@ -305,6 +305,8 @@ class TestGramSpectraOracle:
                 betti(cx, k)
                 betti(cx, k, WeightScheme.from_table({}))
         assert len(calls) == 3  # one Gram for each of d_0, d_1, d_2
+        isospectral_fingerprint(cx.graph, 2)  # enumerates the same graph again
+        assert len(calls) == 3
         w = random_table_weights(rng, cx)
         betti(cx, 1, w)
         betti(cx, 1, w)
