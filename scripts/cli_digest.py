@@ -16,10 +16,12 @@ when the run wrote none. A run that raises instead of exiting shows the
 exception's type as its exit code. The corpus covers every subcommand, k =
 0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3,
 cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
-and isospectral at --max-k 1..3; it ends with runs that must exit 1 (--max-order
-on a degree-k subcommand, p < 1, non-finite inputs, overflowing results, a
-negative kernel tolerance, overflowing comparison flows, ambiguous game
-profile keys).
+isospectral at --max-k 1..3, and cochains holding -0.0 (an edge listed
+against its orientation with value 0, explicit -0 values) through decompose
+and plap, which pin the sign of zero each format prints. It ends with runs
+that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
+inputs, overflowing results, a negative kernel tolerance, overflowing
+comparison flows, ambiguous game profile keys).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -199,7 +201,22 @@ def cases(root: Path, small: bool):
     for a, b in pairs:
         for max_k in ("1", "2", "3"):
             yield ["isospectral", graphs[a][0], graphs[b][0], "--max-k", max_k], None
+    if not small:
+        yield from signed_zeros(root)
     yield from must_exit_one(root, f4)
+
+
+def signed_zeros(root: Path):
+    """Cochains holding -0.0: from an edge listed against its orientation and from explicit -0 values."""
+    c4 = DATA / "c4.txt"
+    edges, vertices = root / "signed_zeros.x1.tsv", root / "signed_zeros.x0.tsv"
+    edges.write_text("2 1 0\n2 3 -0\n3 4 1.5\n1 4 -2\n")
+    vertices.write_text("1 -0\n2 0\n3 -0\n4 1\n")
+    for x in (edges, vertices):
+        for method in METHODS:
+            yield ["decompose", "--input", c4, "--cochain", x, "--method", method], "--plot"
+    for p in ("1", "3"):
+        yield ["plap", "--input", c4, "--f", vertices, "--p", p], None
 
 
 def must_exit_one(root: Path, f4: Path):

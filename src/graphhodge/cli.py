@@ -28,8 +28,14 @@ from .games import (
 from .hodgerank import ComparisonData, RankingResult, aggregate, rank
 from .nonlinear import apply_p_laplacian, cheeger_check
 from .operators import coboundary, hodge_laplacian, write_matrix
-from .spectral import Spectrum, _hodge_spectrum, compare_fingerprints, isospectral_fingerprint
-from .textio import json_dumps, tsv_lines
+from .spectral import (
+    Spectrum,
+    _check_tolerance,
+    _hodge_spectrum,
+    compare_fingerprints,
+    isospectral_fingerprint,
+)
+from .textio import id_value_lines, json_dumps, tsv_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,19 +49,9 @@ def emit_plot_data(obj) -> str:
     if isinstance(obj, Spectrum):
         return tsv_lines((i + 1, v) for i, v in enumerate(obj.eigenvalues))
     if isinstance(obj, HodgeSplit):
-        cliques = obj.input.complex.cliques(obj.input.degree + 1)
-        rows = []
-        for i, clique in enumerate(cliques):
-            rows.append(
-                tuple(clique)
-                + (
-                    float(obj.input.values[i]),
-                    float(obj.exact.values[i]),
-                    float(obj.harmonic.values[i]),
-                    float(obj.coexact.values[i]),
-                )
-            )
-        return tsv_lines(rows)
+        parts = (obj.input, obj.exact, obj.harmonic, obj.coexact)
+        level = obj.input.complex.level(obj.input.degree + 1)
+        return id_value_lines(level, *(part.values + 0.0 for part in parts), sep="\t")
     if isinstance(obj, RankingResult):
         return tsv_lines(
             (pos + 1, item, obj.scores[item]) for pos, item in enumerate(obj.order)
@@ -98,6 +94,8 @@ def _complex(graph: Graph, k: int) -> CliqueComplex:
 
 
 def _spectrum(args) -> Spectrum:
+    if args.tolerance is not None:
+        _check_tolerance(args.tolerance)  # before any eigensolve
     cx = _complex(_load_graph(args.input), args.k)
     spec = _hodge_spectrum(cx, args.k, _load_weights(args))
     return spec if args.tolerance is None else spec.with_tolerance(args.tolerance)
@@ -109,7 +107,7 @@ def _cmd_cliques(args) -> int:
     payload = {
         "n_vertices": graph.n_vertices,
         "max_order": cx.max_order,
-        "cliques": {str(k): [list(c) for c in cx.cliques(k)] for k in range(1, cx.max_order + 1)},
+        "cliques": {str(k): cx.level(k) for k in range(1, cx.max_order + 1)},
         "counts": {str(k): cx.n_cliques(k) for k in range(1, cx.max_order + 1)},
         "clique_number": cx.clique_number(),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import CliqueComplex, InputFormatError
-from .textio import require_finite
+from .textio import id_value_lines
 
 
 def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
@@ -248,13 +248,9 @@ def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) ->
         raise InputFormatError(str(exc)) from None
 
 
-def write_cochain_tsv(c: Cochain, fmt: str = "%.12g") -> str:
+def write_cochain_tsv(c: Cochain) -> str:
     """One `i .. k value` line per clique, in canonical order; ValueError on nan/inf."""
-    require_finite(c.values)
-    lines = []
-    for clique, v in zip(c.complex.cliques(c.degree + 1), c.values):
-        lines.append(" ".join(str(i) for i in clique) + " " + fmt % v)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return id_value_lines(c.complex.level(c.degree + 1), c.values)
 
 
 def read_weights_tsv(text: str) -> WeightScheme:

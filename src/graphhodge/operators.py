@@ -26,6 +26,7 @@ harmonic_basis turns a Laplacian dense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, InputFormatError
-from .textio import require_finite
+from .textio import id_value_lines
 
 
 @dataclass(frozen=True)
@@ -174,36 +175,47 @@ def apply_operator(op: CoboundaryOperator | HodgeLaplacian, c: Cochain) -> Cocha
     raise TypeError(f"cannot apply object of type {type(op).__name__}")
 
 
-def write_matrix(mat: sp.spmatrix, fmt: str = "%.12g") -> str:
+def write_matrix(mat: sp.spmatrix) -> str:
     """Serialize in MatrixMarket coordinate format, 1-indexed, sorted by (row, col); ValueError on nan/inf."""
     coo = sp.coo_matrix(mat)
-    require_finite(coo.data)
     order = np.lexsort((coo.col, coo.row))
-    lines = ["%%MatrixMarket matrix coordinate real general",
-             f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for idx in order:
-        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} " + fmt % coo.data[idx])
-    return "\n".join(lines) + "\n"
+    header = f"%%MatrixMarket matrix coordinate real general\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
+    return header + id_value_lines(np.column_stack((coo.row[order] + 1, coo.col[order] + 1)), coo.data[order])
 
 
 def read_matrix(text: str) -> sp.csr_matrix:
-    """Parse the coordinate format written by write_matrix."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln and not ln.startswith("%")]
+    """Parse the coordinate format written by write_matrix.
+
+    Raises InputFormatError, naming the line, at a malformed size or entry
+    line, an index outside 1..size, a non-finite value or a coordinate given twice.
+    """
+    body = [(lineno, line.split()) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("%")]
     if not body:
         raise InputFormatError("empty matrix document")
+    (lineno, tokens), entry_lines = body[0], body[1:]
     try:
-        n_rows, n_cols, nnz = (int(t) for t in body[0].split())
+        n_rows, n_cols, nnz = (int(t) for t in tokens)
     except ValueError:
-        raise InputFormatError("malformed size line") from None
-    if len(body) - 1 != nnz:
-        raise InputFormatError(f"expected {nnz} entries, found {len(body) - 1}")
-    rows, cols, data = [], [], []
-    for ln in body[1:]:
-        tokens = ln.split()
+        raise InputFormatError(f"line {lineno}: malformed size line") from None
+    if min(n_rows, n_cols, nnz) < 0:
+        raise InputFormatError(f"line {lineno}: sizes must be >= 0")
+    if len(entry_lines) != nnz:
+        raise InputFormatError(f"expected {nnz} entries, found {len(entry_lines)}")
+    entries: dict[tuple[int, int], float] = {}
+    for lineno, tokens in entry_lines:
         if len(tokens) != 3:
-            raise InputFormatError(f"malformed entry line: {ln!r}")
-        rows.append(int(tokens[0]) - 1)
-        cols.append(int(tokens[1]) - 1)
-        data.append(float(tokens[2]))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
+            raise InputFormatError(f"line {lineno}: expected a row, a column and a value")
+        try:
+            i, j, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: non-numeric token") from None
+        if not (1 <= i <= n_rows and 1 <= j <= n_cols):
+            raise InputFormatError(f"line {lineno}: entry ({i}, {j}) outside {n_rows} x {n_cols}")
+        if not math.isfinite(value):
+            raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
+        if (i, j) in entries:
+            raise InputFormatError(f"line {lineno}: duplicate entry for ({i}, {j})")
+        entries[i, j] = value
+    rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T - 1
+    return sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(n_rows, n_cols))

@@ -31,6 +31,13 @@ def kernel_tolerance(dim: int, lambda_max: float) -> float:
     return max(dim * np.finfo(float).eps * abs(lambda_max), KERNEL_TOL_FLOOR)
 
 
+def _check_tolerance(tol: float) -> float:
+    """tol itself if it is a valid kernel tolerance override (finite, >= 0); ValueError otherwise."""
+    if not 0 <= tol < np.inf:  # also rejects NaN
+        raise ValueError(f"kernel tolerance must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _kernel_mask(eigvals: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, float]:
     """The one kernel rule: eigenvalues <= tol, tol defaulting to kernel_tolerance."""
     if tol is None:
@@ -50,16 +57,14 @@ class Spectrum:
     def to_json_dict(self) -> dict:
         return {
             "k": self.degree,
-            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "eigenvalues": self.eigenvalues,
             "betti": self.kernel_dim,
             "tolerance": self.tolerance,
         }
 
     def with_tolerance(self, tol: float) -> "Spectrum":
         """The same eigenvalues with the kernel recounted at another tolerance (finite, >= 0)."""
-        if not 0 <= tol < np.inf:  # also rejects NaN
-            raise ValueError(f"kernel tolerance must be finite and >= 0, got {tol}")
-        mask, tol = _kernel_mask(self.eigenvalues, tol)
+        mask, tol = _kernel_mask(self.eigenvalues, _check_tolerance(tol))
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 

@@ -1,7 +1,9 @@
-"""Deterministic text output: fixed float formatting and sorted-key JSON.
+"""Deterministic text output, the package's only number-to-text path.
 
 Identical inputs must produce byte-identical documents, so floats are always
-rendered with 12 significant digits and mapping keys are sorted.
+rendered with FLOAT_FMT (12 significant digits), arrays at once with one
+finiteness check, and mapping keys are sorted. A negative zero prints as 0 in
+JSON, plot TSV and flow TSV, and as -0 in cochain TSV and MatrixMarket.
 """
 
 from __future__ import annotations
@@ -28,11 +30,18 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def require_finite(values: np.ndarray) -> None:
-    """Raise fmt_float's ValueError at the first nan or inf of an array written without fmt_float."""
+def _fmt_floats(values: np.ndarray) -> list[str]:
+    """Each entry of a 1-D float array in FLOAT_FMT, sign of zero kept; ValueError at the first nan or inf."""
     bad = ~np.isfinite(values)
     if bad.any():
         raise _non_finite(float(values[np.argmax(bad)]))
+    return [FLOAT_FMT % x for x in values.tolist()]
+
+
+def id_value_lines(ids: np.ndarray, *columns: np.ndarray, sep: str = " ") -> str:
+    """Per row of ids, its ids and then its entry of each float column, joined by sep; -0.0 prints as -0."""
+    cells = [list(map(str, col)) for col in ids.T.tolist()] + [_fmt_floats(col) for col in columns]
+    return "".join(sep.join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def json_dumps(obj) -> str:
@@ -48,6 +57,8 @@ def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind == "f":
+            return "[" + ", ".join(_fmt_floats(obj + 0.0)) + "]"  # + 0.0: -0.0 prints as 0
         return _encode(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"

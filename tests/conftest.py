@@ -7,8 +7,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphhodge import Graph, enumerate_cliques
+from graphhodge.textio import fmt_float
 
 
 # Two labeled directed graphs with identical graph-Laplacian spectra that the
@@ -188,6 +190,59 @@ def oracle_graphs(rng: np.random.Generator):
     yield Graph(12, inner.edges), 5  # vertices 9..12 isolated
     yield cycle_graph(4), 4
     yield BIG_FIVE_CLIQUE, 6
+
+
+# Floats whose text is easy to get wrong: signed zeros, the smallest subnormal,
+# extreme exponents, integral values and a repeating fraction.
+SPECIAL_FLOATS = np.array([-0.0, 0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 3.0, -42.0, 1e15, 1 / 3])
+
+
+def special_floats(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size seeded floats, about half from SPECIAL_FLOATS and the rest normal draws of random magnitude."""
+    draws = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size)
+    return np.where(rng.random(size) < 0.5, rng.choice(SPECIAL_FLOATS, size), draws)
+
+
+def with_value_at_random(rng: np.random.Generator, values: np.ndarray, value: float) -> np.ndarray:
+    """A copy of a non-empty array with value at one random position."""
+    out = values.copy()
+    out[rng.integers(values.size)] = value
+    return out
+
+
+def raised_message(write) -> str:
+    """The message of the ValueError write() raises; fails the test if it raises none."""
+    with pytest.raises(ValueError) as info:
+        write()
+    return str(info.value)
+
+
+def loop_write_cochain_tsv(c) -> str:
+    """write_cochain_tsv by the per-clique loop over tuple views it replaced, kept as oracle."""
+    for v in c.values:
+        fmt_float(v)  # raises at the first nan or inf
+    lines = []
+    for clique, v in zip(c.complex.cliques(c.degree + 1), c.values):
+        lines.append(" ".join(str(i) for i in clique) + " " + "%.12g" % v)
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def loop_write_matrix(mat) -> str:
+    """write_matrix by the per-entry loop it replaced, kept as oracle."""
+    coo = sp.coo_matrix(mat)
+    for x in coo.data:
+        fmt_float(x)  # raises at the first nan or inf
+    order = np.lexsort((coo.col, coo.row))
+    lines = ["%%MatrixMarket matrix coordinate real general",
+             f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    for idx in order:
+        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} " + "%.12g" % coo.data[idx])
+    return "\n".join(lines) + "\n"
+
+
+def loop_json_array(values: np.ndarray) -> str:
+    """A float array as JSON by one fmt_float call per element, the encoding json_dumps replaced."""
+    return "[" + ", ".join(fmt_float(x) for x in values.tolist()) + "]"
 
 
 def union_find_components(graph: Graph) -> int:

@@ -8,6 +8,14 @@ import pytest
 from graphhodge.cli import emit_plot_data, main
 from graphhodge import read_matrix
 
+from conftest import (
+    loop_json_array,
+    loop_write_matrix,
+    raised_message,
+    special_floats,
+    with_value_at_random,
+)
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -446,8 +454,8 @@ class TestNonFinite:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite number" in captured.err
 
-    def test_matrix_writer_rejects_non_finite_and_keeps_negative_zero(self):
-        from scipy.sparse import csr_matrix
+    def test_matrix_writer_rejects_non_finite_and_keeps_negative_zero(self, rng):
+        from scipy.sparse import coo_matrix, csr_matrix
 
         from graphhodge import write_matrix
 
@@ -456,6 +464,19 @@ class TestNonFinite:
                 write_matrix(csr_matrix(np.array([[1.0, x]])))
         signed_zero = csr_matrix(([-0.0, 2.5], ([0, 0], [0, 1])), shape=(1, 2))
         assert write_matrix(signed_zero).endswith("1 1 -0\n1 2 2.5\n")
+        for shape in ((0, 0), (0, 4), (3, 0), (1, 1), (4, 7), (30, 20)):
+            for x in (np.nan, np.inf, -np.inf):
+                size = shape[0] * shape[1]
+                nnz = int(rng.integers(0, size + 1))
+                flat = rng.choice(size, nnz, replace=False)  # distinct coordinates in random order
+                rows, cols = np.unravel_index(flat, shape)
+                mat = coo_matrix((special_floats(rng, nnz), (rows, cols)), shape=shape)
+                assert write_matrix(mat) == loop_write_matrix(mat)
+                assert write_matrix(mat.tocsr()) == loop_write_matrix(mat.tocsr())
+                if nnz:
+                    bad = coo_matrix((with_value_at_random(rng, mat.data, x), (rows, cols)), shape=shape)
+                    assert raised_message(lambda: write_matrix(bad)) == raised_message(
+                        lambda: loop_write_matrix(bad))
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_inputs_exit_one(self, capsys, tmp_path, c4_file, value):
@@ -470,7 +491,13 @@ class TestNonFinite:
         assert run(capsys, "game", "--input", game) == (1, "")
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol):
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol, monkeypatch):
+        import graphhodge.cli as cli
+
+        def no_eigensolve(*args):
+            pytest.fail("a bad --tolerance must be rejected before any eigensolve")
+
+        monkeypatch.setattr(cli, "_hodge_spectrum", no_eigensolve)
         graph = write(tmp_path, "g.txt", "1 2\n2 3\n1 3\n3 4\n")
         for name in ("spectrum", "betti"):
             assert main([name, "--k", "0", "--input", graph, "--tolerance", tol]) == 1
@@ -522,3 +549,12 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="non-finite"):
                 tsv_lines([(1, x)])
         assert fmt_float(-0.0) == "0" and fmt_float(1e300) == "1e+300"
+        rng = np.random.default_rng(20261018)
+        for size in (0, 1, 2, 7, 40, 200):
+            values = special_floats(rng, size)
+            assert json_dumps({"x": values}) == '{"x": ' + loop_json_array(values) + "}"
+            if size:
+                for x in (np.nan, np.inf, -np.inf):
+                    bad = with_value_at_random(rng, values, x)
+                    assert raised_message(lambda: json_dumps({"x": bad})) == raised_message(
+                        lambda: loop_json_array(bad))

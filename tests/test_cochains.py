@@ -20,7 +20,14 @@ from graphhodge import (
 from graphhodge.cochains import sort_with_sign
 from graphhodge.complexes import CliqueComplex
 
-from conftest import complete_graph, random_graph
+from conftest import (
+    complete_graph,
+    loop_write_cochain_tsv,
+    raised_message,
+    random_graph,
+    special_floats,
+    with_value_at_random,
+)
 
 
 def test_eval_edge_antisymmetry(c3_complex):
@@ -298,8 +305,17 @@ def test_from_table_keys_match_sort_with_sign(rng):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_write_cochain_tsv_rejects_non_finite(c3_complex, value):
+def test_write_cochain_tsv_rejects_non_finite(c3_complex, value, rng):
     x = Cochain(1, c3_complex, np.array([1.0, value, -0.0]))
     with pytest.raises(ValueError, match="non-finite number"):
         write_cochain_tsv(x)
     assert write_cochain_tsv(Cochain(1, c3_complex, np.array([1.0, 2.5, -0.0]))) == "1 2 1\n1 3 2.5\n2 3 -0\n"
+    cx = enumerate_cliques(complete_graph(5), 6)  # levels of 5, 10, 10, 5, 1 and 0 cliques
+    for _ in range(5):
+        for degree in range(6):
+            c = Cochain(degree, cx, special_floats(rng, cx.n_cliques(degree + 1)))
+            assert write_cochain_tsv(c) == loop_write_cochain_tsv(c)
+            if c.values.size:
+                bad = Cochain(degree, cx, with_value_at_random(rng, c.values, value))
+                assert raised_message(lambda: write_cochain_tsv(bad)) == raised_message(
+                    lambda: loop_write_cochain_tsv(bad))

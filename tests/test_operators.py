@@ -11,6 +11,7 @@ from graphhodge import (
     Cochain,
     ComparisonData,
     Graph,
+    InputFormatError,
     WeightScheme,
     adjoint,
     aggregate,
@@ -345,6 +346,30 @@ class TestMatrixExport:
         text = write_matrix(op.matrix)
         again = read_matrix(text)
         assert again.shape == (0, 4)
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("2 2 1\n1 1 nan\n", 2),
+        ("2 2 1\n1 1 inf\n", 2),
+        ("2 2 1\n1 1 -inf\n", 2),
+        ("2 2 1\n1 1 1e999\n", 2),
+        ("2 2 2\n1 1 1\n1 1 2\n", 3),  # a coordinate given twice
+        ("2 2 1\n3 1 1\n", 2),
+        ("2 2 1\n1 3 1\n", 2),
+        ("2 2 1\n0 1 1\n", 2),
+        ("2 2 1\n1 -1 1\n", 2),
+        ("-2 2 0\n", 1),
+        ("2 -2 0\n", 1),
+        ("2 2 -1\n", 1),
+        ("2 x 1\n", 1),
+        ("2 2\n", 1),
+        ("2 2 1\nx 1 1\n", 2),
+        ("2 2 1\n1 1 x\n", 2),
+        ("2 2 1\n1 1\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n% note\n\n2 2 1\n1 1 1 1\n", 5),
+    ])
+    def test_reader_rejects_bad_documents_naming_the_line(self, text, lineno):
+        with pytest.raises(InputFormatError, match=f"^line {lineno}: "):
+            read_matrix(text)
 
 
 def dense_scrub_laplacian(cx, k, w):
