@@ -5,9 +5,10 @@ Usage:
 
 Writes a fixed set of inputs to a temporary directory: the bundled data/
 files plus seeded graphs with 4-cliques and isolated vertices, weight tables
-(full, partial and empty), cochains of degree 0..2, ratings, pairwise votes
-and a game. It runs every case through graphhodge.cli.main in this process
-and prints one line per run:
+(full, partial and empty), cochains of degree 0..2, ratings, pairwise votes,
+a game, and a game and a pairwise CSV whose labels hold JSON escapes, commas,
+non-ASCII text and NULs. It runs every case through graphhodge.cli.main in
+this process and prints one line per run:
 
     <exit code> <main document> <--plot/--flow-out file> <subcommand and arguments>
 
@@ -21,7 +22,8 @@ against its orientation with value 0, explicit -0 values) through decompose
 and plap, which pin the sign of zero each format prints. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
-comparison flows, ambiguous game profile keys).
+comparison flows, ambiguous game profile keys, and without --small an
+unwritable --output and malformed game JSON shapes).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -136,6 +139,23 @@ def application_inputs(root: Path, small: bool) -> dict:
         "utilities": [{k: float(rng.integers(-2, 3)) for k in keys} for _ in strategies],
     }))
     files["games"].append(game)
+    # labels with JSON escapes, a comma, non-ASCII text and NULs (a trailing one too), on a generator of
+    # their own so the inputs below keep theirs
+    label_rng = np.random.default_rng(2028)
+    strategies = [['q"uote', "back\\slash", "trail\x00"], ["com,ma", "naïve", "line\u2028sep", "in\x00side"]]
+    keys = [",".join(p) for p in product(*strategies)]
+    labelled = root / "labels.json"
+    labelled.write_text(json.dumps({
+        "strategies": strategies,
+        "utilities": [{k: float(label_rng.choice([-0.0, 0.0, 1.0, -2.0])) for k in keys} for _ in strategies],
+    }))
+    files["games"].append(labelled)
+    items = np.array(["com,ma", 'q"uote', "trail\x00", "naïve", "back\\slash"], dtype=object)  # <U drops "\x00"
+    votes = root / "labels.csv"
+    with votes.open("w", newline="") as out:
+        csv.writer(out).writerows((f"v{v}", *label_rng.choice(items, 2, replace=False), f"{label_rng.normal():.4g}")
+                                  for v in range(12))
+    files["ratings"].append(votes)
     cheeger = root / "cheeger.txt"
     path_edges = [(i, i + 1) for i in range(1, 10)]
     cheeger.write_text(graph_text(10, sorted(set(path_edges) | set(random_edges(rng, 10, 0.3)))))
@@ -203,7 +223,7 @@ def cases(root: Path, small: bool):
             yield ["isospectral", graphs[a][0], graphs[b][0], "--max-k", max_k], None
     if not small:
         yield from signed_zeros(root)
-    yield from must_exit_one(root, f4)
+    yield from must_exit_one(root, f4, small)
 
 
 def signed_zeros(root: Path):
@@ -219,7 +239,7 @@ def signed_zeros(root: Path):
         yield ["plap", "--input", c4, "--f", vertices, "--p", p], None
 
 
-def must_exit_one(root: Path, f4: Path):
+def must_exit_one(root: Path, f4: Path, small: bool):
     c4 = DATA / "c4.txt"
     for name in ("operator", "laplacian", "spectrum", "betti"):
         yield [name, "--input", c4, "--k", "0", "--max-order", "3"], None
@@ -258,6 +278,13 @@ def must_exit_one(root: Path, f4: Path):
     table = {"a,x": 1.0, "a,b,x": 2.0, "a,b,b,x": 3.0}
     ambiguous.write_text(json.dumps({"strategies": [["a", "a,b"], ["x", "b,x"]], "utilities": [table, table]}))
     yield ["game", "--input", ambiguous], None
+    if small:
+        return
+    yield ["betti", "--input", c4, "--k", "1", "--output", root / "missing" / "out.doc"], None
+    for name, doc in (("top", 5), ("table", {"strategies": [["a", "b"]], "utilities": [["a", "b"]]})):
+        malformed = root / f"malformed.{name}.json"
+        malformed.write_text(json.dumps(doc))
+        yield ["game", "--input", malformed], None
 
 
 def digest(path: Path) -> str:
@@ -267,7 +294,9 @@ def digest(path: Path) -> str:
 def run_case(argv, side, out: Path, side_out: Path) -> str:
     for path in (out, side_out):
         path.unlink(missing_ok=True)
-    full = [str(a) for a in argv] + ["--output", str(out)]
+    full = [str(a) for a in argv]
+    if "--output" not in full:
+        full += ["--output", str(out)]
     if side:
         full += [side, str(side_out)]
     with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings(), np.errstate(all="ignore"):

@@ -13,11 +13,14 @@ import math
 import sys
 from pathlib import Path
 
-from .cochains import Cochain, WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
+import numpy as np
+
+from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
 from .complexes import CliqueComplex, Graph, InputFormatError, enumerate_cliques, parse_graph
 from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
 from .games import (
     GameForm,
+    _profile_key,
     decompose_game_flow,
     game_flow,
     is_harmonic_game,
@@ -35,7 +38,7 @@ from .spectral import (
     compare_fingerprints,
     isospectral_fingerprint,
 )
-from .textio import id_value_lines, json_dumps, tsv_lines
+from .textio import _Rows, id_value_lines, json_dumps
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,15 +50,14 @@ class _Parser(argparse.ArgumentParser):
 def emit_plot_data(obj) -> str:
     """Flatten a Spectrum, HodgeSplit, or RankingResult into plotting TSV."""
     if isinstance(obj, Spectrum):
-        return tsv_lines((i + 1, v) for i, v in enumerate(obj.eigenvalues))
+        return id_value_lines(np.arange(1, len(obj.eigenvalues) + 1)[:, None], obj.eigenvalues + 0.0, sep="\t")
     if isinstance(obj, HodgeSplit):
         parts = (obj.input, obj.exact, obj.harmonic, obj.coexact)
         level = obj.input.complex.level(obj.input.degree + 1)
         return id_value_lines(level, *(part.values + 0.0 for part in parts), sep="\t")
     if isinstance(obj, RankingResult):
-        return tsv_lines(
-            (pos + 1, item, obj.scores[item]) for pos, item in enumerate(obj.order)
-        )
+        ids = np.column_stack((np.arange(1, len(obj.order) + 1), np.array(obj.order, dtype=object)))  # not <U
+        return id_value_lines(ids, np.array([obj.scores[item] for item in obj.order]) + 0.0, sep="\t")
     raise TypeError(f"no plot data emitter for {type(obj).__name__}")
 
 
@@ -76,16 +78,23 @@ def _load_weights(args) -> WeightScheme:
     return WeightScheme.unit()
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from None
+
+
 def _write(args, text: str) -> None:
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
 
 def _write_plot(args, obj) -> None:
     if getattr(args, "plot", None):
-        Path(args.plot).write_text(emit_plot_data(obj))
+        _write_file(args.plot, emit_plot_data(obj))
 
 
 def _complex(graph: Graph, k: int) -> CliqueComplex:
@@ -164,15 +173,9 @@ def _cmd_rank(args) -> int:
     result = rank(cf)
     payload = result.to_json_dict()
     payload["model"] = args.model
-    payload["edges"] = [
-        {
-            "item_i": cf.items[u - 1],
-            "item_j": cf.items[v - 1],
-            "x": float(cf.flow.values[i]),
-            "weight": result.edge_weights[(u, v)],
-        }
-        for i, (u, v) in enumerate(cf.graph.sorted_edges)
-    ]
+    ends = np.array(cf.items, dtype=object)[cf.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
+    weights = np.fromiter(result.edge_weights.values(), dtype=float, count=len(ends))  # in edge order
+    payload["edges"] = _Rows(ends, (weights, cf.flow.values), ("item_i", "item_j", "weight", "x"))
     _write(args, json_dumps(payload) + "\n")
     _write_plot(args, result)
     return 0
@@ -183,34 +186,27 @@ def _cmd_game(args) -> int:
         doc = json.loads(_read_text(args.input))
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid game JSON: {exc}") from None
-    if "strategies" not in doc or "utilities" not in doc:
+    if not isinstance(doc, dict) or "strategies" not in doc or "utilities" not in doc:
         raise InputFormatError("game JSON needs 'strategies' and 'utilities'")
     form = GameForm.from_tables(doc["strategies"], doc["utilities"])
     sg = strategy_graph(form)
     flow = game_flow(form, sg)
     split = decompose_game_flow(flow)
-    names = [",".join(p) for p in sg.profiles]
-    edges = sg.graph.sorted_edges
-
-    def flow_rows(cochain: Cochain):
-        return [
-            (names[u - 1], names[v - 1], float(cochain.values[i]))
-            for i, (u, v) in enumerate(edges)
-        ]
-
+    names = [_profile_key(p) for p in sg.profiles]
+    ends = np.array(names, dtype=object)[sg.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
     payload = {
         "profiles": names,
-        "flow": [[a, b, x] for a, b, x in flow_rows(flow)],
-        "potential_flow": [[a, b, x] for a, b, x in flow_rows(split.potential_flow)],
-        "harmonic_flow": [[a, b, x] for a, b, x in flow_rows(split.harmonic_flow)],
+        "flow": _Rows(ends, (flow.values,)),
+        "potential_flow": _Rows(ends, (split.potential_flow.values,)),
+        "harmonic_flow": _Rows(ends, (split.harmonic_flow.values,)),
         "potential": {names[i]: float(v) for i, v in enumerate(split.potential.values)},
         "is_potential_game": is_potential_game(form),
         "is_harmonic_game": is_harmonic_game(form),
-        "pure_nash": [",".join(p) for p in pure_nash(form)],
+        "pure_nash": [_profile_key(p) for p in pure_nash(form)],
     }
     _write(args, json_dumps(payload) + "\n")
     if args.flow_out:
-        Path(args.flow_out).write_text(tsv_lines(flow_rows(flow)))
+        _write_file(args.flow_out, id_value_lines(ends, flow.values + 0.0, sep="\t"))
     return 0
 
 
@@ -314,12 +310,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except ConvergenceError as exc:
-        residual = exc.residual if math.isfinite(exc.residual) else None  # JSON has no nan/inf
-        diagnostic = {"error": str(exc), "residual": residual, "iterations": exc.iterations}
-        _write(args, json_dumps(diagnostic) + "\n")
-        return 2
+        try:
+            return args.func(args)
+        except ConvergenceError as exc:
+            residual = exc.residual if math.isfinite(exc.residual) else None  # JSON has no nan/inf
+            diagnostic = {"error": str(exc), "residual": residual, "iterations": exc.iterations}
+            _write(args, json_dumps(diagnostic) + "\n")  # an unwritable --output still exits 1
+            return 2
     except (InputFormatError, ValueError) as exc:
         sys.stderr.write(f"graphhodge: error: {exc}\n")
         return 1

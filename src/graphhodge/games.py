@@ -17,6 +17,7 @@ game_flow's default builds the strategy graph.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -28,6 +29,11 @@ from .decompose import hodge_decompose
 from .operators import apply_operator, coboundary
 
 PREDICATE_TOL = 1e-10
+
+
+def _profile_key(profile) -> str:
+    """A profile's key in the utility tables and the game document: its labels joined by commas."""
+    return ",".join(profile)
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class GameForm:
                 raise ValueError(f"utility table {i} has shape {table.shape}, expected {shape}")
             bad = np.argwhere(~np.isfinite(table))
             if bad.size:
-                profile = ",".join(labels[j] for labels, j in zip(self.strategy_sets, bad[0]))
+                profile = _profile_key(labels[j] for labels, j in zip(self.strategy_sets, bad[0]))
                 raise ValueError(f"utility table {i} has a non-finite value at profile {profile!r}")
 
     @property
@@ -69,19 +75,31 @@ class GameForm:
     @classmethod
     def from_tables(cls, strategies, tables) -> "GameForm":
         """Build from label lists and per-player mappings keyed by comma-joined profiles."""
-        strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
+        try:
+            strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
+        except TypeError:
+            raise ValueError("'strategies' must be a list of label lists, one per player") from None
         shape = tuple(len(s) for s in strategy_sets)
-        keys = [",".join(profile) for profile in product(*strategy_sets)]
+        keys = [_profile_key(profile) for profile in product(*strategy_sets)]
         repeated = [key for key, count in Counter(keys).items() if count > 1]
         if repeated:
             raise ValueError(f"profile key {repeated[0]!r} is ambiguous: several profiles join to it")
+        try:
+            tables = list(tables)
+        except TypeError:
+            raise ValueError("'utilities' must be a list of tables, one per player") from None
         utilities = []
         for player, table in enumerate(tables):
+            if not isinstance(table, Mapping):
+                raise ValueError(f"utility table {player} must map profile keys to numbers")
             values = []
             for key in keys:
                 if key not in table:
                     raise ValueError(f"utility table {player} misses profile {key!r}")
-                values.append(float(table[key]))
+                try:
+                    values.append(float(table[key]))
+                except (TypeError, ValueError, OverflowError):
+                    raise ValueError(f"utility table {player} has no float value at profile {key!r}") from None
             if len(table) != len(keys):
                 extra = set(table) - set(keys)
                 raise ValueError(f"utility table {player} has unknown profiles {sorted(extra)}")

@@ -1,15 +1,16 @@
 """Deterministic text output, the package's only number-to-text path.
 
 Identical inputs must produce byte-identical documents, so floats are always
-rendered with FLOAT_FMT (12 significant digits), arrays at once with one
-finiteness check, and mapping keys are sorted. A negative zero prints as 0 in
-JSON, plot TSV and flow TSV, and as -0 in cochain TSV and MatrixMarket.
+rendered with FLOAT_FMT (12 significant digits), arrays and tables by columns
+with one finiteness check, and mapping keys are sorted. A negative zero prints
+as 0 in JSON, plot TSV and flow TSV, and as -0 in cochain TSV and MatrixMarket.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +39,28 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
     return [FLOAT_FMT % x for x in values.tolist()]
 
 
+def _table_cells(ids: np.ndarray, columns, quote: bool = False) -> list[list[str]]:
+    """Text columns of a table: the label columns of ids by str (JSON strings if quote), then the float columns,
+    formatted in row order so the first nan or inf is named. String labels come in object arrays, not <U ones,
+    which drop a trailing NUL."""
+    cells = [list(map(json.dumps if quote else str, col)) for col in ids.T.tolist()]
+    text = _fmt_floats(np.column_stack(columns).ravel()) if columns else []
+    return cells + [text[j :: len(columns)] for j in range(len(columns))]
+
+
 def id_value_lines(ids: np.ndarray, *columns: np.ndarray, sep: str = " ") -> str:
-    """Per row of ids, its ids and then its entry of each float column, joined by sep; -0.0 prints as -0."""
-    cells = [list(map(str, col)) for col in ids.T.tolist()] + [_fmt_floats(col) for col in columns]
-    return "".join(sep.join(row) + "\n" for row in zip(*cells, strict=True))
+    """Per row of the 2-D label array ids, its labels and then its entry of each column; -0.0 prints as -0."""
+    return "".join(sep.join(row) + "\n" for row in zip(*_table_cells(ids, columns), strict=True))
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """JSON table rows (a row of ids, then an entry per float column), formatted by columns when json_dumps
+    reaches them; each row is a list, or with keys (in sorted order) an object."""
+
+    ids: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    keys: tuple[str, ...] = ()
 
 
 def json_dumps(obj) -> str:
@@ -70,20 +89,10 @@ def _encode(obj) -> str:
         return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, _Rows):
+        cells = _table_cells(obj.ids, [col + 0.0 for col in obj.columns], quote=True)  # + 0.0: -0.0 prints as 0
+        for j, name in enumerate(f"{json.dumps(key)}: " for key in obj.keys):
+            cells[j] = [name + cell for cell in cells[j]]
+        head, tail = "{}" if obj.keys else "[]"
+        return "[" + ", ".join(head + ", ".join(row) + tail for row in zip(*cells, strict=True)) + "]"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def tsv_lines(rows) -> str:
-    """Join row iterables into TSV, formatting floats deterministically."""
-    out = []
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (bool, np.bool_)):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        out.append("\t".join(cells))
-    return "\n".join(out) + ("\n" if out else "")

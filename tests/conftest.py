@@ -9,8 +9,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphhodge import Graph, enumerate_cliques
-from graphhodge.textio import fmt_float
+from graphhodge import (
+    ComparisonData,
+    Graph,
+    aggregate,
+    decompose_game_flow,
+    enumerate_cliques,
+    game_flow,
+    is_harmonic_game,
+    is_potential_game,
+    pure_nash,
+    rank,
+    strategy_graph,
+)
+from graphhodge.textio import fmt_float, json_dumps
 
 
 # Two labeled directed graphs with identical graph-Laplacian spectra that the
@@ -243,6 +255,65 @@ def loop_write_matrix(mat) -> str:
 def loop_json_array(values: np.ndarray) -> str:
     """A float array as JSON by one fmt_float call per element, the encoding json_dumps replaced."""
     return "[" + ", ".join(fmt_float(x) for x in values.tolist()) + "]"
+
+
+def tsv_lines(rows) -> str:
+    """Rows as TSV by one formatting call per cell, the writer the column tables replaced, kept as oracle."""
+    out = []
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (bool, np.bool_)):
+                cells.append("true" if cell else "false")
+            elif isinstance(cell, (float, np.floating)):
+                cells.append(fmt_float(cell))
+            else:
+                cells.append(str(cell))
+        out.append("\t".join(cells))
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def loop_game_outputs(form) -> tuple[str, str]:
+    """The game document and --flow-out TSV from one (name, name, x) triple per edge, kept as oracle."""
+    sg = strategy_graph(form)
+    flow = game_flow(form, sg)
+    split = decompose_game_flow(flow)
+    names = [",".join(p) for p in sg.profiles]
+    edges = sg.graph.sorted_edges
+
+    def flow_rows(cochain):
+        return [(names[u - 1], names[v - 1], float(cochain.values[i])) for i, (u, v) in enumerate(edges)]
+
+    payload = {
+        "profiles": names,
+        "flow": [[a, b, x] for a, b, x in flow_rows(flow)],
+        "potential_flow": [[a, b, x] for a, b, x in flow_rows(split.potential_flow)],
+        "harmonic_flow": [[a, b, x] for a, b, x in flow_rows(split.harmonic_flow)],
+        "potential": {names[i]: float(v) for i, v in enumerate(split.potential.values)},
+        "is_potential_game": is_potential_game(form),
+        "is_harmonic_game": is_harmonic_game(form),
+        "pure_nash": [",".join(p) for p in pure_nash(form)],
+    }
+    return json_dumps(payload) + "\n", tsv_lines(flow_rows(flow))
+
+
+def loop_rank_outputs(csv_text: str, model: str) -> tuple[str, str]:
+    """The rank document and --plot TSV from one dict per edge and one triple per item, kept as oracle."""
+    cf = aggregate(ComparisonData.from_csv(csv_text), model=model)
+    result = rank(cf)
+    payload = result.to_json_dict()
+    payload["model"] = model
+    payload["edges"] = [
+        {
+            "item_i": cf.items[u - 1],
+            "item_j": cf.items[v - 1],
+            "x": float(cf.flow.values[i]),
+            "weight": result.edge_weights[(u, v)],
+        }
+        for i, (u, v) in enumerate(cf.graph.sorted_edges)
+    ]
+    plot = tsv_lines((pos + 1, item, result.scores[item]) for pos, item in enumerate(result.order))
+    return json_dumps(payload) + "\n", plot
 
 
 def union_find_components(graph: Graph) -> int:

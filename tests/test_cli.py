@@ -1,18 +1,24 @@
+import csv
+import io
 import json
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphhodge.cli import emit_plot_data, main
-from graphhodge import read_matrix
+from graphhodge import ComparisonData, GameForm, aggregate, game_flow, rank, read_matrix
 
 from conftest import (
+    loop_game_outputs,
     loop_json_array,
+    loop_rank_outputs,
     loop_write_matrix,
     raised_message,
     special_floats,
+    tsv_lines,
     with_value_at_random,
 )
 
@@ -539,7 +545,7 @@ class TestNonFinite:
         assert doc["residual"] is None and doc["iterations"] == 9
 
     def test_fmt_float_rejects_non_finite(self):
-        from graphhodge.textio import fmt_float, json_dumps, tsv_lines
+        from graphhodge.textio import fmt_float, id_value_lines, json_dumps
 
         for x in (float("nan"), float("inf"), -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
@@ -547,7 +553,7 @@ class TestNonFinite:
             with pytest.raises(ValueError, match="non-finite"):
                 json_dumps({"x": [1.0, x]})
             with pytest.raises(ValueError, match="non-finite"):
-                tsv_lines([(1, x)])
+                id_value_lines(np.array([[1]]), np.array([x]), sep="\t")
         assert fmt_float(-0.0) == "0" and fmt_float(1e300) == "1e+300"
         rng = np.random.default_rng(20261018)
         for size in (0, 1, 2, 7, 40, 200):
@@ -558,3 +564,141 @@ class TestNonFinite:
                     bad = with_value_at_random(rng, values, x)
                     assert raised_message(lambda: json_dumps({"x": bad})) == raised_message(
                         lambda: loop_json_array(bad))
+
+
+# Labels whose text is easy to get wrong: JSON escapes, a comma (the profile-key
+# separator), non-ASCII text, a JSON-legal line separator, and NULs, of which a
+# trailing one is what a fixed-width numpy string array would drop.
+TRICKY_LABELS = ('q"uote', "back\\slash", "com,ma", "naïve ü", "line\u2028sep", "in\x00side", "trail\x00")
+
+
+def csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+class TestTableOracles:
+    """Column tables against the per-row builders they replaced (conftest oracles), byte for byte."""
+
+    def test_game_document_and_flow_out(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        games = [([["trail\x00"]], [{"trail\x00": -0.0}])]  # one profile: every edge table is empty
+        labels = np.array(TRICKY_LABELS, dtype=object)  # a <U array would drop the trailing NUL
+        for shape in ((3, 2), (2, 2, 3), (4, 3), (2, 2, 2)):
+            strategies = [rng.choice(labels, size, replace=False).tolist() for size in shape]
+            keys = [",".join(p) for p in product(*strategies)]
+            values = [-0.0, 0.0, 1.0, -2.5, 1 / 3]
+            games.append((strategies, [{k: float(rng.choice(values)) for k in keys} for _ in shape]))
+        negative_zero = False
+        for strategies, utilities in games:
+            path = write(tmp_path, "g.json", json.dumps({"strategies": strategies, "utilities": utilities}))
+            doc, flow = tmp_path / "doc.json", tmp_path / "flow.tsv"
+            assert main(["game", "--input", path, "--output", str(doc), "--flow-out", str(flow)]) == 0
+            loaded = json.loads(Path(path).read_text())
+            form = GameForm.from_tables(loaded["strategies"], loaded["utilities"])
+            assert (doc.read_text(), flow.read_text()) == loop_game_outputs(form)
+            x = game_flow(form).values
+            negative_zero |= bool(np.any(np.signbit(x) & (x == 0)))
+        assert negative_zero  # some flow held -0.0, which both formats print as 0
+
+    def test_rank_document_and_plot(self, tmp_path):
+        rng = np.random.default_rng(20261019)
+        labels = np.array(TRICKY_LABELS, dtype=object)
+        ratings = [(f"v{v}", item, int(rng.integers(1, 6)))
+                   for v in range(6) for item in rng.choice(labels, 4, replace=False)]
+        pairwise = [(f"v{v}", *rng.choice(labels, 2, replace=False), f"{rng.normal():.4g}") for v in range(12)]
+        ties = [(v, item, 3) for v in ("v1", "v2") for item in ("trail\x00", "com,ma", "q\"uote")]
+        tied = rank(aggregate(ComparisonData.from_csv(csv_text(ties))))
+        assert any(np.signbit(x) for x in tied.scores.values())  # -0.0 scores, which the plot prints as 0
+        for records in (ratings, pairwise, ties):
+            text = csv_text(records)
+            path = write(tmp_path, "r.csv", text)
+            for model in ("mean", "logodds"):
+                doc, plot = tmp_path / "doc.json", tmp_path / "plot.tsv"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # items compared with no other item
+                    assert main(["rank", "--input", path, "--model", model, "--output", str(doc),
+                                 "--plot", str(plot)]) == 0
+                    expected = loop_rank_outputs(text, model)
+                assert (doc.read_text(), plot.read_text()) == expected
+
+    def test_spectrum_plot(self, capsys, tmp_path, golden_file):
+        plot = tmp_path / "plot.tsv"
+        for k in ("0", "1", "2"):
+            code, out = run(capsys, "spectrum", "--k", k, "--input", golden_file, "--plot", str(plot))
+            assert code == 0
+            eigenvalues = json.loads(out)["eigenvalues"]
+            assert plot.read_text() == tsv_lines((i + 1, v) for i, v in enumerate(eigenvalues))
+
+    def test_json_rows_match_row_by_row_encoding(self):
+        from graphhodge.textio import _Rows, json_dumps
+
+        rng = np.random.default_rng(20261020)
+        for size in (0, 1, 2, 7, 40):
+            names = np.array(TRICKY_LABELS, dtype=object)[rng.integers(len(TRICKY_LABELS), size=(size, 2))]
+            x, w = special_floats(rng, size), special_floats(rng, size)
+            lists = _Rows(names, (x,))
+            objects = _Rows(names, (w, x), ("item_i", "item_j", "weight", "x"))
+            rows = [[a, b, float(v)] for a, b, v in zip(names[:, 0], names[:, 1], x)]
+            dicts = [{"item_i": a, "item_j": b, "x": float(v), "weight": float(u)}
+                     for a, b, u, v in zip(names[:, 0], names[:, 1], w, x)]
+            assert json_dumps({"t": lists}) == json_dumps({"t": rows})
+            assert json_dumps({"t": objects}) == json_dumps({"t": dicts})
+            if size:
+                # the first non-finite value in document order is named: row by row, weight before x
+                for value in (np.nan, np.inf, -np.inf):
+                    bad_w, bad_x = with_value_at_random(rng, w, value), with_value_at_random(rng, x, -value)
+                    objects = _Rows(names, (bad_w, bad_x), ("item_i", "item_j", "weight", "x"))
+                    dicts = [{"item_i": a, "item_j": b, "x": float(v), "weight": float(u)}
+                             for a, b, u, v in zip(names[:, 0], names[:, 1], bad_w, bad_x)]
+                    assert raised_message(lambda: json_dumps(objects)) == raised_message(lambda: json_dumps(dicts))
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("option", ["--output", "--plot", "--flow-out"])
+    def test_unwritable_output_path_exits_one(self, capsys, tmp_path, c4_file, option):
+        target = str(tmp_path / "missing" / "out.txt")
+        if option == "--flow-out":
+            argv = ["game", "--input", str(DATA / "road_sharing.json"), option, target]
+        else:
+            argv = ["spectrum", "--k", "0", "--input", c4_file, option, target]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"graphhodge: error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unwritable_output_for_a_numerical_failure_exits_one(self, capsys, tmp_path, c4_file, monkeypatch):
+        import graphhodge.cli as cli
+        from graphhodge import ConvergenceError
+
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("CG did not converge", 0.5, 9)
+
+        monkeypatch.setattr(cli, "hodge_decompose", no_convergence)
+        cochain = write(tmp_path, "x.tsv", "1 2 1\n")
+        target = str(tmp_path / "missing" / "out.json")
+        assert main(["decompose", "--input", c4_file, "--cochain", cochain, "--output", target]) == 1
+        assert capsys.readouterr().err.startswith(f"graphhodge: error: cannot write {target}: ")
+
+
+class TestMalformedGame:
+    @pytest.mark.parametrize("doc, field", [
+        (5, "'strategies' and 'utilities'"),
+        (None, "'strategies' and 'utilities'"),
+        ("x", "'strategies' and 'utilities'"),
+        ({"strategies": [["a", "b"]], "utilities": [["a", "b"]]}, "utility table 0"),
+        ({"strategies": [["a", "b"]], "utilities": [5]}, "utility table 0"),
+        ({"strategies": [["a", "b"]], "utilities": 5}, "'utilities'"),
+        ({"strategies": [["a", "b"]], "utilities": [{"a": None, "b": 1}]}, "utility table 0"),
+        ({"strategies": [["a", "b"]], "utilities": [{"a": [1], "b": 1}]}, "utility table 0"),
+        ({"strategies": [1, 2], "utilities": [{}, {}]}, "'strategies'"),
+        ({"strategies": [["a"]], "utilities": [{"a": 10**400}]}, "utility table 0"),  # overflows a float
+    ])
+    def test_malformed_shape_exits_one_naming_the_field(self, capsys, tmp_path, doc, field):
+        game = write(tmp_path, "g.json", json.dumps(doc))
+        assert main(["game", "--input", game]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("graphhodge: error: ") and captured.err.count("\n") == 1
+        assert field in captured.err
