@@ -6,9 +6,11 @@ Usage:
 Writes a fixed set of inputs to a temporary directory: the bundled data/
 files plus seeded graphs with 4-cliques and isolated vertices, weight tables
 (full, partial and empty), cochains of degree 0..2, ratings, pairwise votes,
-a game, and a game and a pairwise CSV whose labels hold JSON escapes, commas,
-non-ASCII text and NULs. It runs every case through graphhodge.cli.main in
-this process and prints one line per run:
+a game, a game with a one-strategy player, a one-player game, a ratings CSV
+whose comparison graph has four components, and a game and a pairwise CSV
+whose labels hold JSON escapes, commas, non-ASCII text and NULs. It runs
+every case through graphhodge.cli.main in this process and prints one line
+per run:
 
     <exit code> <main document> <--plot/--flow-out file> <subcommand and arguments>
 
@@ -23,7 +25,9 @@ and plap, which pin the sign of zero each format prints. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
-unwritable --output and malformed game JSON shapes).
+unwritable --output, an unwritable --plot next to a writable --output, and
+malformed game JSON shapes: a string where a label list belongs, a boolean
+utility).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -169,6 +173,21 @@ def application_inputs(root: Path, small: bool) -> dict:
     for name, (n, edges) in large.items():
         files["cheeger"].append(root / f"{name}.txt")
         files["cheeger"][-1].write_text(graph_text(n, sorted(set(edges))))
+    # degenerate games and a comparison graph of several components, on a generator of their own
+    shape_rng = np.random.default_rng(11)
+    for name, strategies in (("lone_strategy", [["a", "b", "c"], ["only"], ["x", "y"]]),
+                             ("one_player", [["a", "b", "c", "d"]])):
+        keys = [",".join(p) for p in product(*strategies)]
+        files["games"].append(root / f"{name}.json")
+        files["games"][-1].write_text(json.dumps({
+            "strategies": strategies,
+            "utilities": [{k: float(shape_rng.integers(-3, 4)) for k in keys} for _ in strategies],
+        }))
+    split = root / "split_ratings.csv"  # items of one group are never rated by a voter of another
+    split.write_text("voter,item,score\n" + "".join(
+        f"v{group}{v},{group}{i},{int(shape_rng.integers(1, 6))}\n"
+        for group in "abcd" for v in range(4) for i in shape_rng.choice(4, 3, replace=False)))
+    files["ratings"].append(split)
     plap_edges = random_edges(rng, 40, 0.15)
     plap_graph = root / "plap.txt"
     plap_graph.write_text(graph_text(40, plap_edges))
@@ -281,7 +300,15 @@ def must_exit_one(root: Path, f4: Path, small: bool):
     if small:
         return
     yield ["betti", "--input", c4, "--k", "1", "--output", root / "missing" / "out.doc"], None
-    for name, doc in (("top", 5), ("table", {"strategies": [["a", "b"]], "utilities": [["a", "b"]]})):
+    yield ["spectrum", "--input", c4, "--k", "0", "--plot", root / "missing" / "plot.tsv"], None  # writes no --output
+    shapes = (
+        ("top", 5),
+        ("table", {"strategies": [["a", "b"]], "utilities": [["a", "b"]]}),
+        ("string_players", {"strategies": "ab", "utilities": [{"a,b": 1}, {"a,b": 2}]}),
+        ("string_labels", {"strategies": ["ab", ["x"]], "utilities": [{"a,x": 1, "b,x": 2}] * 2}),
+        ("boolean_utility", {"strategies": [["a", "b"]], "utilities": [{"a": True, "b": "2"}]}),
+    )
+    for name, doc in shapes:
         malformed = root / f"malformed.{name}.json"
         malformed.write_text(json.dumps(doc))
         yield ["game", "--input", malformed], None

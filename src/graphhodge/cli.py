@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -78,23 +79,31 @@ def _load_weights(args) -> WeightScheme:
     return WeightScheme.unit()
 
 
-def _write_file(path: str, text: str) -> None:
+def _write(args, text: str, **side: str | None) -> None:
+    """Write the main document to --output (stdout when not given) and each side document to
+    the path of the option it is named after, all or none.
+
+    Every target file is first opened for appending, which creates a missing one and changes no
+    existing one. Only when all of them open is any written, stdout last; when one cannot be
+    opened, the files this call created are removed again.
+    """
+    files = [(args.output, text)] if args.output else []
+    files += [(getattr(args, option), doc) for option, doc in side.items() if doc is not None]
+    created = []
     try:
-        Path(path).write_text(text)
+        for target, _ in files:
+            existed = os.path.lexists(target)
+            open(target, "a").close()
+            if not existed:
+                created.append(target)
+        for target, doc in files:
+            Path(target).write_text(doc)
     except OSError as exc:
-        raise InputFormatError(f"cannot write {path}: {exc}") from None
-
-
-def _write(args, text: str) -> None:
-    if getattr(args, "output", None):
-        _write_file(args.output, text)
-    else:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise InputFormatError(f"cannot write {target}: {exc}") from None
+    if not args.output:
         sys.stdout.write(text)
-
-
-def _write_plot(args, obj) -> None:
-    if getattr(args, "plot", None):
-        _write_file(args.plot, emit_plot_data(obj))
 
 
 def _complex(graph: Graph, k: int) -> CliqueComplex:
@@ -138,8 +147,8 @@ def _cmd_laplacian(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _spectrum(args)
-    _write(args, json_dumps(spec.to_json_dict()) + "\n")
-    _write_plot(args, spec)
+    plot = emit_plot_data(spec) if args.plot else None
+    _write(args, json_dumps(spec.to_json_dict()) + "\n", plot=plot)
     return 0
 
 
@@ -162,8 +171,8 @@ def _cmd_decompose(args) -> int:
     degree = len(first) - 2
     c = read_cochain_tsv(text, _complex(graph, degree), degree)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
-    _write(args, json_dumps(split.to_json_dict()) + "\n")
-    _write_plot(args, split)
+    plot = emit_plot_data(split) if args.plot else None
+    _write(args, json_dumps(split.to_json_dict()) + "\n", plot=plot)
     return 0
 
 
@@ -176,8 +185,8 @@ def _cmd_rank(args) -> int:
     ends = np.array(cf.items, dtype=object)[cf.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
     weights = np.fromiter(result.edge_weights.values(), dtype=float, count=len(ends))  # in edge order
     payload["edges"] = _Rows(ends, (weights, cf.flow.values), ("item_i", "item_j", "weight", "x"))
-    _write(args, json_dumps(payload) + "\n")
-    _write_plot(args, result)
+    plot = emit_plot_data(result) if args.plot else None
+    _write(args, json_dumps(payload) + "\n", plot=plot)
     return 0
 
 
@@ -204,9 +213,8 @@ def _cmd_game(args) -> int:
         "is_harmonic_game": is_harmonic_game(form),
         "pure_nash": [_profile_key(p) for p in pure_nash(form)],
     }
-    _write(args, json_dumps(payload) + "\n")
-    if args.flow_out:
-        _write_file(args.flow_out, id_value_lines(ends, flow.values + 0.0, sep="\t"))
+    flow_out = id_value_lines(ends, flow.values + 0.0, sep="\t") if args.flow_out else None
+    _write(args, json_dumps(payload) + "\n", flow_out=flow_out)
     return 0
 
 

@@ -8,6 +8,9 @@ operator matrix in this package, so it must be reproducible bit for bit.
 cliques(k) is a tuple-of-tuples view of the same level; locate() finds rows of
 vertex ids in a level by binary search on keys that cannot overflow. The levels
 and everything built from them are kept once per graph (CliqueComplex._memo).
+The order-2 level is the graph's edge array: degrees and connected components
+are computed from it, and the neighbour sets are a view that no computation in
+the package reads.
 """
 
 from __future__ import annotations
@@ -67,26 +70,29 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(self.neighbors[v]) for v in range(1, self.n_vertices + 1))
+        ends = enumerate_cliques(self, 2).level(2)
+        return tuple(np.bincount(ends.ravel() - 1, minlength=self.n_vertices).tolist())
 
     def connected_components(self) -> list[list[int]]:
-        """Vertex lists of the connected components, each ascending, ordered by minimum vertex."""
-        seen = [False] * (self.n_vertices + 1)
-        comps = []
-        for start in range(1, self.n_vertices + 1):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.neighbors[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
+        """Vertex lists of the connected components, each ascending, ordered by minimum vertex.
+
+        Root hooking on the edge level (Shiloach and Vishkin, J. Algorithms 1982): a round hooks
+        every root under the least root it shares an edge with, then pointer jumping flattens the
+        trees to stars. Roots only move down, so each root is its tree's least vertex.
+        """
+        ends = enumerate_cliques(self, 2).level(2).T - 1
+        root = np.arange(self.n_vertices)
+        while True:
+            hooked = root.copy()
+            np.minimum.at(hooked, root[ends], root[ends[::-1]])
+            if np.array_equal(hooked, root):
+                break
+            while not np.array_equal(hooked[hooked], hooked):
+                hooked = hooked[hooked]
+            root = hooked
+        order = np.argsort(root, kind="stable")
+        cuts = np.flatnonzero(np.diff(root[order])) + 1
+        return [comp.tolist() for comp in np.split(order + 1, cuts)]
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1

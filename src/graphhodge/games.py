@@ -11,7 +11,9 @@ The profile graph is the Hamming graph, the Cartesian product of the complete
 graphs K_{s_p} on each player's s_p strategies. Its graph Laplacian therefore
 acts on a utility table T as sum_p (s_p * T - sum of T along axis p), and both
 the flow and the game predicates are computed from the tables directly; only
-game_flow's default builds the strategy graph.
+game_flow's default builds the strategy graph. Its edges are, for each player,
+the pairs of profile indices taken along that player's axis of the profile
+array, and game_flow reads them back from the graph's order-2 clique level.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ class GameForm:
     @classmethod
     def from_tables(cls, strategies, tables) -> "GameForm":
         """Build from label lists and per-player mappings keyed by comma-joined profiles."""
-        try:
-            strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
-        except TypeError:
-            raise ValueError("'strategies' must be a list of label lists, one per player") from None
+        arrays = (list, tuple)  # a string or an object would be read one label per character or key
+        if not isinstance(strategies, arrays) or not all(isinstance(labels, arrays) for labels in strategies):
+            raise ValueError("'strategies' must be a list of label lists, one per player")
+        strategy_sets = tuple(tuple(str(s) for s in labels) for labels in strategies)
         shape = tuple(len(s) for s in strategy_sets)
         keys = [_profile_key(profile) for profile in product(*strategy_sets)]
         repeated = [key for key, count in Counter(keys).items() if count > 1]
@@ -97,6 +99,8 @@ class GameForm:
                 if key not in table:
                     raise ValueError(f"utility table {player} misses profile {key!r}")
                 try:
+                    if isinstance(table[key], bool):
+                        raise TypeError  # float() reads true as 1
                     values.append(float(table[key]))
                 except (TypeError, ValueError, OverflowError):
                     raise ValueError(f"utility table {player} has no float value at profile {key!r}") from None
@@ -124,19 +128,12 @@ class StrategyGraph:
 def strategy_graph(form: GameForm) -> StrategyGraph:
     """Vertices are profiles; edges join profiles differing in exactly one coordinate."""
     profiles = form.profiles()
-    index = {p: i + 1 for i, p in enumerate(profiles)}
-    shape = form.shape
-    strides = np.zeros(len(shape), dtype=int)
-    acc = 1
-    for i in reversed(range(len(shape))):
-        strides[i] = acc
-        acc *= shape[i]
+    index = dict(zip(profiles, range(1, len(profiles) + 1)))
+    ids = np.arange(1, len(profiles) + 1).reshape(form.shape)
     edges = set()
-    for flat, idx in enumerate(np.ndindex(shape)):
-        for player, size in enumerate(shape):
-            for alt in range(idx[player] + 1, size):
-                other = flat + (alt - idx[player]) * strides[player]
-                edges.add((flat + 1, other + 1))
+    for player, size in enumerate(form.shape):
+        lo, hi = (np.take(ids, pick, axis=player).ravel().tolist() for pick in np.triu_indices(size, 1))
+        edges.update(zip(lo, hi))
     graph = Graph(len(profiles), frozenset(edges))
     cx = enumerate_cliques(graph, max_order=3)
     return StrategyGraph(graph, profiles, index, cx)
@@ -145,7 +142,7 @@ def strategy_graph(form: GameForm) -> StrategyGraph:
 def game_flow(form: GameForm, sg: StrategyGraph | None = None) -> Cochain:
     """Edge flow X(s,t) = f_i(t) - f_i(s) for the unique player i moving between s and t."""
     sg = sg or strategy_graph(form)
-    edges = np.array(sg.graph.sorted_edges, dtype=np.int64).reshape(-1, 2) - 1
+    edges = sg.complex.level(2) - 1
     u, v = edges[:, 0], edges[:, 1]
     idx_u = np.array(np.unravel_index(u, form.shape))
     idx_v = np.array(np.unravel_index(v, form.shape))

@@ -330,6 +330,42 @@ def union_find_components(graph: Graph) -> int:
     return len({find(v) for v in range(1, graph.n_vertices + 1)})
 
 
+def dfs_connected_components(graph: Graph) -> list[list[int]]:
+    """connected_components by the depth-first walk over neighbour sets it replaced, kept as oracle."""
+    seen = [False] * (graph.n_vertices + 1)
+    comps = []
+    for start in range(1, graph.n_vertices + 1):
+        if seen[start]:
+            continue
+        stack, comp = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in graph.neighbors[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def loop_strategy_edges(shape: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The strategy-graph edge set by the per-profile stride loop it replaced, kept as oracle."""
+    strides = np.zeros(len(shape), dtype=int)
+    acc = 1
+    for i in reversed(range(len(shape))):
+        strides[i] = acc
+        acc *= shape[i]
+    edges = set()
+    for flat, idx in enumerate(np.ndindex(shape)):
+        for player, size in enumerate(shape):
+            for alt in range(idx[player] + 1, size):
+                other = flat + (alt - idx[player]) * strides[player]
+                edges.add((flat + 1, other + 1))
+    return frozenset(edges)
+
+
 def kendall_tau_distance(order_a, order_b) -> int:
     """Number of discordant pairs between two orderings of the same items."""
     pos = {item: i for i, item in enumerate(order_b)}

@@ -401,6 +401,27 @@ class TestDerivedEnumeration:
             assert run(capsys, "plap", "--input", c4_file, "--f", f, "--p", p)[0] == 0
             assert builds == ["levels", "d0"]  # the edges once, and d_0 from them once
 
+    def test_no_command_reads_neighbour_sets(self, capsys, tmp_path, monkeypatch):
+        from graphhodge import Graph
+
+        def forbidden(self):
+            raise AssertionError("read Graph.neighbors")
+
+        monkeypatch.setattr(Graph, "neighbors", property(forbidden))
+        isolated = write(tmp_path, "g.txt", "p 7 4\n1 2\n2 3\n1 3\n4 5\n")  # 6 and 7 isolated
+        cochain = write(tmp_path, "x.tsv", "1 2 1\n2 3 -0.5\n1 3 2\n4 5 0.25\n")
+        f = write(tmp_path, "f.tsv", "".join(f"{v} {v % 3}\n" for v in range(1, 8)))
+        runs = [["game", "--input", str(DATA / "road_sharing.json")],
+                ["rank", "--input", str(DATA / "ratings_small.csv")],
+                *(["decompose", "--input", isolated, "--cochain", cochain, "--method", method]
+                  for method in ("two-solve", "laplacian-residual")),
+                ["cheeger", "--input", str(DATA / "c4.txt")],
+                *(["plap", "--input", isolated, "--f", f, "--p", p] for p in ("1", "3")),
+                ["spectrum", "--input", isolated, "--k", "0"],
+                ["isospectral", str(DATA / "iso_pair_a1.txt"), str(DATA / "iso_pair_a2.txt")]]
+        for argv in runs:
+            assert run(capsys, *argv)[0] == 0, argv
+
     def test_negative_k_keeps_its_message(self, capsys, c4_file):
         for name in DEGREE_K_COMMANDS:
             assert main([name, "--k", "-1", "--input", c4_file]) == 1
@@ -668,6 +689,31 @@ class TestOutputErrors:
         assert err.startswith(f"graphhodge: error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("unwritable", ["missing", "directory"])
+    @pytest.mark.parametrize("bad", ["output", "side"])
+    @pytest.mark.parametrize("argv, side", [
+        (["spectrum", "--k", "0", "--input", str(DATA / "c4.txt")], "--plot"),
+        (["decompose", "--input", str(DATA / "c4.txt"), "--cochain", str(DATA / "c4_cyclic_flow.tsv")], "--plot"),
+        (["rank", "--input", str(DATA / "ratings_small.csv")], "--plot"),
+        (["game", "--input", str(DATA / "road_sharing.json")], "--flow-out"),
+    ])
+    def test_outputs_are_written_all_or_none(self, capsys, tmp_path, argv, side, bad, unwritable, existing):
+        (tmp_path / "directory").mkdir()
+        bad_path = tmp_path / unwritable / "out.txt" if unwritable == "missing" else tmp_path / unwritable
+        good_path = tmp_path / "good.txt"
+        if existing:
+            good_path.write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        output, side_path = (bad_path, good_path) if bad == "output" else (good_path, bad_path)
+        assert main([*argv, "--output", str(output), side, str(side_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"graphhodge: error: cannot write {bad_path}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        if existing:
+            assert good_path.read_text() == "kept\n"
+
     def test_unwritable_output_for_a_numerical_failure_exits_one(self, capsys, tmp_path, c4_file, monkeypatch):
         import graphhodge.cli as cli
         from graphhodge import ConvergenceError
@@ -694,6 +740,9 @@ class TestMalformedGame:
         ({"strategies": [["a", "b"]], "utilities": [{"a": [1], "b": 1}]}, "utility table 0"),
         ({"strategies": [1, 2], "utilities": [{}, {}]}, "'strategies'"),
         ({"strategies": [["a"]], "utilities": [{"a": 10**400}]}, "utility table 0"),  # overflows a float
+        ({"strategies": "ab", "utilities": [{"a,b": 1}, {"a,b": 2}]}, "'strategies'"),  # one player per character
+        ({"strategies": ["ab", ["x"]], "utilities": [{"a,x": 1, "b,x": 2}] * 2}, "'strategies'"),
+        ({"strategies": [["a", "b"]], "utilities": [{"a": True, "b": "2"}]}, "utility table 0"),  # true is no 1
     ])
     def test_malformed_shape_exits_one_naming_the_field(self, capsys, tmp_path, doc, field):
         game = write(tmp_path, "g.json", json.dumps(doc))

@@ -12,6 +12,7 @@ from conftest import (
     LAP_ISO_A,
     brute_force_cliques,
     cycle_graph,
+    dfs_connected_components,
     loop_enumerate_levels,
     oracle_graphs,
     random_graph,
@@ -74,6 +75,40 @@ class TestGraph:
     def test_degrees(self):
         g = cycle_graph(4)
         assert g.degrees == (2, 2, 2, 2)
+
+    @given(st.integers(min_value=1, max_value=30), st.floats(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_degrees_and_components_match_the_oracles(self, n, p, seed):
+        self.check_against_oracles(random_graph(np.random.default_rng(seed), n, p))
+
+    def test_degrees_and_components_of_edge_cases(self, rng):
+        perm = rng.permutation(np.arange(1, 61)).tolist()
+        pieces = [perm[a:b] for a, b in zip([0, 1, 2, 5, 9, 20, 21, 40], [1, 2, 5, 9, 20, 21, 40, 60])]
+        many = Graph.from_edges(60, [e for piece in pieces for e in zip(piece[:-1], piece[1:])])
+        assert len(many.connected_components()) == 8
+        for g in (Graph(1, frozenset()), Graph(6, frozenset()), many, *(g for g, _ in oracle_graphs(rng))):
+            self.check_against_oracles(g)
+
+    @staticmethod
+    def check_against_oracles(g):
+        assert g.degrees == tuple(len(g.neighbors[v]) for v in range(1, g.n_vertices + 1))
+        assert all(type(d) is int for d in g.degrees)
+        comps = g.connected_components()
+        assert comps == dfs_connected_components(g)
+        assert all(type(v) is int for comp in comps for v in comp)
+        assert g.is_connected() == (len(comps) == 1)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_components_of_long_paths(self, shuffled):
+        n = 100_000
+        rng = np.random.default_rng(11)
+        order = rng.permutation(np.arange(1, n + 1)) if shuffled else np.r_[1, n:1:-1]  # 1, n, n-1, ..., 2
+        pairs = list(zip(order[:-1].tolist(), order[1:].tolist()))
+        path = Graph.from_edges(n, pairs)
+        assert path.connected_components() == [list(range(1, n + 1))]
+        cut = Graph.from_edges(n, [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) > 0.001)])
+        assert cut.connected_components() == dfs_connected_components(cut)
 
     def test_edge_validation(self):
         with pytest.raises(ValueError):

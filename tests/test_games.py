@@ -19,6 +19,8 @@ from graphhodge import (
 )
 from graphhodge.games import PREDICATE_TOL
 
+from conftest import loop_strategy_edges
+
 
 def road_sharing_game() -> GameForm:
     """Three players (commuter, robber, policeman) each pick road a or b.
@@ -141,6 +143,16 @@ class TestStrategyGraph:
         sg = strategy_graph(form)
         assert sg.profiles == (("a", "p"), ("a", "q"), ("b", "p"), ("b", "q"))
         assert sg.index[("a", "q")] == 2
+
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (1, 3), (2, 3, 2), (5, 5, 5, 5, 5)])
+    def test_edges_match_the_loop_oracle(self, shape):
+        labels = tuple(tuple(f"s{j}" for j in range(size)) for size in shape)
+        sg = strategy_graph(GameForm(labels, tuple(np.zeros(shape) for _ in shape)))
+        expected = loop_strategy_edges(shape)
+        assert sg.graph.edges == expected
+        assert sg.complex.level(2).tolist() == sorted(map(list, expected))
+        assert sg.index == {profile: i for i, profile in enumerate(sg.profiles, start=1)}
 
 
 class TestGameFlow:
@@ -321,6 +333,17 @@ class TestGameFormValidation:
         tables = [{"a,p": 1.0, "a,q": 2.0, "b,p": 3.0, "b,q": 4.0}]
         form = GameForm.from_tables([["a", "b"], ["p", "q"]], tables * 2)
         assert form.utilities[0][1, 0] == 3.0
+
+    @pytest.mark.parametrize("strategies", ["ab", ["ab", ["x"]], {"ab": ["x"]}, [{"a": 1, "b": 2}]])
+    def test_label_lists_must_be_lists(self, strategies):
+        with pytest.raises(ValueError, match="'strategies' must be a list of label lists"):
+            GameForm.from_tables(strategies, [{"a,x": 1.0, "b,x": 2.0}] * 2)
+
+    def test_booleans_are_no_utilities_but_numeric_strings_are(self):
+        with pytest.raises(ValueError, match="utility table 0 has no float value at profile 'a'"):
+            GameForm.from_tables([["a", "b"]], [{"a": True, "b": "2"}])
+        form = GameForm.from_tables([["a", "b"]], [{"a": "1", "b": "-2.5e0"}])
+        assert form.utilities[0].tolist() == [1.0, -2.5]
 
     def test_empty_strategy_set_rejected(self):
         with pytest.raises(ValueError, match="at least one strategy"):
