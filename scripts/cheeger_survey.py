@@ -20,16 +20,12 @@ from graphhodge import Graph, cheeger_check
 
 
 def random_connected_graph(rng, n):
-    edges = set()
-    order = list(rng.permutation(np.arange(1, n + 1)))
-    for i in range(1, n):
-        j = int(rng.integers(0, i))
-        u, v = int(order[i]), int(order[j])
-        edges.add((min(u, v), max(u, v)))
-    for u, v in combinations(range(1, n + 1), 2):
-        if rng.random() < 0.3:
-            edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    """A random spanning tree (vertex order[i] joined to an earlier one) plus each other pair with chance 0.3."""
+    order = rng.permutation(np.arange(1, n + 1))
+    earlier = [int(rng.integers(0, i)) for i in range(1, n)]
+    tree = np.sort(np.column_stack([order[1:], order[earlier]]), axis=1).reshape(-1, 2)
+    pairs = np.array(list(combinations(range(1, n + 1), 2))).reshape(-1, 2)
+    return Graph(n, np.concatenate([tree, pairs[rng.random(len(pairs)) < 0.3]]))
 
 
 def main() -> None:

@@ -4,11 +4,13 @@ Usage:
     python scripts/cli_digest.py [--small]
 
 Writes a fixed set of inputs to a temporary directory: the bundled data/
-files plus seeded graphs with 4-cliques and isolated vertices, weight tables
-(full, partial and empty), cochains of degree 0..2, ratings, pairwise votes,
-a game, a game with a one-strategy player, a one-player game, a ratings CSV
-whose comparison graph has four components, and a game and a pairwise CSV
-whose labels hold JSON escapes, commas, non-ASCII text and NULs. It runs
+files plus seeded graphs with 4-cliques and isolated vertices, a fixed edge
+list with repeated and reversed lines, a comment and vertices only its header
+declares, weight tables (full, partial and empty), cochains of degree 0..2,
+ratings, pairwise votes, a game, a game with a one-strategy player, a
+one-player game, a ratings CSV whose comparison graph has four components,
+and a game and a pairwise CSV whose labels hold JSON escapes, commas,
+non-ASCII text and NULs. It runs
 every case through graphhodge.cli.main in this process and prints one line
 per run:
 
@@ -25,9 +27,9 @@ and plap, which pin the sign of zero each format prints. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
-unwritable --output, an unwritable --plot next to a writable --output, and
+unwritable --output, an unwritable --plot next to a writable --output,
 malformed game JSON shapes: a string where a label list belongs, a boolean
-utility).
+utility, and an edge list with a vertex id past int64).
 --small keeps the runs on the bundled data/ files only.
 
 The script imports whichever graphhodge is importable, so two checkouts are
@@ -118,6 +120,13 @@ def write_inputs(root: Path, small: bool) -> dict:
                 cochains.append(root / f"{name}.x{degree}.tsv")
                 cochains[-1].write_text(text)
         graphs[name] = (path, weights, cochains)
+    # fixed text, drawing nothing from rng: a repeated line, a reversed repeat, a comment, and a header
+    # declaring vertices 5 and 6, which no edge touches
+    repeats = root / "repeats.txt"
+    repeats.write_text("# a triangle and a pendant edge\np 6 4\n1 2\n2 3\n1 2\n2 1\n1 3  # closes it\n3 4\n")
+    cochain = root / "repeats.x1.tsv"
+    cochain.write_text("1 2 0.5\n3 2 -1.25\n1 3 2\n3 4 0.75\n")
+    graphs["repeats"] = (repeats, {}, [cochain])
     return graphs
 
 
@@ -301,6 +310,10 @@ def must_exit_one(root: Path, f4: Path, small: bool):
         return
     yield ["betti", "--input", c4, "--k", "1", "--output", root / "missing" / "out.doc"], None
     yield ["spectrum", "--input", c4, "--k", "0", "--plot", root / "missing" / "plot.tsv"], None  # writes no --output
+    past_int64 = root / "past_int64.txt"
+    past_int64.write_text("1 2\n2 100000000000000000000000\n")
+    for name in ("cheeger", "cliques"):
+        yield [name, "--input", past_int64], None
     shapes = (
         ("top", 5),
         ("table", {"strategies": [["a", "b"]], "utilities": [["a", "b"]]}),

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
-from .complexes import CliqueComplex, Graph, InputFormatError, enumerate_cliques, parse_graph
+from .complexes import CliqueComplex, Graph, InputFormatError, _data_lines, enumerate_cliques, parse_graph
 from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
 from .games import (
     GameForm,
@@ -162,10 +162,7 @@ def _cmd_betti(args) -> int:
 def _cmd_decompose(args) -> int:
     graph = _load_graph(args.input)
     text = _read_text(args.cochain)
-    first = next(
-        (ln.split("#", 1)[0].split() for ln in text.splitlines() if ln.split("#", 1)[0].strip()),
-        None,
-    )
+    first = next((tokens for _, tokens in _data_lines(text)), None)
     if first is None:
         raise InputFormatError("cochain document has no data lines")
     degree = len(first) - 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CliqueComplex, InputFormatError
+from .complexes import CliqueComplex, InputFormatError, _data_lines
 from .textio import id_value_lines
 
 
@@ -21,20 +21,10 @@ def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
     """Sort a vertex tuple, returning (sorted tuple, permutation sign).
 
     Sign is 0 when a vertex repeats (an alternating function vanishes there).
-    Insertion sort is fine: tuples have at most a handful of entries.
     """
-    t = list(vertices)
-    sign = 1
-    for i in range(1, len(t)):
-        j = i
-        while j > 0 and t[j - 1] > t[j]:
-            t[j - 1], t[j] = t[j], t[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(t, t[1:]):
-        if a == b:
-            return tuple(t), 0
-    return tuple(t), sign
+    t = tuple(vertices)
+    inversions = sum(a > b for i, a in enumerate(t) for b in t[i + 1 :])
+    return tuple(sorted(t)), 0 if len(set(t)) < len(t) else 1 - 2 * (inversions % 2)
 
 
 @dataclass(frozen=True)
@@ -159,12 +149,8 @@ class Cochain:
             if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} out of range 1..{n}")
         sorted_t, sign = sort_with_sign(t)
-        if sign == 0:
-            return 0.0
-        idx = self.complex.index(self.degree + 1).get(sorted_t)
-        if idx is None:
-            return 0.0
-        return sign * float(self.values[idx])
+        idx = self.complex.locate([sorted_t])[0]  # a repeated vertex is never found
+        return 0.0 if idx < 0 else sign * float(self.values[idx])
 
     def __neg__(self) -> "Cochain":
         return Cochain(self.degree, self.complex, -self.values)
@@ -206,6 +192,26 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(max(float(np.dot(w * values, values)), 0.0)))
 
 
+def _clique_lines(text: str, what: str):
+    """(line number, ascending clique, sign, value) of each line `ids... value`; InputFormatError, naming
+    the line, at one without ids, a non-numeric token, a repeated vertex or a clique given twice."""
+    seen = set()
+    for lineno, tokens in _data_lines(text):
+        if len(tokens) < 2:
+            raise InputFormatError(f"line {lineno}: expected vertex ids and a {what}")
+        try:
+            verts, value = tuple(int(t) for t in tokens[:-1]), float(tokens[-1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: non-numeric token") from None
+        key, sign = sort_with_sign(verts)
+        if sign == 0:
+            raise InputFormatError(f"line {lineno}: repeated vertex in {verts}")
+        if key in seen:
+            raise InputFormatError(f"line {lineno}: duplicate {what} for {key}")
+        seen.add(key)
+        yield lineno, key, sign, value
+
+
 def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) -> Cochain:
     """Parse cochain TSV: lines of vertex ids followed by a value.
 
@@ -214,31 +220,13 @@ def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) ->
     cliques default to 0; naming the same clique twice is an error.
     """
     entries: dict[tuple[int, ...], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise InputFormatError(f"line {lineno}: expected vertex ids and a value")
-        try:
-            verts = tuple(int(t) for t in tokens[:-1])
-            value = float(tokens[-1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-numeric token") from None
+    for lineno, key, sign, value in _clique_lines(text, "value"):
         if not math.isfinite(value):
             raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
         if degree is None:
-            degree = len(verts) - 1
-        if len(verts) != degree + 1:
-            raise InputFormatError(
-                f"line {lineno}: expected {degree + 1} vertex ids, got {len(verts)}"
-            )
-        key, sign = sort_with_sign(verts)
-        if sign == 0:
-            raise InputFormatError(f"line {lineno}: repeated vertex in {verts}")
-        if key in entries:
-            raise InputFormatError(f"line {lineno}: duplicate entry for clique {key}")
+            degree = len(key) - 1
+        if len(key) != degree + 1:
+            raise InputFormatError(f"line {lineno}: expected {degree + 1} vertex ids, got {len(key)}")
         entries[key] = sign * value
     if degree is None:
         raise InputFormatError("empty cochain document and no degree given")
@@ -256,24 +244,8 @@ def write_cochain_tsv(c: Cochain) -> str:
 def read_weights_tsv(text: str) -> WeightScheme:
     """Parse weight TSV: vertex ids then a positive finite weight; omitted cliques weigh 1."""
     entries: dict[tuple[int, ...], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 2:
-            raise InputFormatError(f"line {lineno}: expected vertex ids and a weight")
-        try:
-            verts = tuple(int(t) for t in tokens[:-1])
-            value = float(tokens[-1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-numeric token") from None
+    for lineno, key, _, value in _clique_lines(text, "weight"):
         if not 0 < value < math.inf:
             raise InputFormatError(f"line {lineno}: weight must be positive and finite, got {value}")
-        key, sign = sort_with_sign(verts)
-        if sign == 0:
-            raise InputFormatError(f"line {lineno}: repeated vertex in {verts}")
-        if key in entries:
-            raise InputFormatError(f"line {lineno}: duplicate weight for {key}")
         entries[key] = value
     return WeightScheme.from_table(entries)

@@ -5,12 +5,12 @@ complex stores, for every order k in 1..max_order, the k-cliques as a sorted
 (N, k) integer array: one strictly ascending clique per row, rows in
 lexicographic order. That ordering is the canonical basis used by every
 operator matrix in this package, so it must be reproducible bit for bit.
-cliques(k) is a tuple-of-tuples view of the same level; locate() finds rows of
-vertex ids in a level by binary search on keys that cannot overflow. The levels
-and everything built from them are kept once per graph (CliqueComplex._memo).
-The order-2 level is the graph's edge array: degrees and connected components
-are computed from it, and the neighbour sets are a view that no computation in
-the package reads.
+locate() finds rows of vertex ids in a level by binary search on keys that
+cannot overflow; cliques(k) and index(k) are tuple views no computation reads.
+The levels and everything built from them are kept once per graph. A Graph
+stores its edges once, as the order-2 level itself: producers pass it pair
+arrays, degrees and components are computed from it, and edges, sorted_edges
+and the neighbour sets are views built from it on first read.
 """
 
 from __future__ import annotations
@@ -25,62 +25,76 @@ class InputFormatError(ValueError):
     """A text input (edge list, cochain table, CSV record) is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: vertex count plus a set of ascending edge pairs."""
+    """Simple undirected graph: a vertex count and its edges, stored once as the order-2 clique level.
+
+    pairs is a read-only (m, 2) int64 array of ascending pairs in lexicographic order, without repeats.
+    Graph(n, pairs) takes an (m, 2) array or any collection of ascending pairs, from_edges either
+    orientation. edges, sorted_edges, neighbors and degree(v) are views built from pairs on first read.
+    """
 
     n_vertices: int
-    edges: frozenset[tuple[int, int]]
+    pairs: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 1:
+        n = self.n_vertices
+        if n < 1:
             raise ValueError("graph must have at least one vertex")
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u < v <= self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) not ascending or out of 1..{self.n_vertices}")
+        pairs = _pair_array(self.pairs)
+        bad = (pairs[:, 0] < 1) | (pairs[:, 0] >= pairs[:, 1]) | (pairs[:, 1] > n)
+        if bad.any():
+            u, v = pairs[np.argmax(bad)].tolist()
+            raise ValueError(f"self-loop at vertex {u}" if u == v else
+                             f"edge ({u},{v}) not ascending or out of 1..{n}")
+        pairs = pairs[np.lexsort(pairs.T[::-1])]
+        pairs = pairs[(np.diff(pairs, axis=0, prepend=0) != 0).any(axis=1)]  # ids are >= 1: row 0 stays
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges) -> "Graph":
-        """Build a graph from any iterable of (u, v) pairs, canonicalizing order."""
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            canon.add((min(u, v), max(u, v)))
-        return cls(n_vertices, frozenset(canon))
+        """Build a graph from (u, v) pairs in either orientation, as an array or any collection."""
+        return cls(n_vertices, np.sort(_pair_array(edges), axis=1))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self.n_vertices == other.n_vertices and \
+            np.array_equal(self.pairs, other.pairs)
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self.pairs.tobytes()))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges)
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+        return tuple(map(tuple, self.pairs.tolist()))
 
     @cached_property
     def neighbors(self) -> tuple[frozenset[int], ...]:
         """Neighbor sets indexed by vertex (position 0 unused)."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n_vertices + 1)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
+        ends = ends[np.argsort(ends[:, 0], kind="stable")]
+        cuts = np.searchsorted(ends[:, 0], np.arange(1, self.n_vertices + 1))
+        return tuple(frozenset(part.tolist()) for part in np.split(ends[:, 1], cuts))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        ends = enumerate_cliques(self, 2).level(2)
-        return tuple(np.bincount(ends.ravel() - 1, minlength=self.n_vertices).tolist())
+        return tuple(np.bincount(self.pairs.ravel() - 1, minlength=self.n_vertices).tolist())
 
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each ascending, ordered by minimum vertex.
 
-        Root hooking on the edge level (Shiloach and Vishkin, J. Algorithms 1982): a round hooks
+        Root hooking on the edge array (Shiloach and Vishkin, J. Algorithms 1982): a round hooks
         every root under the least root it shares an edge with, then pointer jumping flattens the
         trees to stars. Roots only move down, so each root is its tree's least vertex.
         """
-        ends = enumerate_cliques(self, 2).level(2).T - 1
+        ends = self.pairs.T - 1
         root = np.arange(self.n_vertices)
         while True:
             hooked = root.copy()
@@ -110,6 +124,33 @@ class Graph:
         return {}
 
 
+def _pair_array(pairs) -> np.ndarray:
+    """pairs as an (m, 2) int64 array; ValueError at a wrong shape, a non-integral id or an id past int64."""
+    given = pairs if isinstance(pairs, np.ndarray) else list(pairs)
+    raw = np.asarray(given)
+    raw = raw.reshape(0, 2) if raw.size == 0 else raw
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise ValueError(f"edges must be vertex pairs, an (m, 2) array; got shape {raw.shape}")
+    if raw.dtype.kind not in "bi":  # float, unsigned or object ids, checked as exact Python numbers
+        ids = raw.astype(object)
+        with np.errstate(invalid="ignore"):
+            odd = (ids % 1 != 0).any(axis=1)  # nan and inf too: their remainder is nan
+        if odd.any():
+            raise ValueError("edge ({},{}) has a non-integral vertex id".format(*given[np.argmax(odd)]))
+        past = np.argwhere((ids >= 2**63) | (ids < -(2**63)))
+        if len(past):
+            raise ValueError(f"vertex id {given[past[0, 0]][past[0, 1]]} is past int64")
+    return raw.astype(np.int64)
+
+
+def _data_lines(text: str):
+    """(line number, tokens) of each line that holds any once its `#` comment is cut off."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_graph(text: str) -> Graph:
     """Parse an edge-list document into a Graph.
 
@@ -119,19 +160,13 @@ def parse_graph(text: str) -> Graph:
     the larger of the header value and the maximum vertex id seen.
     """
     n_declared = 0
-    edges: set[tuple[int, int]] = set()
-    max_seen = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    edges: list[tuple[int, int]] = []
+    for lineno, tokens in _data_lines(text):
         if tokens[0] == "p":
             if len(tokens) != 3:
                 raise InputFormatError(f"line {lineno}: header must be 'p <n> <m>'")
             try:
-                n_declared = int(tokens[1])
-                int(tokens[2])
+                n_declared, _ = (int(t) for t in tokens[1:])
             except ValueError:
                 raise InputFormatError(f"line {lineno}: non-integer token in header") from None
             if n_declared < 1:
@@ -147,12 +182,11 @@ def parse_graph(text: str) -> Graph:
             raise InputFormatError(f"line {lineno}: self-loop {u} {v}")
         if u < 1 or v < 1:
             raise InputFormatError(f"line {lineno}: vertex ids must be positive")
-        edges.add((min(u, v), max(u, v)))
-        max_seen = max(max_seen, u, v)
-    n = max(n_declared, max_seen)
+        edges.append((u, v))
+    n = max(n_declared, max((max(e) for e in edges), default=0))
     if n == 0:
         raise InputFormatError("document declares no vertices (no edges and no header)")
-    return Graph(n, frozenset(edges))
+    return Graph.from_edges(n, edges)
 
 
 def _key(prefix_position, last, n: int):
@@ -254,10 +288,8 @@ class CliqueComplex:
 
     def clique_number(self) -> int | None:
         """omega(G) when the enumeration settles it, else None (omega >= max_order)."""
-        for order in range(1, self.max_order + 1):
-            if len(self.levels[order - 1]) == 0:
-                return order - 1
-        return None
+        empty = [order - 1 for order, level in enumerate(self.levels, start=1) if len(level) == 0]
+        return empty[0] if empty else None
 
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
@@ -271,7 +303,7 @@ def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
 
 
 def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
-    """Append levels up to order max_order, each by lexicographic extension of the one below.
+    """Append levels up to max_order: graph.pairs as order 2, each higher one by extending the one below.
 
     Each k-clique is extended by the neighbours of its last vertex that are
     larger than it, in ascending order, and a candidate is kept when its new
@@ -280,7 +312,9 @@ def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
     already sorted.
     """
     n = graph.n_vertices
-    edges = np.array(graph.sorted_edges, dtype=np.int64).reshape(-1, 2)
+    edges = graph.pairs
+    if len(levels) == 1:
+        levels.append(edges)
     edge_keys = _key(edges[:, 0] - 1, edges[:, 1], n)
     # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))

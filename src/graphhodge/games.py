@@ -130,11 +130,9 @@ def strategy_graph(form: GameForm) -> StrategyGraph:
     profiles = form.profiles()
     index = dict(zip(profiles, range(1, len(profiles) + 1)))
     ids = np.arange(1, len(profiles) + 1).reshape(form.shape)
-    edges = set()
-    for player, size in enumerate(form.shape):
-        lo, hi = (np.take(ids, pick, axis=player).ravel().tolist() for pick in np.triu_indices(size, 1))
-        edges.update(zip(lo, hi))
-    graph = Graph(len(profiles), frozenset(edges))
+    edges = [np.column_stack([np.take(ids, pick, axis=player).ravel() for pick in np.triu_indices(size, 1)])
+             for player, size in enumerate(form.shape)]
+    graph = Graph(len(profiles), np.concatenate(edges))
     cx = enumerate_cliques(graph, max_order=3)
     return StrategyGraph(graph, profiles, index, cx)
 

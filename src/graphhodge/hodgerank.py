@@ -42,19 +42,18 @@ class ComparisonData:
     def __post_init__(self) -> None:
         if self.ratings and self.pairwise:
             raise ValueError("mixing rating and pairwise records is not supported")
-        seen_ratings = set()
+        seen = set()
         for voter, item, _ in self.ratings:
-            if (voter, item) in seen_ratings:
+            if (voter, item) in seen:
                 raise ValueError(f"duplicate rating by voter {voter!r} for item {item!r}")
-            seen_ratings.add((voter, item))
-        seen_pairs = set()
+            seen.add((voter, item))
         for voter, a, b, _ in self.pairwise:
             if a == b:
                 raise ValueError(f"voter {voter!r} compared item {a!r} with itself")
-            key = (voter, frozenset((a, b)))
-            if key in seen_pairs:
+            key = (voter, min(a, b), max(a, b))
+            if key in seen:
                 raise ValueError(f"duplicate comparison of {a!r} and {b!r} by voter {voter!r}")
-            seen_pairs.add(key)
+            seen.add(key)
 
     @classmethod
     def from_csv(cls, text: str) -> "ComparisonData":
@@ -163,10 +162,9 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
     if not compared:
         raise ValueError("no comparable pair in the data")
     vid = np.cumsum(used)  # vertex id of each compared name, ascending with the name
-    edges = list(map(tuple, vid[pairs].tolist()))  # ascending: the complex's edge order
-    graph = Graph(len(compared), frozenset(edges))
+    graph = Graph(len(compared), vid[pairs])  # ascending, in lexicographic order: the graph's edge order
     cx = enumerate_cliques(graph, max_order=3)
-    x = np.empty(len(edges))
+    x = np.empty(len(pairs))
     offsets = np.cumsum(counts) - counts
     for c in np.unique(counts):
         # the pairs with c votes: a (G, c) block, whose row means equal np.mean of each list bit for bit
@@ -181,7 +179,7 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
     if overflow.size:
         a, b = (names[i] for i in pairs[overflow[0]])
         raise ValueError(f"the {model} comparison of {a!r} and {b!r} is not finite: its records overflow")
-    weights = WeightScheme({2: dict(zip(edges, counts.astype(float).tolist()))})
+    weights = WeightScheme({2: dict(zip(graph.sorted_edges, counts.astype(float).tolist()))})
     return ComparisonFlow(Cochain(1, cx, x), weights, graph, compared, excluded)
 
 

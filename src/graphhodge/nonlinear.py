@@ -130,7 +130,7 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
     degrees = np.array(graph.degrees, dtype=float)
     total_volume = degrees.sum()
     adjacency = np.zeros((n, n))
-    u, v = (enumerate_cliques(graph, 2).level(2) - 1).T
+    u, v = (graph.pairs - 1).T
     adjacency[u, v] = adjacency[v, u] = 1.0
 
     a = (n + 1) // 2

@@ -22,6 +22,7 @@ from graphhodge import (
     rank,
     strategy_graph,
 )
+from graphhodge.cochains import sort_with_sign
 from graphhodge.textio import fmt_float, json_dumps
 
 
@@ -158,6 +159,47 @@ def random_interval_graph(rng: np.random.Generator, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def tuple_graph(n_vertices: int, edges, orient: bool = False):
+    """(edge frozenset, sorted edge tuples) by the per-edge checks Graph ran while it stored a frozenset;
+    orient=True first canonicalizes each pair as from_edges did. Kept as oracle for the edge array."""
+    if orient:
+        canon = set()
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            canon.add((min(u, v), max(u, v)))
+        edges = canon
+    edges = frozenset(edges)
+    if n_vertices < 1:
+        raise ValueError("graph must have at least one vertex")
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (1 <= u < v <= n_vertices):
+            raise ValueError(f"edge ({u},{v}) not ascending or out of 1..{n_vertices}")
+    return edges, tuple(sorted(edges))
+
+
+def assert_is_tuple_graph(graph: Graph, n_vertices: int, edges, orient: bool = False) -> None:
+    """graph's edge array and every view of it equal what tuple_graph gives for the same input."""
+    frozen, ordered = tuple_graph(n_vertices, edges, orient)
+    level = enumerate_cliques(graph, 2).level(2)
+    assert level is graph.pairs
+    assert level.dtype == np.int64 and level.shape == (len(ordered), 2) and not level.flags.writeable
+    assert level.tolist() == [list(e) for e in ordered]
+    assert graph.n_vertices == n_vertices
+    assert graph.edges == frozen and graph.sorted_edges == ordered
+    assert all(type(v) is int for e in graph.sorted_edges for v in e)
+    degrees = [0] * n_vertices
+    for u, v in frozen:
+        degrees[u - 1] += 1
+        degrees[v - 1] += 1
+    assert graph.degrees == tuple(degrees)
+    oracle = Graph(n_vertices, ordered)
+    assert graph == oracle and hash(graph) == hash(oracle)
+
+
 def brute_force_cliques(graph: Graph, order: int) -> list[tuple[int, ...]]:
     out = []
     for subset in combinations(range(1, graph.n_vertices + 1), order):
@@ -237,6 +279,15 @@ def loop_write_cochain_tsv(c) -> str:
     for clique, v in zip(c.complex.cliques(c.degree + 1), c.values):
         lines.append(" ".join(str(i) for i in clique) + " " + "%.12g" % v)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def index_eval(c, vertices) -> float:
+    """Cochain.eval by a lookup in the index() dict of every clique, the path it replaced, kept as oracle."""
+    sorted_t, sign = sort_with_sign(tuple(int(v) for v in vertices))
+    if sign == 0:
+        return 0.0
+    idx = c.complex.index(c.degree + 1).get(sorted_t)
+    return 0.0 if idx is None else sign * float(c.values[idx])
 
 
 def loop_write_matrix(mat) -> str:

@@ -402,12 +402,18 @@ class TestDerivedEnumeration:
             assert builds == ["levels", "d0"]  # the edges once, and d_0 from them once
 
     def test_no_command_reads_neighbour_sets(self, capsys, tmp_path, monkeypatch):
-        from graphhodge import Graph
+        from graphhodge import CliqueComplex, Graph
 
-        def forbidden(self):
-            raise AssertionError("read Graph.neighbors")
+        def forbidden(name):
+            def read(*args):
+                raise AssertionError(f"read {name}")
+            return read
 
-        monkeypatch.setattr(Graph, "neighbors", property(forbidden))
+        # the neighbour sets, the edge set and every other tuple view of an edge or clique level
+        for owner, name in ((Graph, "neighbors"), (Graph, "edges")):
+            monkeypatch.setattr(owner, name, property(forbidden(f"Graph.{name}")))
+        for owner, name in ((Graph, "degree"), (CliqueComplex, "index"), (CliqueComplex, "cliques")):
+            monkeypatch.setattr(owner, name, forbidden(f"{owner.__name__}.{name}"))
         isolated = write(tmp_path, "g.txt", "p 7 4\n1 2\n2 3\n1 3\n4 5\n")  # 6 and 7 isolated
         cochain = write(tmp_path, "x.tsv", "1 2 1\n2 3 -0.5\n1 3 2\n4 5 0.25\n")
         f = write(tmp_path, "f.tsv", "".join(f"{v} {v % 3}\n" for v in range(1, 8)))
@@ -421,6 +427,15 @@ class TestDerivedEnumeration:
                 ["isospectral", str(DATA / "iso_pair_a1.txt"), str(DATA / "iso_pair_a2.txt")]]
         for argv in runs:
             assert run(capsys, *argv)[0] == 0, argv
+
+    @pytest.mark.parametrize("command", ["cheeger", "cliques", "spectrum --k 0", "plap --p 2"])
+    def test_vertex_id_past_int64_exits_one_naming_it(self, capsys, tmp_path, command):
+        graph = write(tmp_path, "g.txt", "1 2\n2 100000000000000000000000\n")
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n")
+        argv = [*command.split(), "--input", graph] + (["--f", f] if command.startswith("plap") else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "graphhodge: error: vertex id 100000000000000000000000 is past int64\n"
 
     def test_negative_k_keeps_its_message(self, capsys, c4_file):
         for name in DEGREE_K_COMMANDS:

@@ -22,6 +22,7 @@ from graphhodge.complexes import CliqueComplex
 
 from conftest import (
     complete_graph,
+    index_eval,
     loop_write_cochain_tsv,
     raised_message,
     random_graph,
@@ -68,6 +69,29 @@ def test_eval_alternating_under_permutation(perm):
     permuted = tuple(base[i] for i in perm)
     _, sign = sort_with_sign(perm)
     assert phi.eval(permuted) == pytest.approx(sign * phi.eval(base))
+
+
+@given(st.integers(1, 9), st.floats(0.2, 0.95), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_eval_matches_the_index_oracle_without_tuple_views(n, p, degree, seed):
+    rng = np.random.default_rng(seed)
+    cx = enumerate_cliques(random_graph(rng, n, p), degree + 1)
+    c = Cochain(degree, cx, special_floats(rng, cx.n_cliques(degree + 1)))
+    order = degree + 1
+    queries = [tuple(rng.permutation(row).tolist()) for row in cx.level(order)]  # cliques in any vertex order
+    queries += [tuple(rng.integers(1, n + 1, size=order).tolist()) for _ in range(40)]  # non-cliques, repeats
+    queries += [(v,) * order for v in range(1, n + 1)]
+    expected = [index_eval(c, q) for q in queries]
+
+    def forbidden(*args):
+        raise AssertionError("read a tuple view of a clique level")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CliqueComplex, "index", forbidden)
+        patch.setattr(CliqueComplex, "cliques", forbidden)
+        got = [c.eval(q) for q in queries]
+    assert got == expected
+    assert [str(x) for x in got] == [str(x) for x in expected]  # the sign of zero too
 
 
 def test_inner_product_constant_flow(c3_complex):

@@ -10,12 +10,15 @@ from conftest import (
     BIG_FIVE_CLIQUE,
     FULL_ISO_A,
     LAP_ISO_A,
+    assert_is_tuple_graph,
     brute_force_cliques,
     cycle_graph,
     dfs_connected_components,
     loop_enumerate_levels,
     oracle_graphs,
+    raised_message,
     random_graph,
+    tuple_graph,
 )
 
 
@@ -115,6 +118,111 @@ class TestGraph:
             Graph(3, frozenset({(1, 4)}))
         with pytest.raises(ValueError):
             Graph(3, frozenset({(2, 2)}))
+
+
+def pair_lists():
+    """(n, pairs): up to 40 pairs of distinct vertices of 1..n, either orientation, repeats allowed."""
+    def pairs(n):
+        pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+        return st.tuples(st.just(n), st.lists(pair, max_size=40))
+    return st.integers(1, 12).flatmap(pairs)
+
+
+class TestEdgeArray:
+    @given(pair_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_every_input_form_gives_the_tuple_graph(self, case, seed):
+        n, raw = case
+        rng = np.random.default_rng(seed)
+        ascending = [(min(u, v), max(u, v)) for u, v in raw]
+        shuffled = [ascending[i] for i in rng.permutation(len(ascending))]
+        duplicated = shuffled + shuffled[: len(shuffled) // 2]
+        forms = [
+            Graph(n, ascending), Graph(n, shuffled), Graph(n, duplicated), Graph(n, frozenset(duplicated)),
+            Graph(n, np.array(duplicated, dtype=np.int32).reshape(-1, 2)),
+            Graph(n, np.array(duplicated, dtype=np.int64).reshape(-1, 2)),
+            Graph.from_edges(n, raw), Graph.from_edges(n, [(v, u) for u, v in duplicated]),
+            Graph.from_edges(n, frozenset(raw)),
+            Graph.from_edges(n, np.array(raw, dtype=np.int32).reshape(-1, 2)),
+        ]
+        if not raw:
+            forms += [Graph(n, np.empty((0, 2), dtype=np.int64)), Graph.from_edges(n, np.empty((0, 2)))]
+        for g in forms:
+            assert_is_tuple_graph(g, n, ascending)
+            assert_is_tuple_graph(g, n, raw, orient=True)
+            assert g == forms[0] and hash(g) == hash(forms[0])
+        if ascending:
+            assert forms[0] != Graph(n, forms[0].sorted_edges[1:]) and forms[0] != Graph(n + 1, ascending)
+
+    def test_stored_array_is_the_edge_level(self):
+        g = Graph.from_edges(5, [(2, 1), (3, 2), (1, 3), (4, 5), (1, 2)])
+        assert enumerate_cliques(g, 2).level(2) is g.pairs
+        assert enumerate_cliques(g, 4).level(2) is g.pairs
+        assert g.pairs.tolist() == [[1, 2], [1, 3], [2, 3], [4, 5]]
+        assert enumerate_cliques(g, 3).level(3).tolist() == [[1, 2, 3]]
+
+    def test_caller_array_is_copied_not_frozen(self):
+        given = np.array([[1, 2], [2, 3]])
+        g = Graph(3, given)
+        assert given.flags.writeable and g.pairs is not given
+        given[0] = [1, 3]
+        assert g.sorted_edges == ((1, 2), (2, 3))
+
+    @pytest.mark.parametrize("n, pairs", [
+        (0, []), (-2, [(1, 2)]),  # no vertex
+        (3, [(1, 2), (2, 2)]), (3, [(3, 3)]),  # self-loop
+        (3, [(1, 2), (3, 2)]), (3, [(2, 1)]),  # descending
+        (3, [(1, 4)]), (3, [(0, 2)]), (3, [(-1, 2)]), (3, np.array([[1, 2], [2, 9]])),  # out of range
+    ])
+    def test_errors_keep_the_tuple_construction_messages(self, n, pairs):
+        expected = raised_message(lambda: tuple_graph(n, [tuple(e) for e in np.asarray(pairs).tolist()]))
+        assert raised_message(lambda: Graph(n, pairs)) == expected
+
+    @pytest.mark.parametrize("pairs", [[(1, 2, 3)], np.arange(4), np.zeros((2, 2, 2)), np.zeros((3, 1))])
+    def test_wrong_shape_rejected(self, pairs):
+        for build in (Graph, Graph.from_edges):
+            assert "(m, 2)" in raised_message(lambda: build(3, pairs))
+
+    @pytest.mark.parametrize("pairs, shown", [
+        ([(1.5, 2), (1, 2)], "(1.5,2)"),
+        (frozenset({(1.5, 2), (1, 2)}), "(1.5,2)"),
+        ([(1, 2), (2, float("nan"))], "(2,nan)"),
+        ([(float("inf"), 3)], "(inf,3)"),
+        (np.array([[1.0, 2.0], [2.0, 2.5]]), "(2.0,2.5)"),
+    ])
+    def test_non_integral_ids_rejected_naming_the_pair(self, pairs, shown):
+        for build in (Graph, Graph.from_edges):
+            assert raised_message(lambda: build(3, pairs)) == f"edge {shown} has a non-integral vertex id"
+
+    def test_from_edges_no_longer_truncates(self):
+        with pytest.raises(ValueError, match="non-integral"):
+            Graph.from_edges(3, [(1.5, 2)])
+        assert Graph.from_edges(3, [(2.0, 1.0)]).sorted_edges == ((1, 2),)
+
+    @pytest.mark.parametrize("pairs, shown", [
+        ([(1, 2**63)], 2**63),
+        ([(1, 2), (2, 10**23)], 10**23),
+        ([(-(2**70), 1)], -(2**70)),
+        ([(1, 2**200)], 2**200),
+        (np.array([[1, 2**63]], dtype=np.uint64), 2**63),
+    ])
+    def test_ids_past_int64_rejected_naming_the_id(self, pairs, shown):
+        for build in (Graph, Graph.from_edges):
+            assert raised_message(lambda: build(3, pairs)) == f"vertex id {shown} is past int64"
+
+    def test_construction_builds_no_edge_tuples(self, monkeypatch):
+        import graphhodge.complexes as complexes
+
+        pairs = np.column_stack([np.arange(1, 100_000), np.arange(2, 100_001)])
+
+        def no_tuples(*args):
+            raise AssertionError("built edge tuples")
+
+        monkeypatch.setattr(complexes.Graph, "sorted_edges", property(no_tuples))
+        monkeypatch.setattr(complexes.Graph, "edges", property(no_tuples))
+        g = complexes.Graph.from_edges(100_000, pairs[::-1, ::-1])
+        assert g.degrees[:3] == (1, 2, 2) and g.is_connected()
+        assert np.array_equal(enumerate_cliques(g, 3).level(2), pairs)
 
 
 class TestEnumerateCliques:

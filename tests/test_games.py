@@ -19,7 +19,7 @@ from graphhodge import (
 )
 from graphhodge.games import PREDICATE_TOL
 
-from conftest import loop_strategy_edges
+from conftest import assert_is_tuple_graph, loop_strategy_edges
 
 
 def road_sharing_game() -> GameForm:
@@ -152,6 +152,7 @@ class TestStrategyGraph:
         expected = loop_strategy_edges(shape)
         assert sg.graph.edges == expected
         assert sg.complex.level(2).tolist() == sorted(map(list, expected))
+        assert_is_tuple_graph(sg.graph, int(np.prod(shape)), expected)
         assert sg.index == {profile: i for i, profile in enumerate(sg.profiles, start=1)}
 
 

@@ -16,7 +16,7 @@ from graphhodge import (
 )
 from graphhodge.hodgerank import _pair_statistics
 
-from conftest import kendall_tau_distance
+from conftest import assert_is_tuple_graph, kendall_tau_distance
 
 
 def ratings(records):
@@ -200,6 +200,8 @@ class TestAggregateOracle:
         flow, weight = loop_aggregate(data, model)
         pairs = [(cf.items[u - 1], cf.items[v - 1]) for u, v in cf.graph.sorted_edges]
         assert np.array_equal(cf.flow.values, [flow[p] for p in pairs])
+        vid = {item: v for v, item in enumerate(cf.items, start=1)}
+        assert_is_tuple_graph(cf.graph, len(cf.items), [(vid[a], vid[b]) for a, b in flow])
         assert np.array_equal(cf.weights.vector(cf.complex, 1), [weight[p] for p in pairs])
         assert set(map(float, self.COUNTS)) <= set(weight.values())  # every group size occurs
 
@@ -215,6 +217,8 @@ class TestAggregateOracle:
         flow, _ = loop_aggregate(data, model)
         pairs = [(cf.items[u - 1], cf.items[v - 1]) for u, v in cf.graph.sorted_edges]
         assert np.array_equal(cf.flow.values, [flow[p] for p in pairs])
+        vid = {item: v for v, item in enumerate(cf.items, start=1)}
+        assert_is_tuple_graph(cf.graph, len(cf.items), [(vid[a], vid[b]) for a, b in flow])
 
 
 def test_rank_path_builds_no_triangle_tuples(rng, monkeypatch):
