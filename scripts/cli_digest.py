@@ -23,7 +23,8 @@ exception's type as its exit code. The corpus covers every subcommand, k =
 cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
 isospectral at --max-k 1..3, and cochains holding -0.0 (an edge listed
 against its orientation with value 0, explicit -0 values) through decompose
-and plap, which pin the sign of zero each format prints. It ends with runs
+and plap, which pin the sign of zero each format prints, with one edge whose
+gradient is -0.0 - 0 through plap at p = 1 (both modes) and 3. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -265,6 +266,11 @@ def signed_zeros(root: Path):
             yield ["decompose", "--input", c4, "--cochain", x, "--method", method], "--plot"
     for p in ("1", "3"):
         yield ["plap", "--input", c4, "--f", vertices, "--p", p], None
+    edge, ends = root / "signed_zeros.edge.txt", root / "signed_zeros.edge.f.tsv"
+    edge.write_text("1 2\n")
+    ends.write_text("1 0\n2 -0\n")  # tail 0, head -0.0
+    for extra in (["--p", "1"], ["--p", "1", "--mode", "selection"], ["--p", "3"]):
+        yield ["plap", "--input", edge, "--f", ends, *extra], None
 
 
 def must_exit_one(root: Path, f4: Path, small: bool):

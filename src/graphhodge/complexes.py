@@ -39,8 +39,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.n_vertices
-        if n < 1:
-            raise ValueError("graph must have at least one vertex")
+        if not 1 <= n < 2**63:
+            raise ValueError(f"vertex count {n} is past int64" if n >= 2**63 else "graph must have at least one vertex")
         pairs = _pair_array(self.pairs)
         bad = (pairs[:, 0] < 1) | (pairs[:, 0] >= pairs[:, 1]) | (pairs[:, 1] > n)
         if bad.any():
@@ -169,8 +169,9 @@ def parse_graph(text: str) -> Graph:
                 n_declared, _ = (int(t) for t in tokens[1:])
             except ValueError:
                 raise InputFormatError(f"line {lineno}: non-integer token in header") from None
-            if n_declared < 1:
-                raise InputFormatError(f"line {lineno}: header vertex count must be positive")
+            if not 1 <= n_declared < 2**63:
+                raise InputFormatError(f"line {lineno}: header vertex count " + (
+                    f"{n_declared} is past int64" if n_declared >= 2**63 else "must be positive"))
             continue
         if len(tokens) != 2:
             raise InputFormatError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")

@@ -26,7 +26,7 @@ the coexact part and the laplacian image, |A_e|_2 |b| for the potential and
 |b| for the prepotential, so that the stop scales with the weights as the
 answer does, and never relative to the right-hand side alone, which can be
 round-off (the exact part of a harmonic cochain). The residuals |b - A_e g|
-and |b - u| come from the returned parts.
+and |b - u| come from the returned parts. CG is the in-house loop cg().
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-# lsqr is unused, but the benchmark's tracer (bench/tracing.py) wraps it under this name
-from scipy.sparse.linalg import LinearOperator, cg, lsqr  # noqa: F401
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
 from .operators import coboundary, hodge_laplacian
@@ -55,6 +52,36 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def __getattr__(name: str):
+    if name != "lsqr":  # unused, but the benchmark's tracer wraps it under this name: loaded on lookup
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.sparse.linalg import lsqr
+    return lsqr
+
+
+def cg(matvec, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0, M=None, callback=None):
+    """scipy.sparse.linalg.cg (scipy 1.17) step for step, for callables: x from zero, stopping when
+    |r| < max(atol, rtol |b|) or after 10n steps. Returns (x, 0), or (x, 10n) when it ran out."""
+    b_norm = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(b_norm))
+    if b_norm == 0:
+        return b.copy(), 0
+    x, r, maxiter = np.zeros_like(b), b.copy(), 10 * len(b)
+    for step in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M(r) if M else r
+        rho = np.dot(r, z)
+        p, rho_prev = (p * (rho / rho_prev) + z if step else z.copy()), rho
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        if callback:
+            callback(x)
+    return x, maxiter
+
+
 def _cg(matvec, rhs: np.ndarray, atol: float, what: str, diag: np.ndarray | None = None) -> np.ndarray:
     """x with M x = rhs by CG from zero, M = matvec symmetric PSD and rhs in im(M);
     stops at |rhs - M x| <= atol. A positive diag preconditions (Jacobi), and x is then a
@@ -62,17 +89,16 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str, diag: np.ndarray | None
     if not rhs.any():
         return np.zeros_like(rhs)
     steps: list[int] = []
-    op = LinearOperator((rhs.size, rhs.size), matvec=matvec, dtype=float)
-    jacobi = None if diag is None else LinearOperator(op.shape, matvec=lambda r: r / diag, dtype=float)
-    x, info = cg(op, rhs, rtol=0.0, atol=atol, M=jacobi, callback=lambda _: steps.append(1))
+    jacobi = None if diag is None else lambda r: r / diag
+    x, info = cg(matvec, rhs, rtol=0.0, atol=atol, M=jacobi, callback=lambda _: steps.append(1))
     if info != 0:
         raise ConvergenceError(f"conjugate-gradient solve for {what} did not converge",
                                float(np.linalg.norm(rhs - matvec(x))), len(steps))
     return x
 
 
-def _gram_bound(m: sp.spmatrix, right: np.ndarray) -> float:
-    """|D|_1 |D|_inf >= |D^T D|_2 = |D D^T|_2 for D = m diag(right)."""
+def _gram_bound(m, right: np.ndarray) -> float:
+    """|D|_1 |D|_inf >= |D^T D|_2 = |D D^T|_2 for D = m diag(right), m sparse."""
     mag = abs(m)
     col_sums = right * (mag.T @ np.ones(m.shape[0]))
     return float(np.max(mag @ right, initial=0.0) * np.max(col_sums, initial=0.0))
@@ -83,6 +109,7 @@ def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
     D = W_{k+1} d_k: the cached d_k itself when order k+2 has no weight table."""
     d = coboundary(cx, k).matrix
     if w.tables.get(k + 2):
+        import scipy.sparse as sp
         d = sp.diags(w.vector(cx, k + 1)) @ d
     return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, _gram_bound(d, 1.0 / sqrt_w), d
 

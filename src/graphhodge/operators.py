@@ -18,23 +18,26 @@ B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
 table, and B_j is d_j itself when neither of its levels has one.
 
 coboundary() is the package's only incidence builder, and it assembles each
-d_k once per graph: the gradient used by the nonlinear p-Laplacian and the
-Cheeger report is coboundary(cx, 0), and every Hodge Laplacian is a sparse sum
-of B products. spectral eigensolves the Grams of the same B_j instead; only
-harmonic_basis turns a Laplacian dense.
+d_k once per graph; every Hodge Laplacian is a sparse sum of B products.
+spectral eigensolves the Grams of the same B_j instead; only harmonic_basis
+turns a Laplacian dense. nonlinear applies d_0 from the edge array itself.
+scipy.sparse is imported by the functions that build matrices, not on import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, InputFormatError
 from .textio import id_value_lines
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,7 @@ def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
     A face without a later vertex comes earlier in lexicographic order, so
     taking j from k+1 down to 0 lists each row's columns ascending.
     """
+    import scipy.sparse as sp
     rows = cx.level(k + 2)
     n_rows, order = rows.shape
     drop = range(order - 1, -1, -1)
@@ -79,6 +83,7 @@ def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
 
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:
     """Weighted adjoint W_lower^{-1} M^T W_upper; plain transpose for unit weights."""
+    import scipy.sparse as sp
     w = weights or WeightScheme.unit()
     w_lower = w.vector(op.complex, op.degree)
     w_upper = w.vector(op.complex, op.degree + 1)
@@ -132,6 +137,7 @@ def _weighted_coboundary(cx: CliqueComplex, j: int, w: WeightScheme) -> sp.csr_m
     d = coboundary(cx, j).matrix
     if _unscaled(w, j):
         return d
+    import scipy.sparse as sp
     return sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
 
 
@@ -177,7 +183,7 @@ def apply_operator(op: CoboundaryOperator | HodgeLaplacian, c: Cochain) -> Cocha
 
 def write_matrix(mat: sp.spmatrix) -> str:
     """Serialize in MatrixMarket coordinate format, 1-indexed, sorted by (row, col); ValueError on nan/inf."""
-    coo = sp.coo_matrix(mat)
+    coo = mat.tocoo()
     order = np.lexsort((coo.col, coo.row))
     header = f"%%MatrixMarket matrix coordinate real general\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
     return header + id_value_lines(np.column_stack((coo.row[order] + 1, coo.col[order] + 1)), coo.data[order])
@@ -189,6 +195,7 @@ def read_matrix(text: str) -> sp.csr_matrix:
     Raises InputFormatError, naming the line, at a malformed size or entry
     line, an index outside 1..size, a non-finite value or a coordinate given twice.
     """
+    import scipy.sparse as sp
     body = [(lineno, line.split()) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.strip()) and not line.startswith("%")]
     if not body:

@@ -40,10 +40,11 @@ def _fmt_floats(values: np.ndarray) -> list[str]:
 
 
 def _table_cells(ids: np.ndarray, columns, quote: bool = False) -> list[list[str]]:
-    """Text columns of a table: the label columns of ids by str (JSON strings if quote), then the float columns,
-    formatted in row order so the first nan or inf is named. String labels come in object arrays, not <U ones,
-    which drop a trailing NUL."""
-    cells = [list(map(json.dumps if quote else str, col)) for col in ids.T.tolist()]
+    """Text columns of a table: the label columns of ids by str (JSON strings if quote, one json.dumps per label),
+    then the float columns, formatted in row order so the first nan or inf is named. String labels come in
+    object arrays, not <U ones, which drop a trailing NUL."""
+    text_of = {label: json.dumps(label) for label in set(ids.ravel().tolist())}.__getitem__ if quote else str
+    cells = [list(map(text_of, col)) for col in ids.T.tolist()]
     text = _fmt_floats(np.column_stack(columns).ravel()) if columns else []
     return cells + [text[j :: len(columns)] for j in range(len(columns))]
 

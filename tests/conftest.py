@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -365,6 +366,35 @@ def loop_rank_outputs(csv_text: str, model: str) -> tuple[str, str]:
     ]
     plot = tsv_lines((pos + 1, item, result.scores[item]) for pos, item in enumerate(result.order))
     return json_dumps(payload) + "\n", plot
+
+
+def sparse_p_laplacian(graph: Graph, f: np.ndarray, p: float, mode: str = "interval") -> np.ndarray:
+    """apply_p_laplacian by products with the sparse d_0 = coboundary(cx, 0), the path the edge-array
+    gradient replaced, kept as oracle."""
+    from graphhodge.operators import coboundary
+
+    A = coboundary(enumerate_cliques(graph, 2), 0).matrix
+    grad = A @ f
+    if p > 1:
+        return A.T @ (np.sign(grad) * np.abs(grad) ** (p - 1.0))
+    fixed = A.T @ np.sign(grad)
+    if mode == "selection":
+        return fixed
+    slack = abs(A).T @ (grad == 0).astype(float)
+    return np.column_stack([fixed - slack, fixed + slack])
+
+
+def sparse_cheeger_laplacian(graph: Graph) -> np.ndarray:
+    """The Cheeger report's graph Laplacian as (A^T A).toarray() of the sparse d_0 it replaced, kept as oracle."""
+    from graphhodge.operators import coboundary
+
+    A = coboundary(enumerate_cliques(graph, 2), 0).matrix
+    return (A.T @ A).toarray()
+
+
+def quote_each_cell(ids: np.ndarray) -> list[list[str]]:
+    """The label columns of a JSON table by one json.dumps call per cell, the quoting textio replaced."""
+    return [list(map(json.dumps, col)) for col in ids.T.tolist()]
 
 
 def union_find_components(graph: Graph) -> int:

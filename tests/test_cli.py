@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from itertools import product
 from pathlib import Path
@@ -16,6 +19,7 @@ from conftest import (
     loop_json_array,
     loop_rank_outputs,
     loop_write_matrix,
+    quote_each_cell,
     raised_message,
     special_floats,
     tsv_lines,
@@ -399,7 +403,8 @@ class TestDerivedEnumeration:
         for p in ("1", "3"):
             builds.clear()
             assert run(capsys, "plap", "--input", c4_file, "--f", f, "--p", p)[0] == 0
-            assert builds == ["levels", "d0"]  # the edges once, and d_0 from them once
+            # d_0 is applied from the edge array: no sparse d_0 is assembled, and levels are extended at most once
+            assert "d0" not in builds and builds.count("levels") <= 1
 
     def test_no_command_reads_neighbour_sets(self, capsys, tmp_path, monkeypatch):
         from graphhodge import CliqueComplex, Graph
@@ -436,6 +441,17 @@ class TestDerivedEnumeration:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == "graphhodge: error: vertex id 100000000000000000000000 is past int64\n"
+
+    @pytest.mark.parametrize("command", ["cliques", "spectrum --k 0", "betti --k 0", "operator --k 0", "decompose",
+                                         "plap --p 2", "cheeger"])
+    def test_header_count_past_int64_exits_one_naming_it(self, capsys, tmp_path, command):
+        graph = write(tmp_path, "g.txt", "p 100000000000000000000000 1\n1 2\n")
+        extra = {"decompose": ["--cochain", write(tmp_path, "x.tsv", "1 2 1\n")],
+                 "plap": ["--f", write(tmp_path, "f.tsv", "1 0\n2 1\n")]}.get(command.split()[0], [])
+        assert main([*command.split(), "--input", graph, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "graphhodge: error: line 1: header vertex count 100000000000000000000000 is past int64\n"
 
     def test_negative_k_keeps_its_message(self, capsys, c4_file):
         for name in DEGREE_K_COMMANDS:
@@ -667,6 +683,16 @@ class TestTableOracles:
             eigenvalues = json.loads(out)["eigenvalues"]
             assert plot.read_text() == tsv_lines((i + 1, v) for i, v in enumerate(eigenvalues))
 
+    def test_labels_quoted_once_match_each_cell_quoted(self):
+        from graphhodge.textio import _table_cells
+
+        rng = np.random.default_rng(20261021)
+        for size in (0, 1, 5, 60):
+            for width in (1, 2):
+                names = np.array(TRICKY_LABELS, dtype=object)[rng.integers(len(TRICKY_LABELS), size=(size, width))]
+                x = special_floats(rng, size)
+                assert _table_cells(names, [x], quote=True)[:width] == quote_each_cell(names)
+
     def test_json_rows_match_row_by_row_encoding(self):
         from graphhodge.textio import _Rows, json_dumps
 
@@ -766,3 +792,48 @@ class TestMalformedGame:
         assert captured.out == ""
         assert captured.err.startswith("graphhodge: error: ") and captured.err.count("\n") == 1
         assert field in captured.err
+
+
+STARTUP_PROBE = """
+import json, sys
+from graphhodge.cli import main
+seen = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+"""
+
+
+class TestStartup:
+    """Which scipy modules a fresh interpreter holds after importing graphhodge and running commands."""
+
+    @staticmethod
+    def probe(tmp_path, runs) -> dict:
+        runs = [[*argv, "--output", str(tmp_path / f"{argv[0]}.out")] for argv in runs]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_and_edge_commands_load_no_scipy(self, tmp_path):
+        c4 = str(DATA / "c4.txt")
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
+        seen = self.probe(tmp_path, [["cliques", "--input", c4], ["cheeger", "--input", c4],
+                                     ["plap", "--input", c4, "--f", f, "--p", "1"],
+                                     ["plap", "--input", c4, "--f", f, "--p", "3"]])
+        assert seen == {"import": [], "cliques": [], "cheeger": [], "plap": []}
+
+    def test_no_command_loads_the_sparse_solvers(self, tmp_path):
+        c4 = str(DATA / "c4.txt")
+        runs = [["decompose", "--input", c4, "--cochain", str(DATA / "c4_cyclic_flow.tsv")],
+                ["decompose", "--input", c4, "--cochain", str(DATA / "c4_cyclic_flow.tsv"),
+                 "--method", "laplacian-residual"],
+                ["rank", "--input", str(DATA / "ratings_small.csv")],
+                ["game", "--input", str(DATA / "road_sharing.json")],
+                ["spectrum", "--input", c4, "--k", "1"]]
+        seen = self.probe(tmp_path, runs)
+        assert "scipy.sparse" in seen["decompose"]  # the probe sees what the solves load
+        assert not any("scipy.sparse.linalg" in modules for modules in seen.values())

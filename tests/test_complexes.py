@@ -68,6 +68,13 @@ class TestParseGraph:
         with pytest.raises(InputFormatError):
             parse_graph("0 2")
 
+    @pytest.mark.parametrize("count", [2**63, 10**23, 2**200])
+    def test_header_count_past_int64_rejected_naming_line_and_count(self, count):
+        with pytest.raises(InputFormatError) as info:
+            parse_graph(f"# big\np {count} 1\n1 2\n")
+        assert str(info.value) == f"line 2: header vertex count {count} is past int64"
+        assert parse_graph(f"p {2**63 - 1} 0\n").n_vertices == 2**63 - 1  # the largest int64 is accepted
+
 
 class TestGraph:
     def test_components(self):
@@ -209,6 +216,11 @@ class TestEdgeArray:
     def test_ids_past_int64_rejected_naming_the_id(self, pairs, shown):
         for build in (Graph, Graph.from_edges):
             assert raised_message(lambda: build(3, pairs)) == f"vertex id {shown} is past int64"
+
+    @pytest.mark.parametrize("n", [2**63, 10**23, 2**200])
+    def test_vertex_count_past_int64_rejected_naming_it(self, n):
+        for build in (Graph, Graph.from_edges):
+            assert raised_message(lambda: build(n, [(1, 2)])) == f"vertex count {n} is past int64"
 
     def test_construction_builds_no_edge_tuples(self, monkeypatch):
         import graphhodge.complexes as complexes

@@ -1,9 +1,12 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhodge import (
     Cut,
@@ -15,7 +18,16 @@ from graphhodge import (
     hodge_laplacian,
 )
 
-from conftest import complete_graph, cycle_graph, random_connected_graph, random_graph
+import graphhodge.nonlinear as nonlinear
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    random_connected_graph,
+    random_graph,
+    sparse_cheeger_laplacian,
+    sparse_p_laplacian,
+    special_floats,
+)
 
 
 def p_laplacian_oracle(graph: Graph, f: np.ndarray, p: float) -> np.ndarray:
@@ -216,6 +228,56 @@ class TestDenseIncidenceOracle:
             assert report.lambda2_plain == np.linalg.eigvalsh(laplacian)[1]
             normalized = scale[:, None] * laplacian * scale[None, :]
             assert report.lambda2_normalized == np.linalg.eigvalsh(normalized)[1]
+
+
+def assert_same_bits(got: np.ndarray, ref: np.ndarray) -> None:
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestSparseOracle:
+    """The edge-array gradient and dense Cheeger Laplacian against the sparse d_0 products they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.0, 1.0), st.sampled_from(["special", "ties"]),
+           st.integers(0, 2**32 - 1))
+    def test_p_laplacian_bit_identical(self, n, density, values, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, density)
+        if values == "special":  # signed zeros, extreme exponents and normal draws of random magnitude
+            f = special_floats(rng, n)
+        else:  # few distinct values, so many flat edges
+            f = rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], n)
+        if len(g.pairs):  # one edge holds 0 at one end and -0.0 at the other
+            u, v = g.pairs[rng.integers(len(g.pairs))] - 1
+            f[u], f[v] = rng.permutation([0.0, -0.0])
+        with np.errstate(all="ignore"):  # 1e300 to a power overflows on both paths alike
+            for p in (1.0001, 1.5, 2.0, 3.0, 7.0):
+                assert_same_bits(apply_p_laplacian(g, f, p), sparse_p_laplacian(g, f, p))
+            for mode in ("interval", "selection"):
+                assert_same_bits(apply_p_laplacian(g, f, 1.0, mode), sparse_p_laplacian(g, f, 1.0, mode))
+
+    def test_signed_zero_gradient(self):
+        g = Graph.from_edges(3, [(1, 2), (2, 3)])
+        for f in ([0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0]):
+            f = np.array(f)
+            for p in (1.0001, 2.0, 3.0):
+                assert_same_bits(apply_p_laplacian(g, f, p), sparse_p_laplacian(g, f, p))
+            for mode in ("interval", "selection"):
+                assert_same_bits(apply_p_laplacian(g, f, 1.0, mode), sparse_p_laplacian(g, f, 1.0, mode))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_cheeger_laplacians_bit_identical(self, n, extra, seed):
+        g = random_connected_graph(np.random.default_rng(seed), n, extra)
+        seen, lambda2 = [], nonlinear._lambda2
+        with mock.patch.object(nonlinear, "_lambda2", lambda m: seen.append(m) or lambda2(m)):
+            cheeger_check(g)
+        laplacian = sparse_cheeger_laplacian(g)
+        scale = 1.0 / np.sqrt(np.array(g.degrees, dtype=float))
+        assert_same_bits(seen[0], laplacian)
+        assert_same_bits(seen[1], scale[:, None] * laplacian * scale[None, :])
 
 
 class TestCheegerConstant:
