@@ -24,7 +24,9 @@ cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
 isospectral at --max-k 1..3, and cochains holding -0.0 (an edge listed
 against its orientation with value 0, explicit -0 values) through decompose
 and plap, which pin the sign of zero each format prints, with one edge whose
-gradient is -0.0 - 0 through plap at p = 1 (both modes) and 3. It ends with runs
+gradient is -0.0 - 0 through plap at p = 1 (both modes) and 3, and K_7 and K_7
+less one edge through cliques --max-order 8 and operator at k = 0..5, which pin
+the faces of 6- and 7-cliques and the empty levels above them. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -252,6 +254,7 @@ def cases(root: Path, small: bool):
             yield ["isospectral", graphs[a][0], graphs[b][0], "--max-k", max_k], None
     if not small:
         yield from signed_zeros(root)
+        yield from complete_graphs(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -271,6 +274,17 @@ def signed_zeros(root: Path):
     ends.write_text("1 0\n2 -0\n")  # tail 0, head -0.0
     for extra in (["--p", "1"], ["--p", "1", "--mode", "selection"], ["--p", "3"]):
         yield ["plap", "--input", edge, "--f", ends, *extra], None
+
+
+def complete_graphs(root: Path):
+    """K_7 and K_7 less the edge 3 5, fixed text: cliques up to order 8 and d_0..d_5."""
+    k7 = list(combinations(range(1, 8), 2))
+    for name, edges in (("k7", k7), ("k7_less_edge", [e for e in k7 if e != (3, 5)])):
+        graph = root / f"{name}.txt"
+        graph.write_text(graph_text(7, edges))
+        yield ["cliques", "--input", graph, "--max-order", "8"], None
+        for k in range(6):
+            yield ["operator", "--input", graph, "--k", str(k)], None
 
 
 def must_exit_one(root: Path, f4: Path, small: bool):

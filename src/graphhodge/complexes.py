@@ -5,12 +5,14 @@ complex stores, for every order k in 1..max_order, the k-cliques as a sorted
 (N, k) integer array: one strictly ascending clique per row, rows in
 lexicographic order. That ordering is the canonical basis used by every
 operator matrix in this package, so it must be reproducible bit for bit.
-locate() finds rows of vertex ids in a level by binary search on keys that
-cannot overflow; cliques(k) and index(k) are tuple views no computation reads.
-The levels and everything built from them are kept once per graph. A Graph
-stores its edges once, as the order-2 level itself: producers pass it pair
-arrays, degrees and components are computed from it, and edges, sorted_edges
-and the neighbour sets are views built from it on first read.
+Enumeration records where each clique's faces sit in the level below, all
+that d_k and the keys read; locate() finds cochain and weight table rows by
+binary search on keys that cannot overflow. cliques(k) and index(k) are
+tuple views no computation reads. The levels and everything built from them
+are kept once per graph. A Graph stores its edges once, as the order-2 level
+itself: producers pass it pair arrays, degrees and components are computed
+from it, and edges, sorted_edges and the neighbour sets are views built from
+it on first read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+MAX_VERTICES = 3_037_000_499  # the largest n with n(n+1) in int64: every _key stays below it
 
 
 class InputFormatError(ValueError):
@@ -114,13 +118,15 @@ class Graph:
     @cached_property
     def _levels(self) -> list[np.ndarray]:
         """The clique levels enumerated so far, orders 1, 2, ...; enumerate_cliques only appends."""
+        if self.n_vertices > MAX_VERTICES:  # checked before any per-vertex array is laid out
+            raise ValueError(f"vertex count {self.n_vertices} is above {MAX_VERTICES}: clique keys would pass int64")
         vertices = np.arange(1, self.n_vertices + 1, dtype=np.int64)[:, None]
         vertices.setflags(write=False)
         return [vertices]
 
     @cached_property
     def _memo(self) -> dict:
-        """What CliqueComplex._memo built from the levels, keyed by (kind, order)."""
+        """The faces _extend recorded and what CliqueComplex._memo built from the levels, keyed by (kind, order)."""
         return {}
 
 
@@ -198,7 +204,7 @@ def _key(prefix_position, last, n: int):
     unlike base-(n+1) digits of every vertex they cannot overflow int64 for
     any level that fits in memory.
     """
-    return prefix_position * (n + 1) + last
+    return np.asarray(prefix_position, dtype=np.int64) * (n + 1) + last  # int32 positions would wrap
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,19 +266,20 @@ class CliqueComplex:
         n = self.graph.n_vertices
         pos = np.where(((rows >= 1) & (rows <= n)).all(axis=1), rows[:, 0] - 1, -1)
         for order in range(2, rows.shape[1] + 1):
-            keys = self._keys(order)
-            key = _key(pos, rows[:, order - 1], n)
-            at = np.searchsorted(keys, key)
-            hit = (pos >= 0) & (at < len(keys))
-            hit[hit] = keys[at[hit]] == key[hit]
-            pos = np.where(hit, at, -1)
+            # a row already lost asks for key -1, which no clique has: every key is at least 1
+            keep, at = _find(self._keys(order), np.where(pos >= 0, _key(pos, rows[:, order - 1], n), -1))
+            pos = np.full_like(pos, -1)
+            pos[keep] = at
         return pos
 
     def _keys(self, order: int) -> np.ndarray:
-        """The ascending _key of every clique of the given order (>= 2)."""
-        level = self.level(order)
-        n = self.graph.n_vertices
-        return self._memo("keys", order, lambda: _key(self.locate(level[:, :-1]), level[:, -1], n))
+        """The ascending _key of every clique of the given order (>= 2): its prefix is its face 0."""
+        level, n = self.level(order), self.graph.n_vertices
+        return self._memo("keys", order, lambda: _key(self._faces(order)[:, 0], level[:, -1], n))
+
+    def _faces(self, order: int) -> np.ndarray:
+        """Positions in level order-1 of each clique's faces, ascending: column i drops vertex order-1-i."""
+        return self._memo("faces", order, lambda: np.empty((0, order), dtype=np.int32))
 
     def _memo(self, kind: str, order: int, build):
         """build(), run once per graph and shared under (kind, order) by all its complexes.
@@ -304,32 +311,55 @@ def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
 
 
 def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
-    """Append levels up to max_order: graph.pairs as order 2, each higher one by extending the one below.
+    """Append levels up to max_order, graph.pairs as order 2, and record every new clique's faces.
 
-    Each k-clique is extended by the neighbours of its last vertex that are
-    larger than it, in ascending order, and a candidate is kept when its new
-    vertex is adjacent to every other member: that edge's key must be among
-    the sorted edge keys. Extending the cliques in order yields every level
-    already sorted.
+    Each k-clique Q is extended by the larger neighbours w of its last vertex, in
+    ascending order, so the levels come out sorted. The face of (Q, w) without q_j
+    is the child by w of Q's face without q_j, found by binary search of its key in
+    level k; a candidate is kept when all are found. Q is the face without w, and at
+    order 3 the face without q_0 is the candidate's own edge. graph._memo["faces",
+    order] keeps them, int32 when every position fits (see CliqueComplex._faces).
     """
-    n = graph.n_vertices
-    edges = graph.pairs
+    n, edges = graph.n_vertices, graph.pairs
     if len(levels) == 1:
         levels.append(edges)
-    edge_keys = _key(edges[:, 0] - 1, edges[:, 1], n)
+        _keep_faces(graph, 2, [edges[:, 0] - 1, edges[:, 1] - 1], n)
     # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
     while len(levels) < max_order:
-        level = levels[-1]
+        level, order = levels[-1], len(levels) + 1
+        faces = graph._memo["faces", order - 1]
+        keys = _key(faces[:, 0], level[:, -1], n)
         start = first[level[:, -1] - 1]
         count = first[level[:, -1]] - start
         parent = np.repeat(np.arange(len(level)), count)
-        # candidate t of a parent whose candidates begin at t0 is edge start + (t - t0)
-        vertex = edges[np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(parent)), 1]
-        for j in range(level.shape[1] - 1):
-            key = _key(level[parent, j] - 1, vertex, n)
-            keep = edge_keys[np.minimum(np.searchsorted(edge_keys, key), len(edge_keys) - 1)] == key
-            parent, vertex = parent[keep], vertex[keep]
+        # candidate t of a parent whose candidates begin at t0 is edge shift + t, shift = start - t0
+        shift = start - np.cumsum(count) + count
+        vertex = edges[np.repeat(shift, count) + np.arange(len(parent)), 1]
+        found = []
+        for i in range(1, 2 if order == 3 else order):
+            keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n))
+            parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
+        if order == 3:
+            found.append(shift[parent] + keep)
+        _keep_faces(graph, order, [parent, *found], len(level))
+        del keep, found  # freed before the level is stacked
         level = np.column_stack([level[parent], vertex])
         level.setflags(write=False)
         levels.append(level)
+
+
+def _find(keys: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of key are among the sorted keys, and where."""
+    at = np.searchsorted(keys, key)
+    keep = np.flatnonzero(keys.take(at, mode="clip") == key) if len(keys) else at[:0]
+    return keep, at[keep]
+
+
+def _keep_faces(graph: Graph, order: int, columns: list[np.ndarray], below: int) -> None:
+    """Store the face columns of level order as one read-only array, int32 when all `below` positions fit."""
+    faces = np.empty((len(columns[0]), order), dtype=np.int32 if below <= 2**31 else np.int64)
+    for i, column in enumerate(columns):
+        faces[:, i] = column
+    faces.setflags(write=False)
+    graph._memo["faces", order] = faces

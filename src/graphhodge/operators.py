@@ -17,8 +17,8 @@ B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
 (identical to L for unit weights; apply() converts). Unit weight means no
 table, and B_j is d_j itself when neither of its levels has one.
 
-coboundary() is the package's only incidence builder, and it assembles each
-d_k once per graph; every Hodge Laplacian is a sparse sum of B products.
+coboundary(), the only incidence builder, reads d_k off the recorded faces once
+per graph; every Hodge Laplacian is a sparse sum of B products.
 spectral eigensolves the Grams of the same B_j instead; only harmonic_basis
 turns a Laplacian dense. nonlinear applies d_0 from the edge array itself.
 scipy.sparse is imported by the functions that build matrices, not on import.
@@ -68,17 +68,16 @@ def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
 def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
     """Row r of d_k holds (-1)^j at the face of (k+2)-clique r without its vertex j.
 
-    A face without a later vertex comes earlier in lexicographic order, so
-    taking j from k+1 down to 0 lists each row's columns ascending.
+    Enumeration recorded those faces, ascending, column i the face without
+    vertex k+1-i: the face array raveled is d_k's CSR column index as it
+    stands, and scipy keeps an int32 one without a copy.
     """
     import scipy.sparse as sp
-    rows = cx.level(k + 2)
-    n_rows, order = rows.shape
-    drop = range(order - 1, -1, -1)
-    indices = np.column_stack([cx.locate(np.delete(rows, j, axis=1)) for j in drop]).ravel()
-    data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in drop], n_rows)
+    faces = cx._faces(k + 2)
+    n_rows, order = faces.shape
+    data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in range(order - 1, -1, -1)], n_rows)
     indptr = np.arange(0, order * n_rows + 1, order)
-    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, cx.n_cliques(k + 1)))
+    return sp.csr_matrix((data, faces.ravel(), indptr), shape=(n_rows, cx.n_cliques(k + 1)))
 
 
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:

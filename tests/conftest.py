@@ -24,6 +24,7 @@ from graphhodge import (
     strategy_graph,
 )
 from graphhodge.cochains import sort_with_sign
+from graphhodge.complexes import _key
 from graphhodge.textio import fmt_float, json_dumps
 
 
@@ -228,6 +229,38 @@ def loop_enumerate_levels(graph: Graph, max_order: int) -> list[tuple[tuple[int,
                     nxt.append(clique + (u,))
         levels.append(tuple(nxt))
     return levels
+
+
+def locate_rows(cx, rows) -> np.ndarray:
+    """CliqueComplex.locate on the keys of locate_keys: finds every prefix by binary search, never reads a face."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = cx.graph.n_vertices
+    pos = np.where(((rows >= 1) & (rows <= n)).all(axis=1), rows[:, 0] - 1, -1)
+    for order in range(2, rows.shape[1] + 1):
+        keys = locate_keys(cx, order)
+        key = _key(pos, rows[:, order - 1], n)
+        at = np.searchsorted(keys, key)
+        hit = (pos >= 0) & (at < len(keys))
+        hit[hit] = keys[at[hit]] == key[hit]
+        pos = np.where(hit, at, -1)
+    return pos
+
+
+def locate_keys(cx, order: int) -> np.ndarray:
+    """The _key of every clique of the given order, its prefix located in the level below: the oracle of _keys."""
+    level = cx.level(order)
+    return _key(locate_rows(cx, level[:, :-1]), level[:, -1], cx.graph.n_vertices)
+
+
+def locate_coboundary(cx, k: int) -> sp.csr_matrix:
+    """d_k with each face of each (k+2)-clique located by binary search, as assembled before faces were recorded."""
+    rows = cx.level(k + 2)
+    n_rows, order = rows.shape
+    drop = range(order - 1, -1, -1)
+    indices = np.column_stack([locate_rows(cx, np.delete(rows, j, axis=1)) for j in drop]).ravel()
+    data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in drop], n_rows)
+    indptr = np.arange(0, order * n_rows + 1, order)
+    return sp.csr_matrix((data, indices, indptr), shape=(n_rows, cx.n_cliques(k + 1)))
 
 
 # A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of

@@ -433,6 +433,33 @@ class TestDerivedEnumeration:
         for argv in runs:
             assert run(capsys, *argv)[0] == 0, argv
 
+    def test_no_command_locates_a_clique_between_enumeration_and_coboundary(self, capsys, tmp_path, monkeypatch):
+        from graphhodge import CliqueComplex
+
+        def forbidden(*args):
+            raise AssertionError("located cliques")
+
+        # rank and decompose are left out: they locate the rows of their weight and cochain tables
+        monkeypatch.setattr(CliqueComplex, "locate", forbidden)
+        graph = write(tmp_path, "g.txt", "p 7 9\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n4 6\n5 6\n")  # K4, a triangle
+        runs = [["cliques", "--input", graph, "--max-order", "6"],
+                *([name, "--input", graph, "--k", k] for name in DEGREE_K_COMMANDS for k in ("0", "1", "2")),
+                ["game", "--input", str(DATA / "road_sharing.json")],
+                ["isospectral", graph, str(DATA / "iso_pair_a1.txt"), "--max-k", "3"]]
+        for argv in runs:
+            assert run(capsys, *argv)[0] == 0, argv
+
+    @pytest.mark.parametrize("count", [3_037_000_500, 2**60, 2**63 - 2, 2**63 - 1])
+    @pytest.mark.parametrize("command", ["cliques", "plap"])
+    def test_vertex_count_past_clique_keys_exits_one_naming_it(self, capsys, tmp_path, command, count):
+        graph = write(tmp_path, "g.txt", f"p {count} 1\n1 2\n")
+        extra = ["--f", write(tmp_path, "f.tsv", "1 0\n2 1\n"), "--p", "2"] if command == "plap" else []
+        assert main([command, "--input", graph, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"vertex count {count} is above 3037000499: clique keys would pass int64"
+        assert captured.err == f"graphhodge: error: {message}\n"
+
     @pytest.mark.parametrize("command", ["cheeger", "cliques", "spectrum --k 0", "plap --p 2"])
     def test_vertex_id_past_int64_exits_one_naming_it(self, capsys, tmp_path, command):
         graph = write(tmp_path, "g.txt", "1 2\n2 100000000000000000000000\n")

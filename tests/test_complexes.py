@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphhodge import Graph, InputFormatError, enumerate_cliques, parse_graph
+from graphhodge import Graph, InputFormatError, coboundary, enumerate_cliques, parse_graph
+from graphhodge.complexes import MAX_VERTICES, _keep_faces, _key
 
 from conftest import (
     BIG_FIVE_CLIQUE,
@@ -12,8 +13,12 @@ from conftest import (
     LAP_ISO_A,
     assert_is_tuple_graph,
     brute_force_cliques,
+    complete_graph,
     cycle_graph,
     dfs_connected_components,
+    locate_coboundary,
+    locate_keys,
+    locate_rows,
     loop_enumerate_levels,
     oracle_graphs,
     raised_message,
@@ -357,3 +362,81 @@ class TestArrayLevels:
         assert cx.locate([[3, 17, 40_000, 69_999], [17, 40_000, 69_999, 70_000]]).tolist() == [0, 4]
         assert cx.locate([[3, 17, 40_000, 69_998], [3, 17, 40_000, 70_001]]).tolist() == [-1, -1]
         assert cx.locate([[3, 17, 40_000, 69_999, 70_000]]).tolist() == [0]
+
+
+class TestFaces:
+    """The faces enumeration records, and the keys and d_k read from them, bit for bit against the locate oracles."""
+
+    def check(self, cx, top: int) -> None:
+        for order in range(2, top + 1):
+            level, faces = cx.level(order), cx._faces(order)
+            assert faces.shape == (len(level), order) and faces.dtype == np.int32
+            assert not faces.flags.writeable or order > cx.max_order  # past it, an empty array like level(order)
+            for j in range(order):  # column order-1-j is the face without vertex j
+                assert np.array_equal(faces[:, order - 1 - j], locate_rows(cx, np.delete(level, j, 1))), (order, j)
+            keys, expected = cx._keys(order), locate_keys(cx, order)
+            assert keys.dtype == expected.dtype and np.array_equal(keys, expected), order
+        for k in range(top - 1):
+            d, expected = coboundary(cx, k).matrix, locate_coboundary(cx, k)
+            assert d.shape == expected.shape, k
+            for name in ("indices", "indptr", "data"):
+                a, b = getattr(d, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+            if d.nnz:  # scipy keeps the int32 face array as d_k's column index, without a copy
+                assert np.shares_memory(d.indices, cx._faces(k + 2)), k
+
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_match_locate_through_order_7(self, n, p, seed):
+        self.check(enumerate_cliques(random_graph(np.random.default_rng(seed), n, p), 7), 7)
+
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0.3, max_value=1),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_match_locate_after_enumerating_further(self, n, p, seed):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        self.check(enumerate_cliques(g, 3), 3)
+        self.check(enumerate_cliques(g, 7), 7)
+        self.check(enumerate_cliques(g, 3), 3)  # a shallower complex reads the same faces
+
+    def test_empty_levels_and_levels_past_max_order(self):
+        triangle = Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])
+        for g, max_order in ((cycle_graph(5), 3), (Graph(4, []), 2), (triangle, 4), (complete_graph(7), 8)):
+            cx = enumerate_cliques(g, max_order)
+            self.check(cx, 7)  # orders past max_order are served empty, and so are their faces
+            assert cx._faces(7).shape == (len(cx.level(7)), 7)
+
+    def test_large_vertex_ids(self):
+        self.check(enumerate_cliques(BIG_FIVE_CLIQUE, 6), 6)
+
+    def test_int32_only_while_every_position_fits(self):
+        g = Graph(3, [])
+        for below, dtype in ((2**31, np.int32), (2**31 + 1, np.int64)):
+            _keep_faces(g, 2, [np.array([0, 1]), np.array([2, 2])], below)
+            faces = g._memo["faces", 2]
+            assert faces.dtype == dtype and faces.tolist() == [[0, 2], [1, 2]]
+
+    def test_key_widens_int32_positions(self):
+        pos = np.array([2**31 - 1, 2**31 - 2, 0], dtype=np.int32)
+        last = np.array([70_000, 1, 5])
+        for n in (70_000, MAX_VERTICES):
+            key = _key(pos, last, n)
+            assert key.dtype == np.int64
+            assert key.tolist() == [p * (n + 1) + v for p, v in zip(pos.tolist(), last.tolist())]
+
+
+class TestVertexCountBound:
+    def test_largest_count_constructs(self):
+        # never enumerated: its vertex level alone would take 24 GB
+        g = Graph(3_037_000_499, [(1, 2), (2, 3_037_000_499)])
+        assert g.n_vertices == MAX_VERTICES and len(g.pairs) == 2
+        assert MAX_VERTICES * (MAX_VERTICES + 1) < 2**63 <= (MAX_VERTICES + 1) * (MAX_VERTICES + 2)
+
+    @pytest.mark.parametrize("count", [3_037_000_500, 2**60, 2**63 - 2, 2**63 - 1])
+    def test_larger_count_is_refused_naming_it(self, count):
+        g = Graph(count, [(1, 2)])
+        for _ in range(2):  # the refusal is not cached away
+            with pytest.raises(ValueError) as info:
+                enumerate_cliques(g, 2)
+            assert str(info.value) == f"vertex count {count} is above 3037000499: clique keys would pass int64"
