@@ -6,7 +6,9 @@ Usage:
 Writes a fixed set of inputs to a temporary directory: the bundled data/
 files plus seeded graphs with 4-cliques and isolated vertices, a fixed edge
 list with repeated and reversed lines, a comment and vertices only its header
-declares, weight tables (full, partial and empty), cochains of degree 0..2,
+declares, weight tables (full, partial and empty), a fixed weight table
+naming a reversed edge, a non-edge, a vertex past n, an id past int64 and
+triangles the graph lacks, cochains of degree 0..2,
 ratings, pairwise votes, a game, a game with a one-strategy player, a
 one-player game, a ratings CSV whose comparison graph has four components,
 and a game and a pairwise CSV whose labels hold JSON escapes, commas,
@@ -255,6 +257,7 @@ def cases(root: Path, small: bool):
     if not small:
         yield from signed_zeros(root)
         yield from complete_graphs(root)
+        yield from stray_weights(root, graphs["repeats"][0], graphs["repeats"][2][0])
     yield from must_exit_one(root, f4, small)
 
 
@@ -285,6 +288,17 @@ def complete_graphs(root: Path):
         yield ["cliques", "--input", graph, "--max-order", "8"], None
         for k in range(6):
             yield ["operator", "--input", graph, "--k", str(k)], None
+
+
+def stray_weights(root: Path, graph: Path, cochain: Path):
+    """Fixed text: a weight table of which only the reversed edge 2 1 is a clique of the graph (a triangle
+    and the pendant edge 3 4 on vertices 1..6); each run weighs the cliques it has and ignores the rest."""
+    weights = root / "stray.w.tsv"
+    weights.write_text("2 1 2.5\n1 4 3\n4 7 1.5\n3 100000000000000000000000 2\n1 2 4 0.5\n2 3 4 0.25\n")
+    for name, k, side in (("laplacian", "1", None), ("spectrum", "1", "--plot"), ("betti", "0", None)):
+        yield [name, "--input", graph, "--k", k, "--weights", weights], side
+    for method in METHODS:
+        yield ["decompose", "--input", graph, "--cochain", cochain, "--method", method, "--weights", weights], "--plot"
 
 
 def must_exit_one(root: Path, f4: Path, small: bool):

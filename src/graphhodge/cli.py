@@ -180,8 +180,8 @@ def _cmd_rank(args) -> int:
     payload = result.to_json_dict()
     payload["model"] = args.model
     ends = np.array(cf.items, dtype=object)[cf.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
-    weights = np.fromiter(result.edge_weights.values(), dtype=float, count=len(ends))  # in edge order
-    payload["edges"] = _Rows(ends, (weights, cf.flow.values), ("item_i", "item_j", "weight", "x"))
+    columns = (cf.weights.vector(cf.complex, 1), cf.flow.values)  # vote counts and flow, in edge order
+    payload["edges"] = _Rows(ends, columns, ("item_i", "item_j", "weight", "x"))
     plot = emit_plot_data(result) if args.plot else None
     _write(args, json_dumps(payload) + "\n", plot=plot)
     return 0

@@ -1,9 +1,9 @@
 """Alternating k-cochains on a clique complex and weighted inner products.
 
-A k-cochain stores one float per (k+1)-clique, in the complex's lexicographic
-clique order. Values are coordinates with respect to the canonical orientation
-"ascending vertex order"; evaluation at any other argument order picks up the
-sign of the sorting permutation.
+A k-cochain stores one float per (k+1)-clique, in the complex's lexicographic clique order, as
+coordinates in the canonical orientation "ascending vertex order"; evaluation at any other argument
+order picks up the sign of the sorting permutation. A weight scheme keeps, per order, an array of
+cliques and an array of their weights, and this module is the only one that reads them.
 """
 
 from __future__ import annotations
@@ -29,24 +29,29 @@ def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Positive finite weight per clique, from per-order tables {ascending clique: weight}.
+    """Positive finite weight per clique, from per-order tables {order: (cliques, weights)}: an (N, order)
+    int64 array of ascending cliques and a float array of their N weights.
 
-    A clique missing from its order's table weighs 1, and so does every clique of
-    an order without a table: unit weights are the scheme with no tables.
+    A clique missing from its order's table weighs 1, and so does every clique of an order without a
+    table: unit weights are the scheme with no tables, and an empty table is dropped.
     """
 
-    tables: dict[int, dict[tuple[int, ...], float]] = field(default_factory=dict)
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for order, table in self.tables.items():
-            for clique, w in table.items():
-                if not 0 < w < math.inf:
-                    raise ValueError(f"weight {w} for {clique} (order {order}) must be positive and finite")
+        tables = {order: (np.asarray(cliques, dtype=np.int64).reshape(-1, order), np.asarray(weights, dtype=float))
+                  for order, (cliques, weights) in self.tables.items()}
+        for order, (cliques, weights) in tables.items():
+            bad = ~((weights > 0) & (weights < math.inf))
+            if bad.any():
+                w, clique = weights[bad][0].item(), tuple(cliques[bad][0].tolist())
+                raise ValueError(f"weight {w} for {clique} (order {order}) must be positive and finite")
+        object.__setattr__(self, "tables", {order: table for order, table in tables.items() if table[1].size})
 
     @property
     def mode(self) -> str:
         """Derived kind, "unit" when no order has a table and "table" otherwise."""
-        return "table" if any(self.tables.values()) else "unit"
+        return "table" if self.tables else "unit"
 
     @classmethod
     def unit(cls) -> "WeightScheme":
@@ -54,24 +59,24 @@ class WeightScheme:
 
     @classmethod
     def from_table(cls, entries: dict[tuple[int, ...], float]) -> "WeightScheme":
-        """Build a scheme from one flat {clique: weight} mapping."""
+        """Build a scheme from one flat {clique: weight} mapping; a clique named twice keeps its last weight."""
         tables: dict[int, dict[tuple[int, ...], float]] = {}
         for clique, w in entries.items():
-            key = tuple(sorted(clique))
-            tables.setdefault(len(key), {})[key] = float(w)
-        return cls(tables)
+            tables.setdefault(len(clique), {})[tuple(sorted(clique))] = float(w)
+        return cls({order: (_vertex_rows(list(t), order), list(t.values())) for order, t in tables.items()})
 
     def weight(self, clique: tuple[int, ...]) -> float:
-        return self.tables.get(len(clique), {}).get(clique, 1.0)
+        cliques, weights = self.tables.get(len(clique), (np.empty((0, len(clique))), ()))
+        hit = np.flatnonzero((cliques == clique).all(axis=1))
+        return float(weights[hit[-1]]) if hit.size else 1.0
 
     def vector(self, cx: CliqueComplex, degree: int) -> np.ndarray:
         """Weights of all (degree+1)-cliques in the complex's canonical order."""
         out = np.ones(cx.n_cliques(degree + 1))
-        table = self.tables.get(degree + 1)
-        if table:
-            pos = cx.locate(_vertex_rows(list(table), degree + 1))  # -1: a clique not in cx
-            found = pos >= 0
-            out[pos[found]] = np.fromiter(table.values(), dtype=float, count=len(table))[found]
+        if degree + 1 in self.tables:
+            cliques, weights = self.tables[degree + 1]
+            pos = cx.locate(cliques)  # -1: a clique not in cx
+            out[pos[pos >= 0]] = weights[pos >= 0]
         return out
 
 

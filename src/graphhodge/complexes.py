@@ -70,7 +70,7 @@ class Graph:
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.sorted_edges)
+        return frozenset(map(tuple, self.pairs.tolist()))
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:

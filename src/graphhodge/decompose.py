@@ -108,7 +108,7 @@ def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
     """(A_c A_c^T, bound >= |A_c A_c^T|_2, D) for A_c = W_k^{-1/2} D^T, applied as products with
     D = W_{k+1} d_k: the cached d_k itself when order k+2 has no weight table."""
     d = coboundary(cx, k).matrix
-    if w.tables.get(k + 2):
+    if k + 2 in w.tables:
         import scipy.sparse as sp
         d = sp.diags(w.vector(cx, k + 1)) @ d
     return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, _gram_bound(d, 1.0 / sqrt_w), d

@@ -10,8 +10,8 @@ Aggregation models (the exact formulas are package conventions):
   arithmetic mean   X(i,j) = mean over voters rating both of (score_i - score_j)
   log-odds          X(i,j) = log((#{i preferred} + 1/2) / (#{j preferred} + 1/2))
 
-Edge weights are vote counts, w_ij = number of voters who compared i and j,
-which keeps thinly compared pairs from dominating heavily compared ones.
+Edge weights are vote counts, w_ij = number of voters who compared i and j (one table: the edge
+array and the counts), which keeps thinly compared pairs from dominating heavily compared ones.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
     if overflow.size:
         a, b = (names[i] for i in pairs[overflow[0]])
         raise ValueError(f"the {model} comparison of {a!r} and {b!r} is not finite: its records overflow")
-    weights = WeightScheme({2: dict(zip(graph.sorted_edges, counts.astype(float).tolist()))})
-    return ComparisonFlow(Cochain(1, cx, x), weights, graph, compared, excluded)
+    return ComparisonFlow(Cochain(1, cx, x), WeightScheme({2: (graph.pairs, counts)}), graph, compared, excluded)
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,6 @@ class RankingResult:
     scores: dict[str, float]
     order: tuple[str, ...]
     certificate: Certificate
-    graph: Graph
-    edge_weights: dict[tuple[int, int], float]
     connected: bool
     components: tuple[tuple[str, ...], ...]
 
@@ -252,10 +249,7 @@ def rank(cf: ComparisonFlow) -> RankingResult:
     )
     comps = cf.graph.connected_components()
     components = tuple(tuple(cf.items[v - 1] for v in comp) for comp in comps)
-    edge_weights = dict(zip(cf.graph.sorted_edges, cf.weights.vector(cf.complex, 1).tolist()))
-    return RankingResult(
-        cf.items, scores, order, cert, cf.graph, edge_weights, len(comps) == 1, components
-    )
+    return RankingResult(cf.items, scores, order, cert, len(comps) == 1, components)
 
 
 def borda_divergence(flow: Cochain) -> Cochain:

@@ -128,7 +128,7 @@ def _laplacian_dim(cx: CliqueComplex, k: int) -> int:
 
 def _unscaled(w: WeightScheme, j: int) -> bool:
     """True when neither level of d_j (orders j+1 and j+2) has a weight table."""
-    return not (w.tables.get(j + 1) or w.tables.get(j + 2))
+    return j + 1 not in w.tables and j + 2 not in w.tables
 
 
 def _weighted_coboundary(cx: CliqueComplex, j: int, w: WeightScheme) -> sp.csr_matrix:

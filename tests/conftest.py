@@ -393,7 +393,7 @@ def loop_rank_outputs(csv_text: str, model: str) -> tuple[str, str]:
             "item_i": cf.items[u - 1],
             "item_j": cf.items[v - 1],
             "x": float(cf.flow.values[i]),
-            "weight": result.edge_weights[(u, v)],
+            "weight": cf.weights.weight((u, v)),
         }
         for i, (u, v) in enumerate(cf.graph.sorted_edges)
     ]

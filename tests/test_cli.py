@@ -415,7 +415,7 @@ class TestDerivedEnumeration:
             return read
 
         # the neighbour sets, the edge set and every other tuple view of an edge or clique level
-        for owner, name in ((Graph, "neighbors"), (Graph, "edges")):
+        for owner, name in ((Graph, "neighbors"), (Graph, "edges"), (Graph, "sorted_edges")):
             monkeypatch.setattr(owner, name, property(forbidden(f"Graph.{name}")))
         for owner, name in ((Graph, "degree"), (CliqueComplex, "index"), (CliqueComplex, "cliques")):
             monkeypatch.setattr(owner, name, forbidden(f"{owner.__name__}.{name}"))

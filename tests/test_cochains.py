@@ -257,11 +257,9 @@ def outcome(build):
         return str(exc)
 
 
-def loop_vector(w, cx, degree):
-    """One dict lookup per clique: the replaced WeightScheme.vector, kept as oracle."""
-    table = w.tables.get(degree + 1)
-    if not table:
-        return np.ones(cx.n_cliques(degree + 1))
+def loop_vector(entries, cx, degree):
+    """One lookup per clique in the flat {clique: weight} table: the replaced WeightScheme.vector, kept as oracle."""
+    table = {tuple(sorted(c)): float(w) for c, w in entries.items()}
     return np.array([table.get(c, 1.0) for c in cx.cliques(degree + 1)], dtype=float)
 
 
@@ -276,7 +274,42 @@ class TestWeightVectorOracle:
                             (2**64, 3, 1): 7.0, (1, 2, 3, 12): 9.0})
             w = WeightScheme.from_table(entries)
             for degree in range(4):
-                assert w.vector(cx, degree).tobytes() == loop_vector(w, cx, degree).tobytes()
+                assert w.vector(cx, degree).tobytes() == loop_vector(entries, cx, degree).tobytes()
+
+    def test_bit_identical_with_an_edge_array_table(self, rng):
+        for _ in range(20):
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(1, 11)), 0.6), 3)
+            pairs = cx.graph.pairs
+            counts = rng.integers(1, 9, size=len(pairs))
+            w = WeightScheme({2: (pairs, counts)})  # as aggregate builds it
+            entries = dict(zip(map(tuple, pairs.tolist()), counts.tolist()))
+            for degree in range(3):
+                assert w.vector(cx, degree).tobytes() == loop_vector(entries, cx, degree).tobytes()
+
+    def test_empty_array_table_is_unit(self, rng, monkeypatch):
+        from graphhodge import betti
+
+        cx = enumerate_cliques(random_graph(rng, 9, 0.7), 4)
+        empty = WeightScheme({2: (np.empty((0, 2), dtype=np.int64), np.empty(0))})
+        unit = WeightScheme.unit()
+        assert empty == unit and empty.mode == unit.mode == "unit"
+        for degree in range(4):
+            assert empty.vector(cx, degree).tobytes() == unit.vector(cx, degree).tobytes()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        unit_betti = [betti(cx, k, unit) for k in range(3)]
+        assert len(calls) == 3
+        assert [betti(cx, k, empty) for k in range(3)] == unit_betti
+        assert len(calls) == 3  # every Gram spectrum from the cache
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_array_weight_message_matches_from_table(self, value):
+        cliques = np.array([[1, 2], [2, 3], [1, 3]])
+        weights = np.array([1.5, value, 2.0])
+        expected = raised_message(lambda: WeightScheme.from_table({(1, 2): 1.5, (3, 2): value, (1, 3): 2.0}))
+        assert expected == f"weight {float(value)} for (2, 3) (order 2) must be positive and finite"
+        assert raised_message(lambda: WeightScheme({2: (cliques, weights)})) == expected
 
 
 class TestFromDictOracle:
@@ -325,7 +358,10 @@ def test_from_table_keys_match_sort_with_sign(rng):
     for clique, w in entries.items():
         key, _ = sort_with_sign(clique)
         expected.setdefault(len(key), {})[key] = float(w)
-    assert WeightScheme.from_table(entries).tables == expected
+    tables = WeightScheme.from_table(entries).tables
+    assert all(cliques.dtype == np.int64 for cliques, _ in tables.values())
+    assert {order: dict(zip(map(tuple, cliques.tolist()), weights.tolist()))
+            for order, (cliques, weights) in tables.items()} == expected
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

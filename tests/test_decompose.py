@@ -346,15 +346,16 @@ class TestTwoSolveOracle:
         cx = enumerate_cliques(random_connected_graph(rng, 11, extra=0.6), 5)
         assert cx.n_cliques(4) > 0
         for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
-            tables = {order: dict.fromkeys(cx.cliques(order), 1.0) | w.tables.get(order, {}) for order in range(1, 5)}
-            heavy = WeightScheme({o: {c: 1e8 * x for c, x in t.items()} for o, t in tables.items()})
-            heavy_triangles = WeightScheme(tables | {3: {c: 1e3 * x for c, x in tables[3].items()}})
+            table = {c: x for order in range(1, 5) for c, x in zip(cx.cliques(order), w.vector(cx, order - 1))}
+            heavy = WeightScheme.from_table({c: 1e8 * x for c, x in table.items()})
+            heavy_triangles = WeightScheme.from_table({c: 1e3 * x if len(c) == 3 else x for c, x in table.items()})
             for scheme in (heavy, heavy_triangles):
                 for k in range(3):
                     self.assert_matches_lsqr(Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1))), scheme)
         triangle = enumerate_cliques(complete_graph(3), 3)
         c = Cochain(1, triangle, np.array([1.0, 0.0, 0.0]))
-        got = self.assert_matches_lsqr(c, WeightScheme({o: dict.fromkeys(triangle.cliques(o), 1e11) for o in (1, 2, 3)}))
+        heavy = WeightScheme.from_table(dict.fromkeys([c for o in (1, 2, 3) for c in triangle.cliques(o)], 1e11))
+        got = self.assert_matches_lsqr(c, heavy)
         assert np.allclose(got.prepotential.values, [1 / 3]) and np.allclose(got.coexact.values, [1 / 3, -1 / 3, 1 / 3])
 
     def test_round_off_right_hand_sides(self, rng):

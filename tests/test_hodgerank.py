@@ -244,10 +244,9 @@ class TestRank:
                    for v in range(25) for i in rng.choice(12, int(rng.integers(2, 8)), replace=False)]
         cf = aggregate(ratings(records))
         _, weight = loop_aggregate(ratings(records), "mean")
-        result = rank(cf)
-        assert list(result.edge_weights) == list(cf.graph.sorted_edges)
-        assert result.edge_weights == {(u, v): weight[cf.items[u - 1], cf.items[v - 1]] for u, v in cf.graph.sorted_edges}
-        assert len(set(result.edge_weights.values())) > 1
+        edge_weights = cf.weights.vector(cf.complex, 1).tolist()
+        assert edge_weights == [weight[cf.items[u - 1], cf.items[v - 1]] for u, v in cf.graph.sorted_edges]
+        assert len(set(edge_weights)) > 1
 
     def test_consistent_data_recovers_order(self):
         cf = aggregate(ratings([("v1", "a", 5), ("v1", "b", 3), ("v1", "c", 1)]))

@@ -403,10 +403,11 @@ def random_table_weights(rng, cx, orders=None):
 
 
 def weight_schemes(rng, cx):
-    """Unit, empty-table, full-table and partial-table schemes: some orders tabled, others not."""
+    """Unit, empty-table, empty-array, full-table and partial-table schemes: some orders tabled, others not."""
     partial = [random_table_weights(rng, cx, [o for o in orders if o <= cx.max_order])
                for orders in ((2,), (1, 3), (4,))]
-    return [WeightScheme.unit(), WeightScheme.from_table({}), random_table_weights(rng, cx), *partial]
+    empty = WeightScheme({2: (np.empty((0, 2), dtype=np.int64), np.empty(0))})
+    return [WeightScheme.unit(), WeightScheme.from_table({}), empty, random_table_weights(rng, cx), *partial]
 
 
 class TestSparseSymmetrizationOracle:
