@@ -28,7 +28,9 @@ against its orientation with value 0, explicit -0 values) through decompose
 and plap, which pin the sign of zero each format prints, with one edge whose
 gradient is -0.0 - 0 through plap at p = 1 (both modes) and 3, and K_7 and K_7
 less one edge through cliques --max-order 8 and operator at k = 0..5, which pin
-the faces of 6- and 7-cliques and the empty levels above them. It ends with runs
+the faces of 6- and 7-cliques and the empty levels above them, and the seeded
+graphs through cliques --max-order 64 and one through spectrum and betti at
+k = 40, which pin the empty levels far past the clique number. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -257,6 +259,7 @@ def cases(root: Path, small: bool):
     if not small:
         yield from signed_zeros(root)
         yield from complete_graphs(root)
+        yield from deep_orders(graphs)
         yield from stray_weights(root, graphs["repeats"][0], graphs["repeats"][2][0])
     yield from must_exit_one(root, f4, small)
 
@@ -288,6 +291,15 @@ def complete_graphs(root: Path):
         yield ["cliques", "--input", graph, "--max-order", "8"], None
         for k in range(6):
             yield ["operator", "--input", graph, "--k", str(k)], None
+
+
+def deep_orders(graphs: dict):
+    """cliques --max-order 64 on each seeded graph, and spectrum and betti at k = 40 on one: every order past
+    the clique number is an empty level."""
+    for name in ("g14a", "g14b", "isolated", "edgeless"):
+        yield ["cliques", "--input", graphs[name][0], "--max-order", "64"], None
+    for command in ("spectrum", "betti"):
+        yield [command, "--input", graphs["g14a"][0], "--k", "40"], None
 
 
 def stray_weights(root: Path, graph: Path, cochain: Path):

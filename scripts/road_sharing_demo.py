@@ -18,7 +18,7 @@ from graphhodge import GameForm, decompose_game_flow, game_flow, pure_nash, stra
 
 def print_flow(label, sg, cochain):
     print(label)
-    for (u, v), value in zip(sg.graph.sorted_edges, cochain.values):
+    for (u, v), value in zip(sg.graph.pairs.tolist(), cochain.values):
         if abs(value) < 1e-9:
             continue
         a, b = ",".join(sg.profiles[u - 1]), ",".join(sg.profiles[v - 1])

@@ -1,18 +1,17 @@
 """Undirected simple graphs and their clique complexes.
 
-Vertices are 1-indexed externally; array positions are 0-indexed. A clique
-complex stores, for every order k in 1..max_order, the k-cliques as a sorted
-(N, k) integer array: one strictly ascending clique per row, rows in
-lexicographic order. That ordering is the canonical basis used by every
-operator matrix in this package, so it must be reproducible bit for bit.
-Enumeration records where each clique's faces sit in the level below, all
-that d_k and the keys read; locate() finds cochain and weight table rows by
-binary search on keys that cannot overflow. cliques(k) and index(k) are
-tuple views no computation reads. The levels and everything built from them
-are kept once per graph. A Graph stores its edges once, as the order-2 level
-itself: producers pass it pair arrays, degrees and components are computed
-from it, and edges, sorted_edges and the neighbour sets are views built from
-it on first read.
+Vertices are 1-indexed externally; array positions are 0-indexed. The k-cliques
+of a complex are ordered lexicographically, each one ascending. That ordering
+is the canonical basis used by every operator matrix in this package, so it
+must be reproducible bit for bit. A level of order k >= 2 is its face array:
+enumeration records, once per graph, where each clique's faces sit in the
+level below, and d_k, the counts and the keys read only that. locate() finds
+cochain and weight table rows by binary search on keys that cannot overflow.
+level(k) builds the (N, k) vertex rows of an order k >= 3 from the faces on
+first read, for output; cliques(k) is a tuple view of it that no computation
+reads. A Graph stores its edges once, as the order-2 level itself: producers
+pass it pair arrays, degrees and components are computed from it, and
+sorted_edges is a view built from it on first read.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class Graph:
 
     pairs is a read-only (m, 2) int64 array of ascending pairs in lexicographic order, without repeats.
     Graph(n, pairs) takes an (m, 2) array or any collection of ascending pairs, from_edges either
-    orientation. edges, sorted_edges, neighbors and degree(v) are views built from pairs on first read.
+    orientation. sorted_edges is a tuple view built from pairs on first read.
     """
 
     n_vertices: int
@@ -53,8 +52,7 @@ class Graph:
                              f"edge ({u},{v}) not ascending or out of 1..{n}")
         pairs = pairs[np.lexsort(pairs.T[::-1])]
         pairs = pairs[(np.diff(pairs, axis=0, prepend=0) != 0).any(axis=1)]  # ids are >= 1: row 0 stays
-        pairs.setflags(write=False)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", _frozen(pairs))
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges) -> "Graph":
@@ -69,23 +67,8 @@ class Graph:
         return hash((self.n_vertices, self.pairs.tobytes()))
 
     @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(map(tuple, self.pairs.tolist()))
-
-    @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.pairs.tolist()))
-
-    @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets indexed by vertex (position 0 unused)."""
-        ends = np.concatenate([self.pairs, self.pairs[:, ::-1]])
-        ends = ends[np.argsort(ends[:, 0], kind="stable")]
-        cuts = np.searchsorted(ends[:, 0], np.arange(1, self.n_vertices + 1))
-        return tuple(frozenset(part.tolist()) for part in np.split(ends[:, 1], cuts))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -116,17 +99,8 @@ class Graph:
         return len(self.connected_components()) == 1
 
     @cached_property
-    def _levels(self) -> list[np.ndarray]:
-        """The clique levels enumerated so far, orders 1, 2, ...; enumerate_cliques only appends."""
-        if self.n_vertices > MAX_VERTICES:  # checked before any per-vertex array is laid out
-            raise ValueError(f"vertex count {self.n_vertices} is above {MAX_VERTICES}: clique keys would pass int64")
-        vertices = np.arange(1, self.n_vertices + 1, dtype=np.int64)[:, None]
-        vertices.setflags(write=False)
-        return [vertices]
-
-    @cached_property
     def _memo(self) -> dict:
-        """The faces _extend recorded and what CliqueComplex._memo built from the levels, keyed by (kind, order)."""
+        """The faces _extend recorded and what CliqueComplex._memo built from them, keyed by (kind, order)."""
         return {}
 
 
@@ -211,13 +185,13 @@ def _key(prefix_position, last, n: int):
 class CliqueComplex:
     """All k-cliques of a graph for k = 1..max_order, in lexicographic order.
 
-    levels[k-1] is a read-only (N, k) int64 array, one ascending clique per
-    row, rows sorted lexicographically.
+    A level of order k >= 2 is its face array (see _faces), kept once per graph.
+    Orders beyond max_order are served only when provably empty, i.e. when some
+    level up to max_order is empty; otherwise asking for them is an error.
     """
 
     graph: Graph
     max_order: int
-    levels: tuple[np.ndarray, ...] = field(repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliqueComplex):
@@ -227,35 +201,36 @@ class CliqueComplex:
     def __hash__(self) -> int:
         return hash((self.graph, self.max_order))
 
-    def level(self, order: int) -> np.ndarray:
-        """The (N, order) array of the cliques of the given order (number of vertices).
+    @property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """level(k) for k = 1..max_order."""
+        return tuple(map(self.level, range(1, self.max_order + 1)))
 
-        Orders beyond max_order are served only when provably empty, i.e. when
-        some enumerated level is already empty; otherwise enumeration never
-        covered them and asking is an error.
+    def level(self, order: int) -> np.ndarray:
+        """The read-only (N, order) int64 array of the cliques of the given order, one ascending clique per row.
+
+        Order 2 is graph.pairs. An order k >= 3 is built from its faces on first read: row r is the row of
+        level k-1 at face 0 (its prefix), then the last vertex of the row at face 1, which drops the
+        second-to-last vertex.
         """
-        if order < 1:
-            raise ValueError(f"clique order must be >= 1, got {order}")
-        if order <= self.max_order:
-            return self.levels[order - 1]
-        if any(len(level) == 0 for level in self.levels):
-            return np.empty((0, order), dtype=np.int64)
-        raise ValueError(
-            f"cliques of order {order} were not enumerated (max_order={self.max_order}) "
-            "and cannot be proven empty; re-enumerate with a larger max_order"
-        )
+        if order > 2 and not self.n_cliques(order):
+            return _frozen(np.empty((0, order), dtype=np.int64))
+        return self._memo("level", order, lambda: self._vertex_rows(order))
+
+    def _vertex_rows(self, order: int) -> np.ndarray:
+        if order < 3:
+            n = self.graph.n_vertices
+            return self.graph.pairs if order == 2 else _frozen(np.arange(1, n + 1, dtype=np.int64)[:, None])
+        below, faces = self.level(order - 1), self._faces(order)
+        return _frozen(np.column_stack([below[faces[:, 0]], below[faces[:, 1], -1]]))
 
     def cliques(self, order: int) -> tuple[tuple[int, ...], ...]:
         """The cliques of the given order as ascending tuples: a view of level(order)."""
         return self._memo("cliques", order, lambda: tuple(map(tuple, self.level(order).tolist())))
 
     def n_cliques(self, order: int) -> int:
-        """Size of a level, read without building its tuple view."""
-        return len(self.level(order))
-
-    def index(self, order: int) -> dict[tuple[int, ...], int]:
-        """Position of each clique of the given order in the lexicographic list."""
-        return self._memo("index", order, lambda: {c: i for i, c in enumerate(self.cliques(order))})
+        """Size of a level, read from its faces without building its vertex rows."""
+        return self.graph.n_vertices if order == 1 else len(self._faces(order))
 
     def locate(self, rows) -> np.ndarray:
         """Position of each row of vertex ids in the level of its length, or -1 where the row is no clique.
@@ -273,22 +248,38 @@ class CliqueComplex:
         return pos
 
     def _keys(self, order: int) -> np.ndarray:
-        """The ascending _key of every clique of the given order (>= 2): its prefix is its face 0."""
-        level, n = self.level(order), self.graph.n_vertices
-        return self._memo("keys", order, lambda: _key(self._faces(order)[:, 0], level[:, -1], n))
+        """The ascending _key of every clique of the given order (>= 2), read from its faces: its prefix is
+        face 0, and face 1 shares its last vertex, the key of that face modulo n+1."""
+        faces, n = self._faces(order), self.graph.n_vertices
+        if order == 2 or not len(faces):  # an edge's last vertex is its pair's; an empty level reads none
+            return self._memo("keys", order, lambda: _key(faces[:, 0], self.graph.pairs[: len(faces), 1], n))
+        return self._memo("keys", order, lambda: _key(faces[:, 0], self._keys(order - 1)[faces[:, 1]] % (n + 1), n))
 
     def _faces(self, order: int) -> np.ndarray:
-        """Positions in level order-1 of each clique's faces, ascending: column i drops vertex order-1-i."""
-        return self._memo("faces", order, lambda: np.empty((0, order), dtype=np.int32))
+        """Positions in level order-1 of each clique's faces, ascending: column i drops vertex order-1-i.
+
+        Read-only, int32 while every position fits; empty past the first empty level.
+        """
+        self._cover(order)
+        faces = self.graph._memo.get(("faces", order))
+        return _frozen(np.empty((0, order), dtype=np.int32)) if faces is None else faces
+
+    def _cover(self, order: int) -> None:
+        """Raise unless the order was enumerated or is provably empty."""
+        if order < 1:
+            raise ValueError(f"clique order must be >= 1, got {order}")
+        if order > self.max_order and self.clique_number() is None:
+            raise ValueError(f"cliques of order {order} were not enumerated (max_order={self.max_order}) "
+                             "and cannot be proven empty; re-enumerate with a larger max_order")
 
     def _memo(self, kind: str, order: int, build):
         """build(), run once per graph and shared under (kind, order) by all its complexes.
 
-        order is the highest clique order the entry reads: level(order) raises
+        order is the highest clique order the entry reads: _cover(order) raises
         first if this complex does not cover it, even when the graph holds it.
         Entries must never be modified in place, nor refer to a complex or the graph.
         """
-        self.level(order)
+        self._cover(order)
         memo = self.graph._memo
         if (kind, order) not in memo:
             memo[kind, order] = build()
@@ -296,22 +287,29 @@ class CliqueComplex:
 
     def clique_number(self) -> int | None:
         """omega(G) when the enumeration settles it, else None (omega >= max_order)."""
-        empty = [order - 1 for order, level in enumerate(self.levels, start=1) if len(level) == 0]
-        return empty[0] if empty else None
+        top = _top(self.graph)
+        return top - 1 if 1 < top <= self.max_order and not len(self.graph._memo["faces", top]) else None
 
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
-    """All cliques of order 1..max_order, extending the levels already kept on the graph."""
+    """All cliques of order 1..max_order, extending the enumeration already kept on the graph."""
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    levels = graph._levels
-    if len(levels) < max_order:
-        _extend(graph, levels, max_order)
-    return CliqueComplex(graph, max_order, tuple(levels[:max_order]))
+    if graph.n_vertices > MAX_VERTICES:  # checked before any per-vertex array is laid out
+        raise ValueError(f"vertex count {graph.n_vertices} is above {MAX_VERTICES}: clique keys would pass int64")
+    cx = CliqueComplex(graph, max_order)
+    if _top(graph) < max_order and cx.clique_number() is None:
+        _extend(cx)
+    return cx
 
 
-def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
-    """Append levels up to max_order, graph.pairs as order 2, and record every new clique's faces.
+def _top(graph: Graph) -> int:
+    """The highest order whose faces enumeration recorded, 1 before any: it stops at the first empty level."""
+    return max((order for kind, order in graph._memo if kind == "faces"), default=1)
+
+
+def _extend(cx: CliqueComplex) -> None:
+    """Record the faces of every level above the graph's top up to cx.max_order, stopping after an empty one.
 
     Each k-clique Q is extended by the larger neighbours w of its last vertex, in
     ascending order, so the levels come out sorted. The face of (Q, w) without q_j
@@ -320,19 +318,19 @@ def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
     order 3 the face without q_0 is the candidate's own edge. graph._memo["faces",
     order] keeps them, int32 when every position fits (see CliqueComplex._faces).
     """
-    n, edges = graph.n_vertices, graph.pairs
-    if len(levels) == 1:
-        levels.append(edges)
+    graph, n, edges = cx.graph, cx.graph.n_vertices, cx.graph.pairs
+    order = _top(graph) + 1
+    if order == 2:
         _keep_faces(graph, 2, [edges[:, 0] - 1, edges[:, 1] - 1], n)
+        order = 3
     # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
-    while len(levels) < max_order:
-        level, order = levels[-1], len(levels) + 1
-        faces = graph._memo["faces", order - 1]
-        keys = _key(faces[:, 0], level[:, -1], n)
-        start = first[level[:, -1] - 1]
-        count = first[level[:, -1]] - start
-        parent = np.repeat(np.arange(len(level)), count)
+    while order <= cx.max_order and cx.n_cliques(order - 1):
+        faces, keys = cx._faces(order - 1), cx._keys(order - 1)
+        last = keys % (n + 1)
+        start = first[last - 1]
+        count = first[last] - start
+        parent = np.repeat(np.arange(len(faces)), count)
         # candidate t of a parent whose candidates begin at t0 is edge shift + t, shift = start - t0
         shift = start - np.cumsum(count) + count
         vertex = edges[np.repeat(shift, count) + np.arange(len(parent)), 1]
@@ -342,11 +340,8 @@ def _extend(graph: Graph, levels: list[np.ndarray], max_order: int) -> None:
             parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
         if order == 3:
             found.append(shift[parent] + keep)
-        _keep_faces(graph, order, [parent, *found], len(level))
-        del keep, found  # freed before the level is stacked
-        level = np.column_stack([level[parent], vertex])
-        level.setflags(write=False)
-        levels.append(level)
+        _keep_faces(graph, order, [parent, *found], len(faces))
+        order += 1
 
 
 def _find(keys: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,5 +356,9 @@ def _keep_faces(graph: Graph, order: int, columns: list[np.ndarray], below: int)
     faces = np.empty((len(columns[0]), order), dtype=np.int32 if below <= 2**31 else np.int64)
     for i, column in enumerate(columns):
         faces[:, i] = column
-    faces.setflags(write=False)
-    graph._memo["faces", order] = faces
+    graph._memo["faces", order] = _frozen(faces)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array

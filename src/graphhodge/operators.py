@@ -122,7 +122,7 @@ def _laplacian_dim(cx: CliqueComplex, k: int) -> int:
     """Size of Delta_k, after checking that k is in range and its up level is known."""
     if k < 0 or k > cx.max_order - 1:
         raise ValueError(f"laplacian degree {k} out of range 0..{cx.max_order - 1}")
-    cx.level(k + 2)  # raises if the up level is unknown
+    cx.n_cliques(k + 2)  # raises if the up level is unknown
     return cx.n_cliques(k + 1)
 
 

@@ -24,7 +24,7 @@ from graphhodge import (
     strategy_graph,
 )
 from graphhodge.cochains import sort_with_sign
-from graphhodge.complexes import _key
+from graphhodge.complexes import _find, _key
 from graphhodge.textio import fmt_float, json_dumps
 
 
@@ -49,7 +49,7 @@ class GoldenGraph:
 
     def edge_positions(self, cx) -> list[int]:
         """Position of each lettered edge in the complex's lexicographic edge list."""
-        index = cx.index(2)
+        index = clique_index(cx, 2)
         return [index[tuple(sorted(e))] for e in self.directed_edges]
 
 
@@ -191,7 +191,7 @@ def assert_is_tuple_graph(graph: Graph, n_vertices: int, edges, orient: bool = F
     assert level.dtype == np.int64 and level.shape == (len(ordered), 2) and not level.flags.writeable
     assert level.tolist() == [list(e) for e in ordered]
     assert graph.n_vertices == n_vertices
-    assert graph.edges == frozen and graph.sorted_edges == ordered
+    assert edge_set(graph) == frozen and graph.sorted_edges == ordered
     assert all(type(v) is int for e in graph.sorted_edges for v in e)
     degrees = [0] * n_vertices
     for u, v in frozen:
@@ -202,10 +202,30 @@ def assert_is_tuple_graph(graph: Graph, n_vertices: int, edges, orient: bool = F
     assert graph == oracle and hash(graph) == hash(oracle)
 
 
+def edge_set(graph: Graph) -> frozenset[tuple[int, int]]:
+    """The edges as a frozenset of ascending pairs, the Graph.edges view no program read, kept for the oracles."""
+    return frozenset(map(tuple, graph.pairs.tolist()))
+
+
+def neighbor_sets(graph: Graph) -> tuple[frozenset[int], ...]:
+    """Neighbour sets indexed by vertex (position 0 unused), the Graph.neighbors view no program read, kept for
+    the oracles; the degree of v is len(neighbor_sets(graph)[v])."""
+    sets = [set() for _ in range(graph.n_vertices + 1)]
+    for u, v in graph.pairs.tolist():
+        sets[u].add(v)
+        sets[v].add(u)
+    return tuple(map(frozenset, sets))
+
+
+def clique_index(cx, order: int) -> dict[tuple[int, ...], int]:
+    """Position of each clique of the given order, the CliqueComplex.index view no program read, kept as oracle."""
+    return {c: i for i, c in enumerate(cx.cliques(order))}
+
+
 def brute_force_cliques(graph: Graph, order: int) -> list[tuple[int, ...]]:
-    out = []
+    out, edges = [], edge_set(graph)
     for subset in combinations(range(1, graph.n_vertices + 1), order):
-        if all((a, b) in graph.edges for a, b in combinations(subset, 2)):
+        if all((a, b) in edges for a, b in combinations(subset, 2)):
             out.append(subset)
     return out
 
@@ -215,7 +235,7 @@ def loop_enumerate_levels(graph: Graph, max_order: int) -> list[tuple[tuple[int,
 
     The exact oracle for enumerate_cliques: every level, in its order.
     """
-    nbrs = graph.neighbors
+    nbrs = neighbor_sets(graph)
     levels = [tuple((v,) for v in range(1, graph.n_vertices + 1))]
     for _ in range(2, max_order + 1):
         nxt = []
@@ -228,6 +248,38 @@ def loop_enumerate_levels(graph: Graph, max_order: int) -> list[tuple[tuple[int,
                 if u > last:
                     nxt.append(clique + (u,))
         levels.append(tuple(nxt))
+    return levels
+
+
+def stacked_levels(graph: Graph, max_order: int) -> list[np.ndarray]:
+    """Clique levels 1..max_order by the enumeration that stored every level as a stacked vertex array,
+    kept as the oracle of level(k): one read-only (N, k) int64 array per order, empty levels included.
+
+    A candidate (Q, w) is kept when each face (Q without q_j, w) is found by its key in level k; the
+    new level is Q's row stacked with w, and its faces are recorded for the next order's keys.
+    """
+    n, edges = graph.n_vertices, graph.pairs
+    levels = [np.arange(1, n + 1, dtype=np.int64)[:, None], edges][:max_order]
+    faces = np.column_stack([edges[:, 0] - 1, edges[:, 1] - 1])
+    first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
+    while len(levels) < max_order:
+        level, order = levels[-1], len(levels) + 1
+        keys = _key(faces[:, 0], level[:, -1], n)
+        start = first[level[:, -1] - 1]
+        count = first[level[:, -1]] - start
+        parent = np.repeat(np.arange(len(level)), count)
+        shift = start - np.cumsum(count) + count
+        vertex = edges[np.repeat(shift, count) + np.arange(len(parent)), 1]
+        found = []
+        for i in range(1, 2 if order == 3 else order):
+            keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n))
+            parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
+        if order == 3:
+            found.append(shift[parent] + keep)
+        faces = np.column_stack([parent, *found])
+        levels.append(np.column_stack([level[parent], vertex]))
+    for level in levels:
+        level.setflags(write=False)
     return levels
 
 
@@ -275,7 +327,7 @@ def oracle_graphs(rng: np.random.Generator):
     yield complete_graph(7), 8
     yield Graph(6, frozenset()), 4
     inner = random_graph(rng, 8, 0.7)
-    yield Graph(12, inner.edges), 5  # vertices 9..12 isolated
+    yield Graph(12, inner.pairs), 5  # vertices 9..12 isolated
     yield cycle_graph(4), 4
     yield BIG_FIVE_CLIQUE, 6
 
@@ -316,11 +368,11 @@ def loop_write_cochain_tsv(c) -> str:
 
 
 def index_eval(c, vertices) -> float:
-    """Cochain.eval by a lookup in the index() dict of every clique, the path it replaced, kept as oracle."""
+    """Cochain.eval by a lookup in the clique_index dict of every clique, the path it replaced, kept as oracle."""
     sorted_t, sign = sort_with_sign(tuple(int(v) for v in vertices))
     if sign == 0:
         return 0.0
-    idx = c.complex.index(c.degree + 1).get(sorted_t)
+    idx = clique_index(c.complex, c.degree + 1).get(sorted_t)
     return 0.0 if idx is None else sign * float(c.values[idx])
 
 
@@ -439,14 +491,14 @@ def union_find_components(graph: Graph) -> int:
             x = parent[x]
         return x
 
-    for u, v in graph.edges:
+    for u, v in edge_set(graph):
         parent[find(u)] = find(v)
     return len({find(v) for v in range(1, graph.n_vertices + 1)})
 
 
 def dfs_connected_components(graph: Graph) -> list[list[int]]:
     """connected_components by the depth-first walk over neighbour sets it replaced, kept as oracle."""
-    seen = [False] * (graph.n_vertices + 1)
+    seen, nbrs = [False] * (graph.n_vertices + 1), neighbor_sets(graph)
     comps = []
     for start in range(1, graph.n_vertices + 1):
         if seen[start]:
@@ -456,7 +508,7 @@ def dfs_connected_components(graph: Graph) -> list[list[int]]:
         while stack:
             v = stack.pop()
             comp.append(v)
-            for u in graph.neighbors[v]:
+            for u in nbrs[v]:
                 if not seen[u]:
                     seen[u] = True
                     stack.append(u)

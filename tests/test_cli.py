@@ -414,11 +414,12 @@ class TestDerivedEnumeration:
                 raise AssertionError(f"read {name}")
             return read
 
-        # the neighbour sets, the edge set and every other tuple view of an edge or clique level
-        for owner, name in ((Graph, "neighbors"), (Graph, "edges"), (Graph, "sorted_edges")):
-            monkeypatch.setattr(owner, name, property(forbidden(f"Graph.{name}")))
-        for owner, name in ((Graph, "degree"), (CliqueComplex, "index"), (CliqueComplex, "cliques")):
-            monkeypatch.setattr(owner, name, forbidden(f"{owner.__name__}.{name}"))
+        # the tuple views of an edge or clique level; the neighbour sets, the edge set, degree(v) and index()
+        # are gone from the package
+        for owner, name in ((Graph, "neighbors"), (Graph, "edges"), (Graph, "degree"), (CliqueComplex, "index")):
+            assert not hasattr(owner, name), name
+        monkeypatch.setattr(Graph, "sorted_edges", property(forbidden("Graph.sorted_edges")))
+        monkeypatch.setattr(CliqueComplex, "cliques", forbidden("CliqueComplex.cliques"))
         isolated = write(tmp_path, "g.txt", "p 7 4\n1 2\n2 3\n1 3\n4 5\n")  # 6 and 7 isolated
         cochain = write(tmp_path, "x.tsv", "1 2 1\n2 3 -0.5\n1 3 2\n4 5 0.25\n")
         f = write(tmp_path, "f.tsv", "".join(f"{v} {v % 3}\n" for v in range(1, 8)))
@@ -432,6 +433,41 @@ class TestDerivedEnumeration:
                 ["isospectral", str(DATA / "iso_pair_a1.txt"), str(DATA / "iso_pair_a2.txt")]]
         for argv in runs:
             assert run(capsys, *argv)[0] == 0, argv
+
+    def test_commands_that_print_no_clique_rows_build_no_triangle_rows(self, capsys, tmp_path, golden_file,
+                                                                       monkeypatch):
+        from graphhodge import CliqueComplex
+
+        rows = CliqueComplex._vertex_rows
+
+        def below_triangles(cx, order):
+            assert order < 3, f"built the vertex rows of order {order}"
+            return rows(cx, order)
+
+        monkeypatch.setattr(CliqueComplex, "_vertex_rows", below_triangles)
+        weights = write(tmp_path, "w.tsv", "1 2 2.5\n3 5 0.5\n3 5 6 4\n")  # locates a triangle row
+        f = write(tmp_path, "f.tsv", "".join(f"{v} {v % 3}\n" for v in range(1, 7)))
+        runs = [["rank", "--input", str(DATA / "ratings_small.csv")],  # its comparison graph has a triangle
+                ["rank", "--input", str(DATA / "ratings_small.csv"), "--model", "logodds"],
+                ["game", "--input", str(DATA / "road_sharing.json")],
+                ["cheeger", "--input", golden_file],
+                *(["plap", "--input", golden_file, "--f", f, "--p", p] for p in ("1", "3")),
+                *([name, "--input", golden_file, "--k", k] for name in DEGREE_K_COMMANDS for k in ("0", "1")),
+                *([name, "--input", golden_file, "--k", k, "--weights", weights]
+                  for name in DEGREE_K_COMMANDS[1:] for k in ("0", "1"))]
+        for argv in runs:
+            assert run(capsys, *argv)[0] == 0, argv
+        monkeypatch.undo()
+        assert run(capsys, "cliques", "--input", golden_file)[0] == 0  # prints the triangle rows, so builds them
+
+    def test_cliques_far_past_the_clique_number(self, capsys, tmp_path):
+        triangle = write(tmp_path, "t.txt", "1 2\n2 3\n1 3\n")
+        code, out = run(capsys, "cliques", "--input", triangle, "--max-order", "100000")
+        assert code == 0
+        doc = json.loads(out)
+        assert [doc["counts"][str(k)] for k in range(1, 100_001)] == [3, 3, 1] + [0] * 99_997
+        assert doc["clique_number"] == 3 and doc["max_order"] == 100_000
+        assert doc["cliques"]["3"] == [[1, 2, 3]] and doc["cliques"]["4"] == doc["cliques"]["100000"] == []
 
     def test_no_command_locates_a_clique_between_enumeration_and_coboundary(self, capsys, tmp_path, monkeypatch):
         from graphhodge import CliqueComplex

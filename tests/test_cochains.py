@@ -21,6 +21,7 @@ from graphhodge.cochains import sort_with_sign
 from graphhodge.complexes import CliqueComplex
 
 from conftest import (
+    clique_index,
     complete_graph,
     index_eval,
     loop_write_cochain_tsv,
@@ -87,7 +88,6 @@ def test_eval_matches_the_index_oracle_without_tuple_views(n, p, degree, seed):
         raise AssertionError("read a tuple view of a clique level")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CliqueComplex, "index", forbidden)
         patch.setattr(CliqueComplex, "cliques", forbidden)
         got = [c.eval(q) for q in queries]
     assert got == expected
@@ -237,9 +237,9 @@ def test_cochain_tsv_rejects_non_finite_values(c3_complex, value):
 
 
 def loop_from_dict(cx, degree, entries) -> np.ndarray:
-    """Cochain.from_dict one entry at a time through cx.index: the replaced path, kept as the oracle."""
+    """Cochain.from_dict one entry at a time through clique_index: the replaced path, kept as the oracle."""
     vals = np.zeros(cx.n_cliques(degree + 1))
-    index = cx.index(degree + 1)
+    index = clique_index(cx, degree + 1)
     for key, v in entries.items():
         sorted_key, sign = sort_with_sign(tuple(int(x) for x in key))
         if sign == 0:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -13,16 +15,20 @@ from conftest import (
     LAP_ISO_A,
     assert_is_tuple_graph,
     brute_force_cliques,
+    clique_index,
     complete_graph,
     cycle_graph,
     dfs_connected_components,
+    edge_set,
     locate_coboundary,
     locate_keys,
     locate_rows,
     loop_enumerate_levels,
+    neighbor_sets,
     oracle_graphs,
     raised_message,
     random_graph,
+    stacked_levels,
     tuple_graph,
 )
 
@@ -31,13 +37,13 @@ class TestParseGraph:
     def test_triangle(self):
         g = parse_graph("1 2\n2 3\n3 1")
         assert g.n_vertices == 3
-        assert g.edges == frozenset({(1, 2), (2, 3), (1, 3)})
+        assert edge_set(g) == frozenset({(1, 2), (2, 3), (1, 3)})
 
     def test_seven_edge_example(self):
         text = "\n".join(f"{u} {v}" for u, v in LAP_ISO_A.directed_edges)
         g = parse_graph(text)
         assert g.n_vertices == 6
-        assert len(g.edges) == 7
+        assert len(edge_set(g)) == 7
         assert g == LAP_ISO_A.graph
 
     def test_self_loop_rejected_with_line_number(self):
@@ -50,16 +56,16 @@ class TestParseGraph:
 
     def test_duplicate_lines_collapse(self):
         g = parse_graph("1 2\n2 1\n1 2")
-        assert len(g.edges) == 1
+        assert len(edge_set(g)) == 1
 
     def test_comments_and_blank_lines(self):
         g = parse_graph("# header comment\n\n1 2  # trailing\n2 3\n")
-        assert g.edges == frozenset({(1, 2), (2, 3)})
+        assert edge_set(g) == frozenset({(1, 2), (2, 3)})
 
     def test_header_declares_isolated_vertices(self):
         g = parse_graph("p 5 1\n1 2")
         assert g.n_vertices == 5
-        assert g.degree(5) == 0
+        assert len(neighbor_sets(g)[5]) == 0
 
     def test_header_loses_to_larger_seen_vertex(self):
         g = parse_graph("p 2 1\n1 7")
@@ -107,7 +113,7 @@ class TestGraph:
 
     @staticmethod
     def check_against_oracles(g):
-        assert g.degrees == tuple(len(g.neighbors[v]) for v in range(1, g.n_vertices + 1))
+        assert g.degrees == tuple(map(len, neighbor_sets(g)[1:]))
         assert all(type(d) is int for d in g.degrees)
         comps = g.connected_components()
         assert comps == dfs_connected_components(g)
@@ -236,7 +242,6 @@ class TestEdgeArray:
             raise AssertionError("built edge tuples")
 
         monkeypatch.setattr(complexes.Graph, "sorted_edges", property(no_tuples))
-        monkeypatch.setattr(complexes.Graph, "edges", property(no_tuples))
         g = complexes.Graph.from_edges(100_000, pairs[::-1, ::-1])
         assert g.degrees[:3] == (1, 2, 2) and g.is_connected()
         assert np.array_equal(enumerate_cliques(g, 3).level(2), pairs)
@@ -260,7 +265,7 @@ class TestEnumerateCliques:
             g = random_graph(rng, int(rng.integers(1, 13)), float(rng.random()))
             cx = enumerate_cliques(g, 2)
             assert cx.n_cliques(1) == g.n_vertices
-            assert cx.n_cliques(2) == len(g.edges)
+            assert cx.n_cliques(2) == len(edge_set(g))
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
@@ -300,6 +305,21 @@ class TestEnumerateCliques:
         with pytest.raises(ValueError):
             enumerate_cliques(cycle_graph(3), 0)
 
+    def test_enumeration_stops_at_the_first_empty_level(self, monkeypatch):
+        import graphhodge.complexes as complexes
+
+        g = Graph.from_edges(3, [(1, 2), (2, 3), (1, 3)])
+        cx = enumerate_cliques(g, 300)
+        assert sorted(order for kind, order in g._memo if kind == "faces") == [2, 3, 4]
+        assert [cx.n_cliques(order) for order in (1, 2, 3, 4, 5, 300)] == [3, 3, 1, 0, 0, 0]
+        assert cx.clique_number() == 3 and enumerate_cliques(g, 3).clique_number() is None
+        for order in (5, 300, 301):  # past max_order too: provably empty
+            faces, level = cx._faces(order), cx.level(order)
+            assert faces.shape == (0, order) and faces.dtype == np.int32 and not faces.flags.writeable
+            assert level.shape == (0, order) and level.dtype == np.int64 and not level.flags.writeable
+        monkeypatch.setattr(complexes, "_extend", lambda *args: pytest.fail("enumerated past an empty level"))
+        assert enumerate_cliques(g, 100_000).n_cliques(100_000) == 0
+
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=8, deadline=None)
     def test_singleton_levels(self, n):
@@ -313,7 +333,7 @@ class TestEnumerateCliques:
 class TestArrayLevels:
     def test_levels_match_loop_oracle(self, rng):
         for g, max_order in oracle_graphs(rng):
-            stepped = Graph(g.n_vertices, g.edges)  # its levels are extended one order per call
+            stepped = Graph(g.n_vertices, edge_set(g))  # its levels are extended one order per call
             for order in range(1, max_order):
                 enumerate_cliques(stepped, order)
             expected = loop_enumerate_levels(g, max_order)
@@ -324,12 +344,55 @@ class TestArrayLevels:
                     assert cx.cliques(order) == ref
                     assert all(type(v) is int for c in cx.cliques(order) for v in c)
 
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_levels_match_the_stacked_enumeration(self, n, p, seed):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        expected = stacked_levels(g, 9)
+        stepped = Graph(n, g.pairs)
+        # through order 7 at once and after enumerating to 3, then shallower complexes of a deeper graph
+        for graph, max_order in ((g, 7), (stepped, 3), (stepped, 7), (stepped, 3), (g, 2), (g, 1)):
+            cx = enumerate_cliques(graph, max_order)
+            settled = cx.clique_number() is not None
+            for order in range(1, 10):
+                if order > max_order and not settled:
+                    with pytest.raises(ValueError, match="not enumerated"):
+                        cx.level(order)
+                    continue
+                level, ref = cx.level(order), expected[order - 1]  # past max_order: provably empty
+                assert level.dtype == np.int64 and level.shape == ref.shape and not level.flags.writeable
+                assert np.array_equal(level, ref) and cx.n_cliques(order) == len(ref)
+                assert cx.level(order) is level or not len(level)  # built once per graph
+
+    def test_counts_keys_and_operators_build_no_vertex_rows(self, monkeypatch):
+        import graphhodge.complexes as complexes
+
+        built, rows = [], complexes.CliqueComplex._vertex_rows
+        monkeypatch.setattr(complexes.CliqueComplex, "_vertex_rows",
+                            lambda cx, order: built.append(order) or rows(cx, order))
+        g = complete_graph(6)
+        cx = enumerate_cliques(g, 8)
+        assert [cx.n_cliques(order) for order in range(1, 9)] == [6, 15, 20, 15, 6, 1, 0, 0]
+        assert cx.clique_number() == 6 and enumerate_cliques(g, 4).clique_number() is None
+        for order in range(2, 8):
+            assert len(cx._keys(order)) == cx.n_cliques(order)
+            ids = np.array(list(combinations(range(1, 7), order)), dtype=np.int64).reshape(-1, order)
+            assert cx.locate(ids).tolist() == list(range(cx.n_cliques(order)))
+        for k in range(6):
+            coboundary(cx, k)
+        with pytest.raises(ValueError, match="not enumerated"):
+            enumerate_cliques(g, 4).n_cliques(5)
+        assert built == []
+        assert np.array_equal(cx.level(5), stacked_levels(g, 5)[4])
+        assert built == [5, 4, 3, 2]  # each order from the one below it, down to the graph's pairs
+
     def test_levels_match_networkx(self, rng):
         for g, max_order in oracle_graphs(rng):
             if g.n_vertices > 100:
                 continue  # networkx visits every isolated vertex in Python
             cx = enumerate_cliques(g, max_order)
-            nxg = nx.Graph(list(g.edges))
+            nxg = nx.Graph(list(edge_set(g)))
             nxg.add_nodes_from(range(1, g.n_vertices + 1))
             found = sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(nxg))
             for order in range(1, max_order + 1):
@@ -349,7 +412,7 @@ class TestArrayLevels:
                 assert np.array_equal(cx.locate(level), np.arange(len(level)))
                 others = rng.integers(-1, 2 * n + 4, size=(60, order))
                 present = set(cx.cliques(order))
-                expected = [cx.index(order)[t] if t in present else -1 for t in map(tuple, others.tolist())]
+                expected = [clique_index(cx, order)[t] if t in present else -1 for t in map(tuple, others.tolist())]
                 assert cx.locate(others).tolist() == expected
 
     def test_locate_out_of_range_row_matches_no_key(self):
@@ -371,7 +434,7 @@ class TestFaces:
         for order in range(2, top + 1):
             level, faces = cx.level(order), cx._faces(order)
             assert faces.shape == (len(level), order) and faces.dtype == np.int32
-            assert not faces.flags.writeable or order > cx.max_order  # past it, an empty array like level(order)
+            assert not faces.flags.writeable  # past the first empty level too, an empty array like level(order)
             for j in range(order):  # column order-1-j is the face without vertex j
                 assert np.array_equal(faces[:, order - 1 - j], locate_rows(cx, np.delete(level, j, 1))), (order, j)
             keys, expected = cx._keys(order), locate_keys(cx, order)

@@ -39,13 +39,16 @@ from conftest import (
     GRAD_A,
     HELMHOLTZIAN_A,
     HELMHOLTZIAN_B,
-    LAP_ISO_A,
-    LAP_ISO_B,
     LAPLACIAN_A,
     LAPLACIAN_B,
+    LAP_ISO_A,
+    LAP_ISO_B,
+    clique_index,
     complete_graph,
     cycle_graph,
+    edge_set,
     loop_enumerate_levels,
+    neighbor_sets,
     oracle_graphs,
     random_graph,
 )
@@ -192,7 +195,7 @@ class TestAdjoint:
         for i in range(1, g.n_vertices + 1):
             expected = -sum(
                 w.weight(tuple(sorted((i, j)))) / w.weight((i,)) * x.eval((i, j))
-                for j in g.neighbors[i]
+                for j in neighbor_sets(g)[i]
             )
             assert got[i - 1] == pytest.approx(expected, abs=1e-12)
 
@@ -249,7 +252,7 @@ class TestHodgeLaplacian:
         cx = enumerate_cliques(g, 3)
         got = hodge_laplacian(cx, 0).dense()
         expected = np.diag(g.degrees).astype(float)
-        for u, v in g.edges:
+        for u, v in edge_set(g):
             expected[u - 1, v - 1] = -1.0
             expected[v - 1, u - 1] = -1.0
         assert np.array_equal(got, expected)
@@ -278,13 +281,13 @@ class TestHodgeLaplacian:
     def test_unknown_up_level_is_error(self):
         deep = complete_graph(4)
         cx = enumerate_cliques(deep, 4)
-        cx.index(3)
+        clique_index(cx, 3)
         cx.locate([[1, 2, 3]])
         betti(cx, 1)  # leaves the triangles, their views and keys, d_1 and its Gram on the graph
         for g in (complete_graph(4), deep):
             shallow = enumerate_cliques(g, 2)
             for unknown in (lambda: hodge_laplacian(shallow, 1), lambda: shallow.level(3),
-                            lambda: shallow.cliques(3), lambda: shallow.index(3),
+                            lambda: shallow.cliques(3), lambda: clique_index(shallow, 3),
                             lambda: shallow.locate([[1, 2, 3]]), lambda: coboundary(shallow, 1),
                             lambda: betti(shallow, 1)):
                 with pytest.raises(ValueError, match="not enumerated"):
@@ -472,7 +475,7 @@ class TestCoboundaryCache:
         assert coboundary(shallow, 0).matrix is coboundary(cx, 0).matrix
         assert calls == [0, 1, 2]
         # an equal but distinct graph builds its own
-        coboundary(enumerate_cliques(Graph(cx.graph.n_vertices, cx.graph.edges), 4), 1)
+        coboundary(enumerate_cliques(Graph(cx.graph.n_vertices, edge_set(cx.graph)), 4), 1)
         assert calls == [0, 1, 2, 1]
 
     def test_cache_keeps_no_reference_cycle(self, rng):
@@ -481,7 +484,7 @@ class TestCoboundaryCache:
         for k in range(3):
             coboundary(cx, k)
             betti(cx, k)
-            cx.index(k + 1)
+            clique_index(cx, k + 1)
         refs = weakref.ref(cx), weakref.ref(g)
         del cx, g
         # both freed by reference counting, without a cyclic collection
