@@ -30,7 +30,12 @@ gradient is -0.0 - 0 through plap at p = 1 (both modes) and 3, and K_7 and K_7
 less one edge through cliques --max-order 8 and operator at k = 0..5, which pin
 the faces of 6- and 7-cliques and the empty levels above them, and the seeded
 graphs through cliques --max-order 64 and one through spectrum and betti at
-k = 40, which pin the empty levels far past the clique number. It ends with runs
+k = 40, which pin the empty levels far past the clique number. On one seeded
+graph, cochains and weight tables of degree 1 and 2 whose keys are written in
+odd and even permutations of their ascending order go through decompose (both
+methods), laplacian and spectrum; finite cochains, comparison records and game
+utilities whose least-squares solves overflow float64, a cochain that fits at
+1e150, and a cochain line of 2,000 ids follow. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -261,6 +266,8 @@ def cases(root: Path, small: bool):
         yield from complete_graphs(root)
         yield from deep_orders(graphs)
         yield from stray_weights(root, graphs["repeats"][0], graphs["repeats"][2][0])
+        yield from permuted_keys(root, graphs["g14a"][0])
+        yield from overflowing_solves(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -311,6 +318,58 @@ def stray_weights(root: Path, graph: Path, cochain: Path):
         yield [name, "--input", graph, "--k", k, "--weights", weights], side
     for method in METHODS:
         yield ["decompose", "--input", graph, "--cochain", cochain, "--method", method, "--weights", weights], "--plot"
+
+
+def permuted_keys(root: Path, graph: Path):
+    """Cochains of degree 1 and 2 and one weight table of edges and triangles on a seeded graph, keys written by
+    their index i: ascending (i % 3 == 0), reversed (odd), or rotated by one place (odd for an edge, even for a
+    triangle). Values come from the index too, so these runs draw nothing from any generator."""
+    header, *rows = graph.read_text().splitlines()
+    n, edges = int(header.split()[1]), [tuple(map(int, row.split())) for row in rows]
+
+    def written(clique, i):
+        return " ".join(map(str, (clique, clique[::-1], clique[1:] + clique[:1])[i % 3]))
+
+    weights = root / "permuted.w.tsv"
+    weights.write_text("".join(f"{written(c, i)} {0.5 + 0.25 * (i % 7)}\n"
+                               for order in (2, 3) for i, c in enumerate(cliques(n, edges, order))))
+    for degree in (1, 2):
+        cochain = root / f"permuted.x{degree}.tsv"
+        cochain.write_text("".join(f"{written(c, i)} {(i % 9 - 4) * 0.375}\n"
+                                   for i, c in enumerate(cliques(n, edges, degree + 1))))
+        for method in METHODS:
+            for extra in ([], ["--weights", weights]):
+                yield ["decompose", "--input", graph, "--cochain", cochain, "--method", method, *extra], "--plot"
+        yield ["laplacian", "--input", graph, "--k", str(degree), "--weights", weights], None
+        yield ["spectrum", "--input", graph, "--k", str(degree), "--weights", weights], "--plot"
+
+
+def overflowing_solves(root: Path):
+    """Fixed text: finite inputs whose least-squares solves overflow float64 (a triangle, K_6 at +-3e153 under
+    both methods, a 0-cochain at -1e308, comparison records and a one-player game), which exit 1; a 1e150
+    cochain on the 4-cycle, which fits (both methods); and a cochain line of 2,000 ids, which exits 1."""
+    triangle, k6 = root / "overflow.triangle.txt", root / "overflow.k6.txt"
+    k6_edges = list(combinations(range(1, 7), 2))
+    triangle.write_text(graph_text(3, [(1, 2), (2, 3), (1, 3)]))
+    k6.write_text(graph_text(6, k6_edges))
+    texts = {
+        (triangle, "x1"): "1 2 1e200\n2 3 -1e200\n1 3 3e200\n",
+        (triangle, "x0"): "1 -1e308\n",
+        (k6, "x1"): "".join(f"{u} {v} {3e153 * (-1) ** i}\n" for i, (u, v) in enumerate(k6_edges)),
+        (DATA / "c4.txt", "x1e150"): "1 2 1e150\n2 3 -2e150\n3 4 1e150\n1 4 3e150\n",
+        (triangle, "long"): " ".join(map(str, range(1, 2001))) + " 1\n",
+    }
+    for (graph, tag), text in texts.items():
+        cochain = root / f"{graph.stem}.{tag}.tsv"
+        cochain.write_text(text)
+        for method in METHODS:
+            yield ["decompose", "--input", graph, "--cochain", cochain, "--method", method], "--plot"
+    records = root / "overflow.records.csv"
+    records.write_text("v,a,b,1e308\nw,a,b,-1e308\nx,b,a,1e308\n")
+    yield ["rank", "--input", records], "--plot"
+    game = root / "overflow.game.json"
+    game.write_text(json.dumps({"strategies": [["a", "b"]], "utilities": [{"a": 1e200, "b": -1e308}]}))
+    yield ["game", "--input", game], "--flow-out"
 
 
 def must_exit_one(root: Path, f4: Path, small: bool):

@@ -1,9 +1,9 @@
 """Alternating k-cochains on a clique complex and weighted inner products.
 
-A k-cochain stores one float per (k+1)-clique, in the complex's lexicographic clique order, as
-coordinates in the canonical orientation "ascending vertex order"; evaluation at any other argument
-order picks up the sign of the sorting permutation. A weight scheme keeps, per order, an array of
-cliques and an array of their weights, and this module is the only one that reads them.
+A k-cochain stores one float per (k+1)-clique, in the complex's lexicographic clique order, in the canonical
+orientation "ascending vertex order". Only the constructors put a key into it: `Cochain.from_dict` and `eval` by
+`_ascending`'s sort and sign, and the weight scheme's `from_table` and `weight` by a sort. A weight scheme keeps,
+per order, an array of cliques and an array of their weights, and this module is the only one that reads them.
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ from .complexes import CliqueComplex, InputFormatError, _data_lines
 from .textio import id_value_lines
 
 
-def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
-    """Sort a vertex tuple, returning (sorted tuple, permutation sign).
+def _ascending(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an (N, order) int array sorted ascending, and each row's sort sign, 0 where an id repeats."""
+    i, j = np.triu_indices(rows.shape[1], 1)
+    sign = 1.0 - 2.0 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)
+    sign[(rows[:, i] == rows[:, j]).any(axis=1)] = 0.0
+    return np.sort(rows, axis=1), sign
 
-    Sign is 0 when a vertex repeats (an alternating function vanishes there).
-    """
-    t = tuple(vertices)
-    inversions = sum(a > b for i, a in enumerate(t) for b in t[i + 1 :])
-    return tuple(sorted(t)), 0 if len(set(t)) < len(t) else 1 - 2 * (inversions % 2)
+
+def _key_text(key) -> str:
+    """A key as tuple text; past six ids, its first four, "..." and its last."""
+    return str(key) if len(key) <= 6 else f"({', '.join(map(str, key[:4]))}, ..., {key[-1]})"
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ class WeightScheme:
             bad = ~((weights > 0) & (weights < math.inf))
             if bad.any():
                 w, clique = weights[bad][0].item(), tuple(cliques[bad][0].tolist())
-                raise ValueError(f"weight {w} for {clique} (order {order}) must be positive and finite")
+                raise ValueError(f"weight {w} for {_key_text(clique)} (order {order}) must be positive and finite")
         object.__setattr__(self, "tables", {order: table for order, table in tables.items() if table[1].size})
 
     @property
@@ -59,7 +62,7 @@ class WeightScheme:
 
     @classmethod
     def from_table(cls, entries: dict[tuple[int, ...], float]) -> "WeightScheme":
-        """Build a scheme from one flat {clique: weight} mapping; a clique named twice keeps its last weight."""
+        """One {clique: weight} mapping, ids in any order, as a scheme; a clique named twice keeps its last weight."""
         tables: dict[int, dict[tuple[int, ...], float]] = {}
         for clique, w in entries.items():
             tables.setdefault(len(clique), {})[tuple(sorted(clique))] = float(w)
@@ -67,7 +70,7 @@ class WeightScheme:
 
     def weight(self, clique: tuple[int, ...]) -> float:
         cliques, weights = self.tables.get(len(clique), (np.empty((0, len(clique))), ()))
-        hit = np.flatnonzero((cliques == clique).all(axis=1))
+        hit = np.flatnonzero((cliques == sorted(clique)).all(axis=1))
         return float(weights[hit[-1]]) if hit.size else 1.0
 
     def vector(self, cx: CliqueComplex, degree: int) -> np.ndarray:
@@ -114,7 +117,7 @@ class Cochain:
 
     @classmethod
     def from_dict(cls, cx: CliqueComplex, degree: int, entries: dict[tuple[int, ...], float]) -> "Cochain":
-        """Build from {vertex tuple: value}; tuples may be in any order (signs applied).
+        """Build from {vertex tuple: value}, tuples in any order: each value takes the sign of its tuple's sort.
 
         Raises ValueError at the first key, in mapping order, that repeats a
         vertex or is not a clique of order degree+1. A clique named twice keeps
@@ -123,18 +126,14 @@ class Cochain:
         order = degree + 1
         keys = list(entries)
         sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
-        sized_keys = [key for key, ok in zip(keys, sized) if ok]
-        rows = _vertex_rows(sized_keys, order)
+        rows, sign = _ascending(_vertex_rows([key for key, ok in zip(keys, sized) if ok], order))
         pos = np.full(len(keys), -1)
-        pos[sized] = cx.locate(np.sort(rows, axis=1))  # a repeated vertex is never found
-        if (pos < 0).any():
+        pos[sized] = cx.locate(rows)  # a repeated vertex is never found
+        if (pos < 0).any():  # decided on the key: rows hold an id past int64 as 0
             key = keys[np.argmax(pos < 0)]
-            sorted_key, sign = sort_with_sign(tuple(int(x) for x in key))
-            if sign == 0:
-                raise ValueError(f"repeated vertex in {key}")
-            raise ValueError(f"{sorted_key} is not a clique of order {order}")
-        i, j = np.triu_indices(order, 1)
-        sign = 1.0 - 2.0 * ((rows[:, i] > rows[:, j]).sum(axis=1) % 2)  # parity of the inversions
+            if len(set(map(int, key))) < len(key):
+                raise ValueError(f"repeated vertex in {_key_text(key)}")
+            raise ValueError(f"{_key_text(tuple(sorted(map(int, key))))} is not a clique of order {order}")
         signed = sign * np.array(list(entries.values()), dtype=float)
         last = len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1]
         vals = np.zeros(cx.n_cliques(order))
@@ -153,9 +152,9 @@ class Cochain:
         for v in t:
             if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} out of range 1..{n}")
-        sorted_t, sign = sort_with_sign(t)
-        idx = self.complex.locate([sorted_t])[0]  # a repeated vertex is never found
-        return 0.0 if idx < 0 else sign * float(self.values[idx])
+        rows, sign = _ascending(np.array([t]))
+        idx = self.complex.locate(rows)[0]  # a repeated vertex is never found
+        return 0.0 if idx < 0 else float(sign[0] * self.values[idx])
 
     def __neg__(self) -> "Cochain":
         return Cochain(self.degree, self.complex, -self.values)
@@ -198,8 +197,8 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
 
 
 def _clique_lines(text: str, what: str):
-    """(line number, ascending clique, sign, value) of each line `ids... value`; InputFormatError, naming
-    the line, at one without ids, a non-numeric token, a repeated vertex or a clique given twice."""
+    """(line number, ids as written, value) of each line `ids... value`; InputFormatError, naming the line,
+    at one without ids, a non-numeric token, a repeated vertex or a clique given twice, in any order."""
     seen = set()
     for lineno, tokens in _data_lines(text):
         if len(tokens) < 2:
@@ -208,31 +207,30 @@ def _clique_lines(text: str, what: str):
             verts, value = tuple(int(t) for t in tokens[:-1]), float(tokens[-1])
         except ValueError:
             raise InputFormatError(f"line {lineno}: non-numeric token") from None
-        key, sign = sort_with_sign(verts)
-        if sign == 0:
-            raise InputFormatError(f"line {lineno}: repeated vertex in {verts}")
-        if key in seen:
-            raise InputFormatError(f"line {lineno}: duplicate {what} for {key}")
-        seen.add(key)
-        yield lineno, key, sign, value
+        clique = frozenset(verts)
+        if len(clique) < len(verts):
+            raise InputFormatError(f"line {lineno}: repeated vertex in {_key_text(verts)}")
+        if clique in seen:
+            raise InputFormatError(f"line {lineno}: duplicate {what} for {_key_text(tuple(sorted(verts)))}")
+        seen.add(clique)
+        yield lineno, verts, value
 
 
 def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) -> Cochain:
     """Parse cochain TSV: lines of vertex ids followed by a value.
 
-    The degree is inferred from the first data line unless given. Non-ascending
-    index tuples are normalized by sorting and flipping the sign. Omitted
-    cliques default to 0; naming the same clique twice is an error.
+    The degree is inferred from the first data line unless given, and `Cochain.from_dict` signs each value by
+    the order of its ids. Omitted cliques default to 0; naming a clique twice, in any order, is an error.
     """
     entries: dict[tuple[int, ...], float] = {}
-    for lineno, key, sign, value in _clique_lines(text, "value"):
+    for lineno, key, value in _clique_lines(text, "value"):
         if not math.isfinite(value):
             raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
         if degree is None:
             degree = len(key) - 1
         if len(key) != degree + 1:
             raise InputFormatError(f"line {lineno}: expected {degree + 1} vertex ids, got {len(key)}")
-        entries[key] = sign * value
+        entries[key] = value
     if degree is None:
         raise InputFormatError("empty cochain document and no degree given")
     try:
@@ -249,7 +247,7 @@ def write_cochain_tsv(c: Cochain) -> str:
 def read_weights_tsv(text: str) -> WeightScheme:
     """Parse weight TSV: vertex ids then a positive finite weight; omitted cliques weigh 1."""
     entries: dict[tuple[int, ...], float] = {}
-    for lineno, key, _, value in _clique_lines(text, "weight"):
+    for lineno, key, value in _clique_lines(text, "weight"):
         if not 0 < value < math.inf:
             raise InputFormatError(f"line {lineno}: weight must be positive and finite, got {value}")
         entries[key] = value

@@ -170,11 +170,21 @@ def hodge_decompose(
 
     Requires the complex to be enumerated through level k+2 so d_k exists
     (possibly with an empty target). Empty adjacent levels reduce cleanly: the
-    corresponding component is identically zero.
+    corresponding component is identically zero. Raises ValueError when a solve
+    overflows float64, and ConvergenceError when a CG solve does not converge.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    w = weights or WeightScheme.unit()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # before numpy warns or CG stalls on it
+            return _split(c, weights or WeightScheme.unit(), method)
+    except FloatingPointError:  # an overflow, or the inf or nan it leaves: an input error
+        peak = np.max(np.abs(c.values))
+        raise ValueError(f"the solves overflow float64 (the cochain's largest |value| is {peak:.12g})") from None
+
+
+def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
+    """hodge_decompose, with the weight scheme given and the method checked."""
     cx, k = c.complex, c.degree
     has_up = cx.n_cliques(k + 2) > 0  # raises when level k+2 was never enumerated
     w_here = w.vector(cx, k)

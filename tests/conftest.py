@@ -23,7 +23,6 @@ from graphhodge import (
     rank,
     strategy_graph,
 )
-from graphhodge.cochains import sort_with_sign
 from graphhodge.complexes import _find, _key
 from graphhodge.textio import fmt_float, json_dumps
 
@@ -365,6 +364,17 @@ def loop_write_cochain_tsv(c) -> str:
     for clique, v in zip(c.complex.cliques(c.degree + 1), c.values):
         lines.append(" ".join(str(i) for i in clique) + " " + "%.12g" % v)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
+    """Sort a vertex tuple, returning (sorted tuple, permutation sign), one tuple at a time: the rule
+    cochains._ascending applies to arrays, kept as its oracle.
+
+    Sign is 0 when a vertex repeats (an alternating function vanishes there).
+    """
+    t = tuple(vertices)
+    inversions = sum(a > b for i, a in enumerate(t) for b in t[i + 1 :])
+    return tuple(sorted(t)), 0 if len(set(t)) < len(t) else 1 - 2 * (inversions % 2)
 
 
 def index_eval(c, vertices) -> float:

@@ -644,6 +644,52 @@ class TestNonFinite:
         message = "the mean comparison of 'a' and 'b' is not finite: its records overflow"
         assert captured.err == f"graphhodge: error: {message}\n"
 
+    K6_EDGES = [(u, v) for u in range(1, 7) for v in range(u + 1, 7)]
+    OVERFLOWING_SOLVES = {  # finite inputs whose least-squares solves overflow float64, and their largest |value|
+        "triangle": ("decompose", "1 2\n2 3\n1 3\n", "1 2 1e200\n2 3 -1e200\n1 3 3e200\n", [], "3e+200"),
+        "k6": ("decompose", "".join(f"{u} {v}\n" for u, v in K6_EDGES),
+               "".join(f"{u} {v} {3e153 * (-1) ** i}\n" for i, (u, v) in enumerate(K6_EDGES)), [], "3e+153"),
+        "k6_laplacian_residual": ("decompose", "".join(f"{u} {v}\n" for u, v in K6_EDGES),
+                                  "".join(f"{u} {v} {3e153 * (-1) ** i}\n" for i, (u, v) in enumerate(K6_EDGES)),
+                                  ["--method", "laplacian-residual"], "3e+153"),
+        "vertex": ("decompose", "1 2\n2 3\n1 3\n", "1 -1e308\n", [], "1e+308"),
+        "rank": ("rank", None, "v,a,b,1e308\nw,a,b,-1e308\nx,b,a,1e308\n", [], "3.33333333333e+307"),
+        "game": ("game", None, json.dumps({"strategies": [["a", "b"]], "utilities": [{"a": 1e200, "b": -1e308}]}),
+                 [], "1e+308"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_SOLVES))
+    def test_overflowing_solve_exits_one_naming_the_largest_value(self, capsys, tmp_path, case):
+        command, graph, data, extra, peak = self.OVERFLOWING_SOLVES[case]
+        if graph is None:
+            argv = [command, "--input", write(tmp_path, "data", data)]
+        else:
+            argv = [command, "--input", write(tmp_path, "g.txt", graph), "--cochain", write(tmp_path, "x.tsv", data)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            assert main([*argv, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"the solves overflow float64 (the cochain's largest |value| is {peak})"
+        assert captured.err == f"graphhodge: error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["two-solve", "laplacian-residual"])
+    def test_large_cochain_that_fits_still_decomposes(self, capsys, tmp_path, c4_file, method):
+        cochain = write(tmp_path, "x.tsv", "1 2 1e150\n2 3 -2e150\n3 4 1e150\n1 4 3e150\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "decompose", "--input", c4_file, "--cochain", cochain, "--method", method)
+        assert code == 0
+        assert json.loads(out)["residuals"]["reconstruction"] <= 1e-12 * json.loads(out)["norms"]["input"]
+
+    def test_long_cochain_key_gives_a_short_message(self, capsys, tmp_path):
+        triangle = write(tmp_path, "g.txt", "1 2\n2 3\n1 3\n")
+        cochain = write(tmp_path, "x.tsv", " ".join(map(str, range(1, 2001))) + " 1\n")
+        assert main(["decompose", "--input", triangle, "--cochain", cochain]) == 1
+        err = capsys.readouterr().err
+        assert err == "graphhodge: error: (1, 2, 3, 4, ..., 2000) is not a clique of order 2000\n"
+        assert len(err.encode()) < 200
+
     def test_non_finite_residual_still_gives_exit_two_document(self, capsys, tmp_path, c4_file, monkeypatch):
         import graphhodge.decompose as module
 

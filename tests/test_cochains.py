@@ -17,7 +17,7 @@ from graphhodge import (
     read_weights_tsv,
     write_cochain_tsv,
 )
-from graphhodge.cochains import sort_with_sign
+from graphhodge.cochains import _ascending
 from graphhodge.complexes import CliqueComplex
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     loop_write_cochain_tsv,
     raised_message,
     random_graph,
+    sort_with_sign,
     special_floats,
     with_value_at_random,
 )
@@ -200,6 +201,11 @@ class TestWeights:
         with pytest.raises(InputFormatError, match="positive"):
             read_weights_tsv("1 2 -1\n")
 
+    def test_weight_reads_a_clique_named_in_any_order(self):
+        w = WeightScheme.from_table({(1, 2): 3.0, (3, 1, 2): 0.5})
+        assert w.weight((2, 1)) == w.weight((1, 2)) == 3.0
+        assert w.weight((2, 3, 1)) == w.weight((1, 2, 3)) == 0.5
+
     def test_scheme_is_its_tables(self):
         assert [f.name for f in dataclasses.fields(WeightScheme)] == ["tables"]
         assert WeightScheme.unit() == WeightScheme.from_table({})
@@ -362,6 +368,74 @@ def test_from_table_keys_match_sort_with_sign(rng):
     assert all(cliques.dtype == np.int64 for cliques, _ in tables.values())
     assert {order: dict(zip(map(tuple, cliques.tolist()), weights.tolist()))
             for order, (cliques, weights) in tables.items()} == expected
+
+
+ROWS = st.integers(1, 5).flatmap(lambda order: st.lists(
+    st.lists(st.one_of(st.integers(-3, 6), st.sampled_from([-(2**63), 2**63 - 1])), min_size=order, max_size=order),
+    max_size=20).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, order)))
+
+
+@given(ROWS)
+@settings(max_examples=100, deadline=None)
+def test_ascending_matches_the_sort_with_sign_oracle(rows):
+    got, sign = _ascending(rows)
+    expected = [sort_with_sign(row) for row in rows.tolist()]
+    assert got.dtype == np.int64 and got.tolist() == [list(key) for key, _ in expected]
+    assert sign.tolist() == [float(s) for _, s in expected]
+
+
+@given(st.integers(1, 9), st.floats(0.3, 1.0), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_cochain_tsv_keys_in_any_order_read_with_the_oracle_sign(n, p, degree, seed):
+    rng = np.random.default_rng(seed)
+    cx = enumerate_cliques(random_graph(rng, n, p), degree + 1)
+    values = special_floats(rng, cx.n_cliques(degree + 1))
+    expected, lines = np.zeros_like(values), []
+    for i, clique in enumerate(cx.level(degree + 1).tolist()):
+        if rng.random() < 0.8:
+            key = [int(v) for v in rng.permutation(clique)]
+            lines.append(" ".join(map(str, key)) + f" {float(values[i])!r}\n")
+            expected[i] = sort_with_sign(key)[1] * values[i]
+    got = read_cochain_tsv("".join(lines[i] for i in rng.permutation(len(lines))), cx, degree)
+    assert got.values.tobytes() == expected.tobytes()  # -0.0 included
+
+
+@given(st.integers(1, 9), st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_weight_tsv_does_not_depend_on_the_order_of_ids(n, p, seed):
+    rng = np.random.default_rng(seed)
+    cx = enumerate_cliques(random_graph(rng, n, p), 4)
+    rows = [(clique, float(rng.uniform(0.25, 4.0))) for order in range(1, 5)
+            for clique in cx.level(order).tolist() if rng.random() < 0.7]
+    ascending = read_weights_tsv("".join(" ".join(map(str, c)) + f" {w!r}\n" for c, w in rows))
+    shuffled = read_weights_tsv("".join(" ".join(map(str, rng.permutation(c))) + f" {w!r}\n" for c, w in rows))
+    for degree in range(4):
+        assert shuffled.vector(cx, degree).tobytes() == ascending.vector(cx, degree).tobytes()
+    for clique, w in rows:
+        assert shuffled.weight(tuple(int(v) for v in rng.permutation(clique))) == w
+
+
+LONG = tuple(range(1, 2001))
+
+
+def test_messages_show_a_long_key_by_its_first_ids_and_last():
+    cx = enumerate_cliques(complete_graph(3), len(LONG))  # levels 4 and up are empty
+    ids = " ".join(map(str, reversed(LONG)))
+    messages = {
+        "line 1: repeated vertex in (2000, 1999, 1998, 1997, ..., 2000)":
+            lambda: read_cochain_tsv(f"{ids} 2000 1\n", cx),
+        "line 2: duplicate weight for (1, 2, 3, 4, ..., 2000)":
+            lambda: read_weights_tsv(f"{ids} 1\n{' '.join(map(str, LONG))} 2\n"),
+        "(1, 2, 3, 4, ..., 2000) is not a clique of order 2000": lambda: read_cochain_tsv(f"{ids} 1\n", cx),
+        "repeated vertex in (1, 2, 3, 4, ..., 1)": lambda: Cochain.from_dict(cx, 1, {(1, 2): 1.0, (*LONG, 1): 2.0}),
+        "(1, 2, 3, 4, ..., 2000) is not a clique of order 2": lambda: Cochain.from_dict(cx, 1, {LONG[::-1]: 1.0}),
+        "weight 0.0 for (1, 2, 3, 4, ..., 2000) (order 2000) must be positive and finite":
+            lambda: WeightScheme.from_table({LONG[::-1]: 0.0}),
+    }
+    for expected, build in messages.items():
+        assert raised_message(build) == expected and len(expected.encode()) < 200
+    assert raised_message(lambda: Cochain.from_dict(cx, 1, {(3, 2, 1, 4, 5, 3): 1.0})) == \
+        "repeated vertex in (3, 2, 1, 4, 5, 3)"  # six ids or fewer are shown whole
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
