@@ -33,7 +33,8 @@ graphs through cliques --max-order 64 and one through spectrum and betti at
 k = 40, which pin the empty levels far past the clique number. On one seeded
 graph, cochains and weight tables of degree 1 and 2 whose keys are written in
 odd and even permutations of their ascending order go through decompose (both
-methods), laplacian and spectrum; finite cochains, comparison records and game
+methods), laplacian and spectrum, and spectrum and betti at k = 0..2 run under a
+full weight table of 10^U(-150, 150); finite cochains, comparison records and game
 utilities whose least-squares solves overflow float64, a cochain that fits at
 1e150, and a cochain line of 2,000 ids follow. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
@@ -267,6 +268,7 @@ def cases(root: Path, small: bool):
         yield from deep_orders(graphs)
         yield from stray_weights(root, graphs["repeats"][0], graphs["repeats"][2][0])
         yield from permuted_keys(root, graphs["g14a"][0])
+        yield from wide_weights(root, graphs["g14a"][0])
         yield from overflowing_solves(root)
     yield from must_exit_one(root, f4, small)
 
@@ -342,6 +344,20 @@ def permuted_keys(root: Path, graph: Path):
                 yield ["decompose", "--input", graph, "--cochain", cochain, "--method", method, *extra], "--plot"
         yield ["laplacian", "--input", graph, "--k", str(degree), "--weights", weights], None
         yield ["spectrum", "--input", graph, "--k", str(degree), "--weights", weights], "--plot"
+
+
+def wide_weights(root: Path, graph: Path):
+    """spectrum and betti at k = 0..2 on a seeded graph under a full weight table of orders 1-4 whose weights are
+    10^U(-150, 150), on a generator of its own: each Gram entry spans up to 10^+-300 and still fits float64."""
+    header, *rows = graph.read_text().splitlines()
+    n, edges = int(header.split()[1]), [tuple(map(int, row.split())) for row in rows]
+    rng = np.random.default_rng(150)
+    weights = root / "wide.w.tsv"
+    weights.write_text("".join(" ".join(map(str, c)) + f" {10 ** rng.uniform(-150, 150):.6g}\n"
+                               for order in (1, 2, 3, 4) for c in cliques(n, edges, order)))
+    for k in range(3):
+        yield ["spectrum", "--input", graph, "--k", str(k), "--weights", weights], "--plot"
+        yield ["betti", "--input", graph, "--k", str(k), "--weights", weights], None
 
 
 def overflowing_solves(root: Path):

@@ -31,7 +31,7 @@ from .games import (
 )
 from .hodgerank import ComparisonData, RankingResult, aggregate, rank
 from .nonlinear import apply_p_laplacian, cheeger_check
-from .operators import coboundary, hodge_laplacian, write_matrix
+from .operators import _coboundary_entries, _write_coordinates, hodge_laplacian, write_matrix
 from .spectral import (
     Spectrum,
     _check_tolerance,
@@ -134,8 +134,10 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    op = coboundary(_complex(_load_graph(args.input), args.k), args.k)
-    _write(args, write_matrix(op.matrix))
+    cx = _complex(_load_graph(args.input), args.k)
+    faces, signs = _coboundary_entries(cx, args.k, WeightScheme.unit())
+    shape = (len(faces), cx.n_cliques(args.k + 1))
+    _write(args, _write_coordinates(shape, np.arange(shape[0]).repeat(faces.shape[1]), faces.ravel(), signs.ravel()))
     return 0
 
 

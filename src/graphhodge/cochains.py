@@ -84,12 +84,17 @@ class WeightScheme:
 
 
 def _vertex_rows(keys: list, order: int) -> np.ndarray:
-    """Vertex-id tuples of one length as an int64 array of that many columns."""
-    try:
-        return np.array(keys, dtype=np.int64).reshape(-1, order)
-    except OverflowError:  # an id past int64 names no vertex, and neither does 0
-        return np.array([[x if abs(x) < 2**63 else 0 for x in map(int, key)] for key in keys],
-                        dtype=np.int64).reshape(-1, order)
+    """Vertex-id tuples of one length as an int64 array of that many columns, an id past int64 as 0 (it names no
+    vertex, and neither does 0); ValueError, naming the first key that holds one, at a non-integral id."""
+    rows = np.asarray(keys).reshape(-1, order)
+    if rows.dtype.kind in "fO":  # float or object ids, checked as exact Python numbers
+        ids = rows.astype(object)
+        with np.errstate(invalid="ignore"):
+            odd = (ids % 1 != 0).any(axis=1)  # nan and inf too: their remainder is nan
+        if odd.any():
+            raise ValueError(f"{_key_text(tuple(keys[np.argmax(odd)]))} has a non-integral vertex id")
+        rows = np.where(abs(ids) < 2**63, ids, 0)
+    return rows.astype(np.int64)
 
 
 @dataclass(frozen=True)

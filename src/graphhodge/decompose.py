@@ -171,16 +171,23 @@ def hodge_decompose(
     Requires the complex to be enumerated through level k+2 so d_k exists
     (possibly with an empty target). Empty adjacent levels reduce cleanly: the
     corresponding component is identically zero. Raises ValueError when a solve
-    overflows float64, and ConvergenceError when a CG solve does not converge.
+    overflows float64, naming the cochain's largest |value|, and the range of the
+    weights of degrees k-1..k+1 when one lies outside [1e-77, 1e77]; ConvergenceError
+    when a CG solve does not converge.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    w = weights or WeightScheme.unit()
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):  # before numpy warns or CG stalls on it
-            return _split(c, weights or WeightScheme.unit(), method)
+            return _split(c, w, method)
     except FloatingPointError:  # an overflow, or the inf or nan it leaves: an input error
-        peak = np.max(np.abs(c.values))
-        raise ValueError(f"the solves overflow float64 (the cochain's largest |value| is {peak:.12g})") from None
+        message = f"the solves overflow float64 (the cochain's largest |value| is {np.max(np.abs(c.values)):.12g}"
+        low, high = max(c.degree - 1, 0), c.degree + 1  # the degrees d_{k-1} and d_k join
+        used = np.concatenate([w.vector(c.complex, j) for j in range(low, high + 1)])
+        if used.min() < 1e-77 or used.max() > 1e77:  # past these, a ratio of two weights can square past float64
+            message += f"; the weights of degrees {low}..{high} span {used.min():.12g} to {used.max():.12g}"
+        raise ValueError(message + ")") from None
 
 
 def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:

@@ -17,11 +17,12 @@ B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
 (identical to L for unit weights; apply() converts). Unit weight means no
 table, and B_j is d_j itself when neither of its levels has one.
 
-coboundary(), the only incidence builder, reads d_k off the recorded faces once
-per graph; every Hodge Laplacian is a sparse sum of B products.
-spectral eigensolves the Grams of the same B_j instead; only harmonic_basis
-turns a Laplacian dense. nonlinear applies d_0 from the edge array itself.
-scipy.sparse is imported by the functions that build matrices, not on import.
+_coboundary_entries reads B_j's entries off the recorded faces, their one home:
+coboundary() assembles d_k from them as CSR once per graph, for CG and the sparse
+sums of every Hodge Laplacian, and spectral's dense Grams and the operator command
+read them with no sparse matrix. Only harmonic_basis turns a Laplacian dense;
+nonlinear applies d_0 from the edge array itself. scipy.sparse is imported by
+the functions that build sparse matrices, not on import.
 """
 
 from __future__ import annotations
@@ -65,19 +66,28 @@ def coboundary(cx: CliqueComplex, k: int) -> CoboundaryOperator:
     return CoboundaryOperator(k, cx, cx._memo("coboundary", k + 2, lambda: _assemble_coboundary(cx, k)))
 
 
-def _assemble_coboundary(cx: CliqueComplex, k: int) -> sp.csr_matrix:
-    """Row r of d_k holds (-1)^j at the face of (k+2)-clique r without its vertex j.
+def _coboundary_entries(cx: CliqueComplex, j: int, w: WeightScheme) -> tuple[np.ndarray, np.ndarray]:
+    """B_j's entries as (faces, values): row r holds values[r, i] in column faces[r, i], and nothing else.
 
-    Enumeration recorded those faces, ascending, column i the face without
-    vertex k+1-i: the face array raveled is d_k's CSR column index as it
-    stands, and scipy keeps an int32 one without a copy.
-    """
+    Column i of the faces drops vertex j+1-i, where d_j holds (-1)^(j+1-i); weighted values are those of
+    sp.diags(sqrt(w_up)) @ d_j @ sp.diags(1 / sqrt(w_low)), operation for operation."""
+    if j < 0:
+        raise ValueError(f"coboundary degree must be >= 0, got {j}")
+    faces = cx._faces(j + 2)
+    sign = (-1.0) ** np.arange(faces.shape[1] - 1, -1, -1)
+    if _unscaled(w, j):
+        return faces, np.broadcast_to(sign, faces.shape)
+    return faces, (np.sqrt(w.vector(cx, j + 1))[:, None] * sign) * (1.0 / np.sqrt(w.vector(cx, j)))[faces]
+
+
+def _assemble_coboundary(cx: CliqueComplex, k: int, w: WeightScheme | None = None) -> sp.csr_matrix:
+    """B_k (d_k for unit weights) as CSR: the face array raveled is its column index as it stands, and scipy
+    keeps an int32 one without a copy."""
     import scipy.sparse as sp
-    faces = cx._faces(k + 2)
+    faces, values = _coboundary_entries(cx, k, w or WeightScheme.unit())
     n_rows, order = faces.shape
-    data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in range(order - 1, -1, -1)], n_rows)
     indptr = np.arange(0, order * n_rows + 1, order)
-    return sp.csr_matrix((data, faces.ravel(), indptr), shape=(n_rows, cx.n_cliques(k + 1)))
+    return sp.csr_matrix((values.ravel(), faces.ravel(), indptr), shape=(n_rows, cx.n_cliques(k + 1)))
 
 
 def adjoint(op: CoboundaryOperator, weights: WeightScheme | None = None) -> sp.csr_matrix:
@@ -133,11 +143,7 @@ def _unscaled(w: WeightScheme, j: int) -> bool:
 
 def _weighted_coboundary(cx: CliqueComplex, j: int, w: WeightScheme) -> sp.csr_matrix:
     """B_j = W_{j+1}^{1/2} d_j W_j^{-1/2}; the cached d_j itself when _unscaled(w, j)."""
-    d = coboundary(cx, j).matrix
-    if _unscaled(w, j):
-        return d
-    import scipy.sparse as sp
-    return sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
+    return coboundary(cx, j).matrix if _unscaled(w, j) else _assemble_coboundary(cx, j, w)
 
 
 def hodge_laplacian(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> HodgeLaplacian:
@@ -183,9 +189,14 @@ def apply_operator(op: CoboundaryOperator | HodgeLaplacian, c: Cochain) -> Cocha
 def write_matrix(mat: sp.spmatrix) -> str:
     """Serialize in MatrixMarket coordinate format, 1-indexed, sorted by (row, col); ValueError on nan/inf."""
     coo = mat.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    header = f"%%MatrixMarket matrix coordinate real general\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
-    return header + id_value_lines(np.column_stack((coo.row[order] + 1, coo.col[order] + 1)), coo.data[order])
+    return _write_coordinates(coo.shape, coo.row, coo.col, coo.data)
+
+
+def _write_coordinates(shape: tuple[int, int], row: np.ndarray, col: np.ndarray, data: np.ndarray) -> str:
+    """write_matrix of the matrix holding data[i] at (row[i], col[i]), 0-indexed and each coordinate once."""
+    order = np.lexsort((col, row))
+    header = f"%%MatrixMarket matrix coordinate real general\n{shape[0]} {shape[1]} {len(data)}\n"
+    return header + id_value_lines(np.column_stack((row[order] + 1, col[order] + 1)), data[order])
 
 
 def read_matrix(text: str) -> sp.csr_matrix:

@@ -7,8 +7,10 @@ the rest of its c_k eigenvalues are zero. spectrum, betti and
 isospectral_fingerprint therefore eigensolve, for each scaled coboundary B_j
 that operators builds Delta_k from, only the smaller of B_j B_j^T and
 B_j^T B_j, and build no Hodge Laplacian; kernel eigenvalues come out as exact
-zeros. When B_j is d_j (no weight table on its levels) its Gram spectrum is
-computed once per graph, so d_j is eigensolved once for Delta_j and Delta_{j+1}.
+zeros. The Gram is built dense from B_j's entries on the face array, bit for
+bit the sparse product's, so these paths load no scipy. When B_j is d_j (no
+weight table on its levels) its Gram spectrum is computed once per graph, so
+d_j is eigensolved once for Delta_j and Delta_{j+1}.
 harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
 """
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, Graph, enumerate_cliques
-from .operators import HodgeLaplacian, _laplacian_dim, _unscaled, _weighted_coboundary, hodge_laplacian
+from .operators import HodgeLaplacian, _coboundary_entries, _laplacian_dim, _unscaled, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
 FINGERPRINT_ATOL = 1e-8
@@ -68,15 +70,34 @@ class Spectrum:
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 
+def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
+    """The smaller Gram of B_j, dense, from its entries: B B^T when B has fewer rows than columns, else B^T B.
+
+    Two cliques share at most one face, and two faces lie in at most one clique, so each off-diagonal entry
+    is one product, written by assignment; the diagonal sums in scipy's order, so the Gram is scipy's bit for bit.
+    """
+    faces, values = _coboundary_entries(cx, j, w)
+    (n_rows, order), n_cols = faces.shape, cx.n_cliques(j + 1)
+    # entries grouped by where they meet, each with its Gram index: B^T B pairs them within a row of B
+    meet, index, value = np.arange(n_rows).repeat(order), faces.ravel(), values.ravel()
+    if n_rows < n_cols:  # B B^T within a face; stable, so each face's rows and each row's faces stay ascending
+        by_face = np.argsort(index, kind="stable")
+        meet, index, value = index[by_face], meet[by_face], value[by_face]
+    size = np.bincount(meet)[meet]
+    left = np.repeat(np.arange(meet.size), size)  # each entry against every entry of its group, itself included
+    right = np.repeat(np.searchsorted(meet, meet) - np.cumsum(size) + size, size) + np.arange(left.size)
+    gram = np.zeros((min(n_rows, n_cols),) * 2)
+    gram[index[left], index[right]] = value[left] * value[right]
+    np.fill_diagonal(gram, np.bincount(index, value * value, len(gram)))  # in the order the entries stand
+    return gram
+
+
 def _gram_eigenvalues(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     """Ascending eigenvalues of the smaller Gram of B_j, computed once per graph when B_j is d_j."""
 
     def solve() -> np.ndarray:
-        b = _weighted_coboundary(cx, j, w)
-        if min(b.shape) == 0:
-            return np.zeros(0)
-        gram = b @ b.T if b.shape[0] < b.shape[1] else b.T @ b
-        return np.linalg.eigvalsh(gram.toarray())
+        gram = _gram(cx, j, w)
+        return np.linalg.eigvalsh(gram) if gram.size else np.zeros(0)
 
     return cx._memo("gram", j + 2, solve) if _unscaled(w, j) else solve()
 

@@ -14,6 +14,7 @@ from graphhodge import (
     ComparisonData,
     Graph,
     aggregate,
+    coboundary,
     decompose_game_flow,
     enumerate_cliques,
     game_flow,
@@ -312,6 +313,22 @@ def locate_coboundary(cx, k: int) -> sp.csr_matrix:
     data = np.tile([1.0 if j % 2 == 0 else -1.0 for j in drop], n_rows)
     indptr = np.arange(0, order * n_rows + 1, order)
     return sp.csr_matrix((data, indices, indptr), shape=(n_rows, cx.n_cliques(k + 1)))
+
+
+def diags_coboundary(cx, j: int, w) -> sp.csr_matrix:
+    """B_j = W_{j+1}^{1/2} d_j W_j^{-1/2} as the sp.diags product it was built as before its entries had one home:
+    the cached d_j itself when neither of its levels has a weight table."""
+    d = coboundary(cx, j).matrix
+    if j + 1 not in w.tables and j + 2 not in w.tables:
+        return d
+    return sp.diags(np.sqrt(w.vector(cx, j + 1))) @ d @ sp.diags(1.0 / np.sqrt(w.vector(cx, j)))
+
+
+def sparse_gram(cx, j: int, w) -> np.ndarray:
+    """The smaller Gram of B_j as a sparse product made dense, the path the face-array Gram replaced: B B^T when
+    B has fewer rows than columns, else B^T B."""
+    b = diags_coboundary(cx, j, w)
+    return (b @ b.T if b.shape[0] < b.shape[1] else b.T @ b).toarray()
 
 
 # A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of

@@ -673,6 +673,29 @@ class TestNonFinite:
         message = f"the solves overflow float64 (the cochain's largest |value| is {peak})"
         assert captured.err == f"graphhodge: error: {message}\n"
 
+    OVERFLOWING_WEIGHTED_SOLVES = {  # the same under weight tables: the range of the weights on degrees k-1..k+1
+        # is named once one lies outside [1e-77, 1e77], where a ratio of two can square past float64
+        "extreme_edges": ("2 4\n3 4\n", "3 4 -0.0609814799682\n", "2 3.9e-101\n4 1.8e248\n2 4 8.0e-196\n3 4 6.7e-84\n",
+                          "laplacian-residual", "0.0609814799682; the weights of degrees 0..2 span 8e-196 to 1.8e+248"),
+        "extreme_vertices": ("1 2\n2 3\n1 3\n", "1 -1e308\n", "1 1e-80\n2 3 5\n", "two-solve",
+                             "1e+308; the weights of degrees 0..1 span 1e-80 to 5"),
+        "moderate": ("1 2\n2 3\n1 3\n", "1 2 1e200\n2 3 -1e200\n1 3 3e200\n", "2 1 1e77\n1 2 3 1e-77\n", "two-solve",
+                     "3e+200"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_WEIGHTED_SOLVES))
+    def test_overflowing_weighted_solve_names_the_weight_range(self, capsys, tmp_path, case):
+        graph, cochain, weights, method, shown = self.OVERFLOWING_WEIGHTED_SOLVES[case]
+        argv = ["decompose", "--input", write(tmp_path, "g.txt", graph), "--cochain", write(tmp_path, "x.tsv", cochain),
+                "--weights", write(tmp_path, "w.tsv", weights), "--method", method]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"the solves overflow float64 (the cochain's largest |value| is {shown})"
+        assert captured.err == f"graphhodge: error: {message}\n"
+
     @pytest.mark.parametrize("method", ["two-solve", "laplacian-residual"])
     def test_large_cochain_that_fits_still_decomposes(self, capsys, tmp_path, c4_file, method):
         cochain = write(tmp_path, "x.tsv", "1 2 1e150\n2 3 -2e150\n3 4 1e150\n1 4 3e150\n")
@@ -934,6 +957,18 @@ class TestStartup:
                                      ["plap", "--input", c4, "--f", f, "--p", "1"],
                                      ["plap", "--input", c4, "--f", f, "--p", "3"]])
         assert seen == {"import": [], "cliques": [], "cheeger": [], "plap": []}
+
+    def test_spectral_and_operator_commands_load_no_scipy(self, tmp_path):
+        # K_5 less one edge, with two 4-cliques: every Gram of d_0..d_2 has off-diagonal entries
+        graph = write(tmp_path, "g.txt", "".join(f"{u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)
+                                                 if (u, v) != (4, 5)))
+        weights = write(tmp_path, "w.tsv", "1 2 2.5\n3 0.5\n1 2 3 4\n1 2 3 4 0.25\n")
+        runs = [["operator", "--input", graph, "--k", str(k)] for k in range(3)]
+        for name, k in product(("spectrum", "betti"), range(3)):
+            runs += [[name, "--input", graph, "--k", str(k), *extra] for extra in ([], ["--weights", weights])]
+        runs.append(["isospectral", str(DATA / "iso_pair_a1.txt"), str(DATA / "iso_pair_a2.txt"), "--max-k", "3"])
+        seen = self.probe(tmp_path, runs)  # sys.modules only grows, so each entry covers every run before it too
+        assert seen == {"import": [], "operator": [], "spectrum": [], "betti": [], "isospectral": []}
 
     def test_no_command_loads_the_sparse_solvers(self, tmp_path):
         c4 = str(DATA / "c4.txt")

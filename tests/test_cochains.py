@@ -193,6 +193,18 @@ class TestWeights:
         with pytest.raises(ValueError, match="positive"):
             WeightScheme.from_table({(1, 2): 0.0})
 
+    # keys with a non-integral id, and the key each message names: the stored form, ascending
+    NON_INTEGRAL_KEYS = {(1.7, 2): "(1.7, 2)", (2, 1.5): "(1.5, 2)", (3, 1, 2.5): "(1, 2.5, 3)",
+                         (float("nan"), 2): "(nan, 2)", (1, float("inf")): "(1, inf)", (0.5,): "(0.5,)"}
+
+    @pytest.mark.parametrize("key", list(NON_INTEGRAL_KEYS), ids=list(map(str, NON_INTEGRAL_KEYS.values())))
+    def test_non_integral_key_rejected_naming_it(self, c3_complex, key):
+        entries = {(1, 2): 3.0, key: 2.0, (2, 3): 0.5}
+        message = f"{self.NON_INTEGRAL_KEYS[key]} has a non-integral vertex id"
+        assert raised_message(lambda: WeightScheme.from_table(entries)) == message
+        w = WeightScheme.from_table({(2.0, 1): 3.0, (3.0,): 2.0})  # integral floats still name their clique
+        assert list(w.vector(c3_complex, 1)) == [3.0, 1.0, 1.0] and list(w.vector(c3_complex, 0)) == [1.0, 1.0, 2.0]
+
     def test_weights_tsv(self):
         w = read_weights_tsv("1 2 3.5\n2 1.25\n")
         assert w.weight((1, 2)) == 3.5
@@ -353,6 +365,15 @@ class TestFromDictOracle:
     def test_empty_entries(self, c4_complex):
         for degree in range(3):
             assert not Cochain.from_dict(c4_complex, degree, {}).values.any()
+
+    @pytest.mark.parametrize("key, shown", [((1.7, 2), "(1.7, 2)"), ((2, 1.5), "(2, 1.5)"),
+                                            ((float("nan"), 3), "(nan, 3)"), ((1, float("-inf")), "(1, -inf)")])
+    def test_non_integral_key_rejected_naming_it(self, c3_complex, key, shown):
+        # a truncated id would land on edge (1, 2), (1, 2) again, or no clique at all
+        entries = {(1, 3): 1.0, key: 2.0}
+        assert raised_message(lambda: Cochain.from_dict(c3_complex, 1, entries)) == \
+            f"{shown} has a non-integral vertex id"
+        assert list(Cochain.from_dict(c3_complex, 1, {(2.0, 1): 2.0}).values) == [-2.0, 0.0, 0.0]
 
 
 def test_from_table_keys_match_sort_with_sign(rng):

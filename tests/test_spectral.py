@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphhodge import (
     Cochain,
@@ -17,7 +19,8 @@ from graphhodge import (
     norm,
     spectrum,
 )
-from graphhodge.spectral import _kernel_mask
+from graphhodge.operators import _weighted_coboundary
+from graphhodge.spectral import _gram, _kernel_mask
 
 from conftest import (
     FULL_ISO_A,
@@ -27,9 +30,12 @@ from conftest import (
     SHARED_SPECTRUM_0,
     SPECTRUM_1_A,
     SPECTRUM_1_B,
+    complete_graph,
     cycle_graph,
+    diags_coboundary,
     random_graph,
     random_interval_graph,
+    sparse_gram,
     union_find_components,
     wheel_graph,
 )
@@ -325,3 +331,62 @@ class TestGramSpectraOracle:
         assert len(calls) == 3
         betti(cx, 2, tetra)
         assert len(calls) == 4  # d_1 from the cache, the scaled d_2 eigensolved
+
+
+def spread_weights(rng, cx, decades: float, partial: bool) -> WeightScheme:
+    """Weights 10^U(-decades, decades) on every clique of every order, or on about half the cliques of a random
+    subset of the orders."""
+    orders = [o for o in range(1, cx.max_order + 1) if not partial or rng.random() < 0.6]
+    return WeightScheme.from_table({c: float(10 ** rng.uniform(-decades, decades))
+                                    for o in orders for c in cx.cliques(o) if not partial or rng.random() < 0.5})
+
+
+def gram_schemes(rng, cx):
+    """Unit weights, the empty and partial tables of weight_schemes, and full and partial tables spanning
+    10^+-3 and 10^+-150."""
+    spread = [spread_weights(rng, cx, decades, partial) for decades in (3, 150) for partial in (False, True)]
+    return [*weight_schemes(rng, cx), *spread]
+
+
+class TestFaceArrayGramOracle:
+    """The Gram built from the face array is the sparse product's, bit for bit, and so are its eigenvalues."""
+
+    def assert_matches_sparse_gram(self, cx, rng):
+        for w in gram_schemes(rng, cx):
+            for j in range(4):
+                got, ref = _gram(cx, j, w), sparse_gram(cx, j, w)
+                assert got.shape == ref.shape and np.array_equal(got, ref), (j, w.tables.keys())
+                b, old = _weighted_coboundary(cx, j, w), diags_coboundary(cx, j, w)
+                assert np.array_equal(b.data, old.data) and np.array_equal(b.indices, old.indices)
+                assert np.array_equal(b.indptr, old.indptr) and b.shape == old.shape
+
+    @given(st.integers(1, 10), st.floats(0.2, 0.95), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_complexes(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_sparse_gram(enumerate_cliques(random_graph(rng, n, p), 5), rng)
+
+    def test_ties_and_empty_levels(self, rng):
+        shapes = {
+            "C5": (cycle_graph(5), [(0, 5, 5)]),  # as many edges as vertices, and no triangle
+            "K5": (complete_graph(5), [(1, 10, 10)]),  # as many triangles as edges
+            "K6": (complete_graph(6), [(2, 15, 20), (3, 6, 15)]),
+            "edgeless": (Graph(4, frozenset()), [(0, 0, 4)]),
+            "one vertex": (Graph(1, frozenset()), [(0, 0, 1)]),
+        }
+        for graph, sizes in shapes.values():
+            cx = enumerate_cliques(graph, 5)
+            for j, rows, cols in sizes:
+                d = diags_coboundary(cx, j, WeightScheme.unit())
+                assert d.shape == (rows, cols)
+                expected = (d @ d.T if rows < cols else d.T @ d).toarray()  # a tie takes the column Gram
+                assert np.array_equal(_gram(cx, j, WeightScheme.unit()), expected)
+            self.assert_matches_sparse_gram(cx, rng)
+
+    def test_eigenvalues_bit_identical_on_dense_weighted_complexes(self, rng):
+        for _ in range(3):
+            cx = enumerate_cliques(random_graph(rng, 12, 0.8), 5)
+            for w in (WeightScheme.unit(), spread_weights(rng, cx, 3, False), spread_weights(rng, cx, 150, True)):
+                for j in range(3):
+                    got, ref = _gram(cx, j, w), sparse_gram(cx, j, w)
+                    assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(ref))
