@@ -33,9 +33,11 @@ graphs through cliques --max-order 64 and one through spectrum and betti at
 k = 40, which pin the empty levels far past the clique number. On one seeded
 graph, cochains and weight tables of degree 1 and 2 whose keys are written in
 odd and even permutations of their ascending order go through decompose (both
-methods), laplacian and spectrum, and spectrum and betti at k = 0..2 run under a
-full weight table of 10^U(-150, 150); finite cochains, comparison records and game
-utilities whose least-squares solves overflow float64, a cochain that fits at
+methods), laplacian and spectrum, spectrum and betti at k = 0..2 run under a
+full weight table of 10^U(-150, 150), and its cochains of degree 0..2 go through
+two-solve decompose under a full weight table of 10^U(-2, 2); finite cochains,
+comparison records and game utilities whose least-squares solves overflow
+float64, a cochain that fits at
 1e150, and a cochain line of 2,000 ids follow. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
@@ -269,6 +271,7 @@ def cases(root: Path, small: bool):
         yield from stray_weights(root, graphs["repeats"][0], graphs["repeats"][2][0])
         yield from permuted_keys(root, graphs["g14a"][0])
         yield from wide_weights(root, graphs["g14a"][0])
+        yield from spread_weights(root, graphs["g14a"][0], graphs["g14a"][2])
         yield from overflowing_solves(root)
     yield from must_exit_one(root, f4, small)
 
@@ -358,6 +361,19 @@ def wide_weights(root: Path, graph: Path):
     for k in range(3):
         yield ["spectrum", "--input", graph, "--k", str(k), "--weights", weights], "--plot"
         yield ["betti", "--input", graph, "--k", str(k), "--weights", weights], None
+
+
+def spread_weights(root: Path, graph: Path, cochains: list):
+    """two-solve decompose of the seeded graph's cochains of degree 0..2 under a full weight table of orders 1-4
+    whose weights are 10^U(-2, 2), on a generator of its own: the prepotential's solve on spread weights."""
+    header, *rows = graph.read_text().splitlines()
+    n, edges = int(header.split()[1]), [tuple(map(int, row.split())) for row in rows]
+    rng = np.random.default_rng(2)
+    weights = root / "spread.w.tsv"
+    weights.write_text("".join(" ".join(map(str, c)) + f" {10 ** rng.uniform(-2, 2):.6g}\n"
+                               for order in (1, 2, 3, 4) for c in cliques(n, edges, order)))
+    for cochain in cochains:
+        yield ["decompose", "--input", graph, "--cochain", cochain, "--method", "two-solve", "--weights", weights], "--plot"
 
 
 def overflowing_solves(root: Path):

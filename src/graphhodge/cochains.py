@@ -26,8 +26,9 @@ def _ascending(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _key_text(key) -> str:
-    """A key as tuple text; past six ids, its first four, "..." and its last."""
-    return str(key) if len(key) <= 6 else f"({', '.join(map(str, key[:4]))}, ..., {key[-1]})"
+    """A key as tuple text of plain numbers (numpy scalars too); past six ids, its first four, "..." and its last."""
+    ids = list(map(str, key)) if len(key) <= 6 else [*map(str, key[:4]), "...", str(key[-1])]
+    return f"({', '.join(ids)}{',' * (len(ids) == 1)})"
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class WeightScheme:
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        tables = {order: (np.asarray(cliques, dtype=np.int64).reshape(-1, order), np.asarray(weights, dtype=float))
+        tables = {order: (_vertex_rows(cliques, order), np.asarray(weights, dtype=float))
                   for order, (cliques, weights) in self.tables.items()}
         for order, (cliques, weights) in tables.items():
             bad = ~((weights > 0) & (weights < math.inf))
@@ -66,7 +67,7 @@ class WeightScheme:
         tables: dict[int, dict[tuple[int, ...], float]] = {}
         for clique, w in entries.items():
             tables.setdefault(len(clique), {})[tuple(sorted(clique))] = float(w)
-        return cls({order: (_vertex_rows(list(t), order), list(t.values())) for order, t in tables.items()})
+        return cls({order: (list(t), list(t.values())) for order, t in tables.items()})
 
     def weight(self, clique: tuple[int, ...]) -> float:
         cliques, weights = self.tables.get(len(clique), (np.empty((0, len(clique))), ()))
@@ -83,10 +84,11 @@ class WeightScheme:
         return out
 
 
-def _vertex_rows(keys: list, order: int) -> np.ndarray:
-    """Vertex-id tuples of one length as an int64 array of that many columns, an id past int64 as 0 (it names no
-    vertex, and neither does 0); ValueError, naming the first key that holds one, at a non-integral id."""
-    rows = np.asarray(keys).reshape(-1, order)
+def _vertex_rows(keys, order: int) -> np.ndarray:
+    """Vertex-id tuples or array rows of one length as an int64 array of that many columns (an int64 array uncopied),
+    an id past int64 as 0 (it names no vertex, and neither does 0); ValueError, naming the first key that holds one
+    as given, at a non-integral id."""
+    rows = np.asarray(keys).reshape(len(keys), order)
     if rows.dtype.kind in "fO":  # float or object ids, checked as exact Python numbers
         ids = rows.astype(object)
         with np.errstate(invalid="ignore"):
@@ -94,7 +96,7 @@ def _vertex_rows(keys: list, order: int) -> np.ndarray:
         if odd.any():
             raise ValueError(f"{_key_text(tuple(keys[np.argmax(odd)]))} has a non-integral vertex id")
         rows = np.where(abs(ids) < 2**63, ids, 0)
-    return rows.astype(np.int64)
+    return rows.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,7 @@ class Cochain:
         pos[sized] = cx.locate(rows)  # a repeated vertex is never found
         if (pos < 0).any():  # decided on the key: rows hold an id past int64 as 0
             key = keys[np.argmax(pos < 0)]
+            _vertex_rows([key], len(key))  # a non-integral id in a key of any length, named as given
             if len(set(map(int, key))) < len(key):
                 raise ValueError(f"repeated vertex in {_key_text(key)}")
             raise ValueError(f"{_key_text(tuple(sorted(map(int, key))))} is not a clique of order {order}")

@@ -12,18 +12,17 @@ images. Both work after symmetric diagonal scaling, so that norms and
 projections are the weighted ones: b = W_k^{1/2} c, A_e = W_k^{1/2} d_{k-1}
 and A_c = W_k^{-1/2} d_k^T W_{k+1}.
 
-Every solve is conjugate gradients from zero on a consistent symmetric PSD
-system in C^{k-1} or C^k, whose iterates stay in the image of its matrix and
+Every solve is unpreconditioned conjugate gradients from zero on a consistent
+symmetric PSD system, whose iterates stay in the image of its matrix and
 converge to the minimum-norm solution (Kaasschieter, J. Comput. Appl. Math.
-1988): A_e^T A_e g = A_e^T b for the potential g; A_c A_c^T u = A_c A_c^T b
-for the coexact part, u the projection of b onto im(A_c); A_c A_c^T y = u for
-the prepotential h = A_c^T y, solved only when read and Jacobi-preconditioned
-(every solution y gives the same h); Delta_k u = Delta_k b for the laplacian
-image. g and h are LSQR's limits, the least-norm minimizers.
-A_e and A_c act as products with the cached d_j and the weights. CG stops at
-a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|: |M|_2 |b| for
-the coexact part and the laplacian image, |A_e|_2 |b| for the potential and
-|b| for the prepotential, so that the stop scales with the weights as the
+1988): A_e^T A_e g = A_e^T b in C^{k-1} for the potential g; A_c A_c^T u =
+A_c A_c^T b for the coexact part, u the projection of b onto im(A_c); A_c^T A_c
+h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
+= Delta_k b for the laplacian image. g and h are LSQR's limits, the least-norm
+minimizers. A_e and A_c act as products with the cached d_j and the weights.
+CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
+|M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
+|A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
 answer does, and never relative to the right-hand side alone, which can be
 round-off (the exact part of a harmonic cochain). The residuals |b - A_e g|
 and |b - u| come from the returned parts. CG is the in-house loop cg().
@@ -82,15 +81,13 @@ def cg(matvec, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0, M=None, cal
     return x, maxiter
 
 
-def _cg(matvec, rhs: np.ndarray, atol: float, what: str, diag: np.ndarray | None = None) -> np.ndarray:
-    """x with M x = rhs by CG from zero, M = matvec symmetric PSD and rhs in im(M);
-    stops at |rhs - M x| <= atol. A positive diag preconditions (Jacobi), and x is then a
-    solution but not the least-norm one."""
+def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
+    """The least-norm x with M x = rhs by CG from zero, M = matvec symmetric PSD and rhs in im(M);
+    stops at |rhs - M x| <= atol."""
     if not rhs.any():
         return np.zeros_like(rhs)
     steps: list[int] = []
-    jacobi = None if diag is None else lambda r: r / diag
-    x, info = cg(matvec, rhs, rtol=0.0, atol=atol, M=jacobi, callback=lambda _: steps.append(1))
+    x, info = cg(matvec, rhs, rtol=0.0, atol=atol, callback=lambda _: steps.append(1))
     if info != 0:
         raise ConvergenceError(f"conjugate-gradient solve for {what} did not converge",
                                float(np.linalg.norm(rhs - matvec(x))), len(steps))
@@ -139,19 +136,17 @@ class HodgeSplit:
 
     @cached_property
     def prepotential(self) -> Cochain | None:
-        """h = A_c^T y, A_c A_c^T y = W^{1/2} coexact, the least-norm minimizer of |d_k* h - c|_w;
+        """h with A_c^T A_c h = A_c^T b, the least-norm minimizer of |d_k* h - c|_w, solved from the input;
         two-solve only, None without (k+2)-cliques, and solved on first read."""
         cx, k = self.input.complex, self.input.degree
         if self.method != "two-solve" or cx.n_cliques(k + 2) == 0:
             return None
         w_here = self.weights.vector(cx, k)
         sqrt_w = np.sqrt(w_here)
-        gram, _, d = _coexact_operator(cx, k, self.weights, sqrt_w)
-        diag = (d.multiply(d).T @ np.ones(d.shape[0])) / w_here
-        atol = SOLVER_RTOL * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |b|
-        # every solution y gives the same h, so a preconditioner costs nothing in the answer
-        y = _cg(gram, sqrt_w * self.coexact.values, atol, "the prepotential", np.where(diag > 0, diag, 1.0))
-        return Cochain(k + 1, cx, d @ (y / sqrt_w))
+        _, bound, d = _coexact_operator(cx, k, self.weights, sqrt_w)
+        atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |A_c|_2 |b|
+        h = _cg(lambda x: d @ ((d.T @ x) / w_here), d @ self.input.values, atol, "the prepotential")
+        return Cochain(k + 1, cx, h)
 
     def to_json_dict(self) -> dict:
         out = {"k": self.input.degree, "method": self.method, "norms": self.norms,

@@ -17,7 +17,7 @@ from graphhodge import (
     read_weights_tsv,
     write_cochain_tsv,
 )
-from graphhodge.cochains import _ascending
+from graphhodge.cochains import _ascending, _key_text
 from graphhodge.complexes import CliqueComplex
 
 from conftest import (
@@ -205,6 +205,14 @@ class TestWeights:
         w = WeightScheme.from_table({(2.0, 1): 3.0, (3.0,): 2.0})  # integral floats still name their clique
         assert list(w.vector(c3_complex, 1)) == [3.0, 1.0, 1.0] and list(w.vector(c3_complex, 0)) == [1.0, 1.0, 2.0]
 
+    def test_array_table_with_non_integral_ids_rejected(self):
+        assert raised_message(lambda: WeightScheme({2: (np.array([[1.7, 2.0]]), [3.0])})) == \
+            "(1.7, 2.0) has a non-integral vertex id"
+        cliques, _ = WeightScheme({2: (np.array([[1.0, 2.0]]), [3.0])}).tables[2]
+        assert cliques.dtype == np.int64 and cliques.tolist() == [[1, 2]]
+        pairs = np.array([[1, 2], [2, 3]], dtype=np.int64)
+        assert np.shares_memory(WeightScheme({2: (pairs, [1.0, 2.0])}).tables[2][0], pairs)  # no copy
+
     def test_weights_tsv(self):
         w = read_weights_tsv("1 2 3.5\n2 1.25\n")
         assert w.weight((1, 2)) == 3.5
@@ -375,6 +383,16 @@ class TestFromDictOracle:
             f"{shown} has a non-integral vertex id"
         assert list(Cochain.from_dict(c3_complex, 1, {(2.0, 1): 2.0}).values) == [-2.0, 0.0, 0.0]
 
+    def test_infinite_id_in_a_key_of_the_wrong_length_rejected_naming_it(self, c3_complex):
+        # int(inf) would raise OverflowError, which is not a ValueError
+        assert raised_message(lambda: Cochain.from_dict(c3_complex, 2, {(float("inf"), 2): 1.0})) == \
+            "(inf, 2) has a non-integral vertex id"
+
+    def test_fractional_id_in_a_key_of_the_wrong_length_rejected_naming_it(self, c3_complex):
+        # int(1.5) would name the truncated key (1, 2, 3)
+        assert raised_message(lambda: Cochain.from_dict(c3_complex, 1, {(1.5, 2, 3): 1.0})) == \
+            "(1.5, 2, 3) has a non-integral vertex id"
+
 
 def test_from_table_keys_match_sort_with_sign(rng):
     entries = {}
@@ -474,3 +492,13 @@ def test_write_cochain_tsv_rejects_non_finite(c3_complex, value, rng):
                 bad = Cochain(degree, cx, with_value_at_random(rng, c.values, value))
                 assert raised_message(lambda: write_cochain_tsv(bad)) == raised_message(
                     lambda: loop_write_cochain_tsv(bad))
+
+
+def test_key_text_shows_plain_numbers(c3_complex):
+    assert raised_message(lambda: Cochain.from_dict(c3_complex, 1, {(np.int64(1), np.int64(1)): 1.0})) == \
+        "repeated vertex in (1, 1)"
+    assert raised_message(lambda: WeightScheme.from_table({(np.float32(2.5), 1): 1.0})) == \
+        "(1, 2.5) has a non-integral vertex id"
+    for key in [(99,), (1, 2), (3, 1, 2), (-1, 2**70, 0, 4), tuple(range(1, 7))]:  # Python ints: tuple text
+        assert _key_text(key) == str(key)
+    assert _key_text(tuple(np.arange(1, 9))) == _key_text(tuple(range(1, 9))) == "(1, 2, 3, 4, ..., 8)"

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.sparse.linalg import LinearOperator, cg, lsqr
 
 from graphhodge import (
     Cochain,
+    Graph,
     WeightScheme,
     betti,
     coboundary,
@@ -377,6 +379,50 @@ class TestTwoSolveOracle:
             for part in (got.exact, got.harmonic, got.coexact, got.potential, got.prepotential):
                 assert part is None or not part.values.any()
             assert not any(got.residuals.values()) and not any(got.norms.values())
+
+
+def lstsq_prepotential(c, w):
+    """The least-norm h minimizing |A_c h - b|, A_c = W_k^{-1/2} d_k^T W_{k+1}, by dense np.linalg.lstsq."""
+    cx, k = c.complex, c.degree
+    w_here, w_up = w.vector(cx, k), w.vector(cx, k + 1)
+    a_c = (coboundary(cx, k).matrix.toarray().T * w_up) / np.sqrt(w_here)[:, None]
+    return np.linalg.lstsq(a_c, np.sqrt(w_here) * c.values, rcond=None)[0]
+
+
+def gnm_graph(rng, n, m):
+    """G(n, m): m of the n(n-1)/2 vertex pairs, drawn uniformly without replacement."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    return Graph.from_edges(n, [pairs[i] for i in rng.choice(len(pairs), m, replace=False)])
+
+
+class TestPrepotentialDenseOracle:
+    def test_sparse_gnm_unit_weights(self):
+        rng = np.random.default_rng(0)
+        cx = enumerate_cliques(gnm_graph(rng, 100, 1000), 3)
+        c = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)))
+        ref = lstsq_prepotential(c, WeightScheme.unit())
+        assert np.linalg.norm(hodge_decompose(c).prepotential.values - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_weights_spanning_four_decades_never_silently_off(self):
+        """Weights 10^U(-2, 2) on orders 1-4: each h matches, or the split raises; it is never silently off."""
+        matched = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(6, 16))
+            cx = enumerate_cliques(random_graph(rng, n, 0.6), 5)
+            w = WeightScheme.from_table({c: 10 ** rng.uniform(-2, 2) for o in range(1, 5) for c in cx.cliques(o)})
+            for k in range(3):
+                if cx.n_cliques(k + 2) == 0:
+                    continue
+                c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                try:
+                    h = hodge_decompose(c, w).prepotential.values
+                except decompose.ConvergenceError:
+                    continue
+                ref = lstsq_prepotential(c, w)
+                assert np.linalg.norm(h - ref) <= 1e-6 * np.linalg.norm(ref), (seed, k)
+                matched += 1
+        assert matched >= 40
 
 
 class TestPrepotentialOnDemand:
