@@ -85,16 +85,19 @@ class WeightScheme:
 
 
 def _vertex_rows(keys, order: int) -> np.ndarray:
-    """Vertex-id tuples or array rows of one length as an int64 array of that many columns (an int64 array uncopied),
-    an id past int64 as 0 (it names no vertex, and neither does 0); ValueError, naming the first key that holds one
-    as given, at a non-integral id."""
-    rows = np.asarray(keys).reshape(len(keys), order)
+    """Vertex-id tuples, array rows or a flat id sequence, `order` ids per clique, as an int64 array of `order`
+    columns (an int64 array uncopied), an id past int64 as 0 (it names no vertex, and neither does 0); ValueError,
+    naming the first clique that holds one as given, at a non-integral id."""
+    rows = np.asarray(keys)
+    rows = rows.reshape(-1 if rows.size else len(rows), order)  # an empty key too
     if rows.dtype.kind in "fO":  # float or object ids, checked as exact Python numbers
         ids = rows.astype(object)
         with np.errstate(invalid="ignore"):
             odd = (ids % 1 != 0).any(axis=1)  # nan and inf too: their remainder is nan
         if odd.any():
-            raise ValueError(f"{_key_text(tuple(keys[np.argmax(odd)]))} has a non-integral vertex id")
+            first = int(np.argmax(odd))
+            given = keys[first] if np.ndim(keys[first]) else ids[first]  # a flat sequence's ids as its row
+            raise ValueError(f"{_key_text(tuple(given))} has a non-integral vertex id")
         rows = np.where(abs(ids) < 2**63, ids, 0)
     return rows.astype(np.int64, copy=False)
 

@@ -58,20 +58,17 @@ def __getattr__(name: str):
     return lsqr
 
 
-def cg(matvec, b: np.ndarray, rtol: float = 1e-5, atol: float = 0.0, M=None, callback=None):
-    """scipy.sparse.linalg.cg (scipy 1.17) step for step, for callables: x from zero, stopping when
-    |r| < max(atol, rtol |b|) or after 10n steps. Returns (x, 0), or (x, 10n) when it ran out."""
-    b_norm = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(b_norm))
-    if b_norm == 0:
+def cg(matvec, b: np.ndarray, atol: float, callback=None):
+    """scipy.sparse.linalg.cg (scipy 1.17) with rtol=0 and no preconditioner, step for step, for callables: x from
+    zero, stopping when |r| < atol or after 10n steps. Returns (x, 0), or (x, 10n) when it ran out."""
+    if np.linalg.norm(b) == 0:
         return b.copy(), 0
     x, r, maxiter = np.zeros_like(b), b.copy(), 10 * len(b)
     for step in range(maxiter):
         if np.linalg.norm(r) < atol:
             return x, 0
-        z = M(r) if M else r
-        rho = np.dot(r, z)
-        p, rho_prev = (p * (rho / rho_prev) + z if step else z.copy()), rho
+        rho = np.dot(r, r)
+        p, rho_prev = (p * (rho / rho_prev) + r if step else r.copy()), rho
         q = matvec(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
@@ -87,7 +84,7 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
     if not rhs.any():
         return np.zeros_like(rhs)
     steps: list[int] = []
-    x, info = cg(matvec, rhs, rtol=0.0, atol=atol, callback=lambda _: steps.append(1))
+    x, info = cg(matvec, rhs, atol=atol, callback=lambda _: steps.append(1))
     if info != 0:
         raise ConvergenceError(f"conjugate-gradient solve for {what} did not converge",
                                float(np.linalg.norm(rhs - matvec(x))), len(steps))

@@ -213,6 +213,13 @@ class TestWeights:
         pairs = np.array([[1, 2], [2, 3]], dtype=np.int64)
         assert np.shares_memory(WeightScheme({2: (pairs, [1.0, 2.0])}).tables[2][0], pairs)  # no copy
 
+    def test_flat_table_reads_order_ids_per_clique(self):
+        cliques, _ = WeightScheme({2: ([1, 2, 2, 3], [1.0, 2.0])}).tables[2]
+        assert cliques.tolist() == [[1, 2], [2, 3]]
+        assert raised_message(lambda: WeightScheme({1: ([1.5], [2.0])})) == "(1.5,) has a non-integral vertex id"
+        assert raised_message(lambda: WeightScheme({2: ([1, 2, 2.5, 3], [1.0, 2.0])})) == \
+            "(2.5, 3.0) has a non-integral vertex id"
+
     def test_weights_tsv(self):
         w = read_weights_tsv("1 2 3.5\n2 1.25\n")
         assert w.weight((1, 2)) == 3.5
@@ -387,6 +394,9 @@ class TestFromDictOracle:
         # int(inf) would raise OverflowError, which is not a ValueError
         assert raised_message(lambda: Cochain.from_dict(c3_complex, 2, {(float("inf"), 2): 1.0})) == \
             "(inf, 2) has a non-integral vertex id"
+
+    def test_empty_key_rejected_naming_it(self, c3_complex):
+        assert raised_message(lambda: Cochain.from_dict(c3_complex, 1, {(): 1.0})) == "() is not a clique of order 2"
 
     def test_fractional_id_in_a_key_of_the_wrong_length_rejected_naming_it(self, c3_complex):
         # int(1.5) would name the truncated key (1, 2, 3)

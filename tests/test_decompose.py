@@ -519,50 +519,45 @@ class TestCgOracle:
     """decompose.cg against scipy.sparse.linalg.cg, which it replaced: x, info and callbacks bit for bit."""
 
     @staticmethod
-    def both(matvec, b, diag=None, **tolerances):
+    def both(matvec, b, atol):
         steps = {"ours": 0, "scipy": 0}
 
         def count(name):
             return lambda _: steps.__setitem__(name, steps[name] + 1)
 
-        ours = decompose.cg(matvec, b, M=None if diag is None else lambda r: r / diag,
-                            callback=count("ours"), **tolerances)
+        ours = decompose.cg(matvec, b, atol, callback=count("ours"))
         op = LinearOperator((b.size, b.size), matvec=matvec, dtype=float)
-        jacobi = None if diag is None else LinearOperator(op.shape, matvec=lambda r: r / diag, dtype=float)
-        theirs = cg(op, b, M=jacobi, callback=count("scipy"), **tolerances)
+        theirs = cg(op, b, rtol=0.0, atol=atol, callback=count("scipy"))
         return ours, theirs, steps
 
-    def assert_same(self, *args, **tolerances):
+    def assert_same(self, *args):
         with np.errstate(all="ignore"):  # a loop run past convergence divides 0 by 0 on both sides
-            (x, info), (x_ref, info_ref), steps = self.both(*args, **tolerances)
+            (x, info), (x_ref, info_ref), steps = self.both(*args)
         assert x.tobytes() == x_ref.tobytes()
         assert info == info_ref and steps["ours"] == steps["scipy"]
         return info, steps["ours"]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([0.0, 1e-12, 1e-6]))
-    def test_consistent_psd_systems(self, n, seed, jacobi, rtol):
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_consistent_psd_systems(self, n, seed):
         rng = np.random.default_rng(seed)
         B = rng.normal(size=(n, int(rng.integers(1, n + 1))))  # rank-deficient when it has fewer columns
         A = B @ B.T
         b = A @ rng.normal(size=n)  # in im(A)
-        diag = np.where(np.diag(A) > 0, np.diag(A), 1.0) if jacobi else None
-        atol = float(rng.choice([0.0, 1e-10, 1e-3])) * np.linalg.norm(b)
-        self.assert_same(A.dot, b, diag, rtol=rtol, atol=atol)
+        atol = float(rng.choice([0.0, 1e-10, 1e-6, 1e-3])) * np.linalg.norm(b)
+        self.assert_same(A.dot, b, atol)
 
     def test_sparse_laplacian_system(self, rng):
         lap = hodge_laplacian(enumerate_cliques(random_connected_graph(rng, 12), 3), 1).matrix
         b = lap @ rng.normal(size=lap.shape[0])
-        info, steps = self.assert_same(lap.dot, b, rtol=0.0, atol=1e-10 * np.linalg.norm(b))
+        info, steps = self.assert_same(lap.dot, b, 1e-10 * np.linalg.norm(b))
         assert info == 0 and steps > 0
 
     def test_runs_out_of_steps(self, rng):
         A = np.diag(rng.uniform(1.0, 2.0, size=6))
-        b = rng.normal(size=6)
-        for diag in (None, np.diag(A)):
-            info, steps = self.assert_same(A.dot, b, diag, rtol=0.0, atol=0.0)  # |r| < 0 never holds
-            assert info == steps == 60
+        info, steps = self.assert_same(A.dot, rng.normal(size=6), 0.0)  # |r| < 0 never holds
+        assert info == steps == 60
 
     def test_zero_right_hand_side(self):
-        info, steps = self.assert_same(np.eye(3).dot, np.zeros(3), rtol=0.0, atol=0.0)
+        info, steps = self.assert_same(np.eye(3).dot, np.zeros(3), 0.0)
         assert info == steps == 0
