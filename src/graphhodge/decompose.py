@@ -24,8 +24,9 @@ CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
 answer does, and never relative to the right-hand side alone, which can be
-round-off (the exact part of a harmonic cochain). The residuals |b - A_e g|
-and |b - u| come from the returned parts. CG is the in-house loop cg().
+round-off (the exact part of a harmonic cochain). The bounds for A_e and A_c are
+1- times inf-norms read off d_j's faces. The residuals |b - A_e g| and |b - u|
+come from the returned parts. CG is the in-house loop cg().
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
-from .operators import coboundary, hodge_laplacian
+from .operators import _abs_products, coboundary, hodge_laplacian
 
 SOLVER_RTOL = 1e-10
 METHODS = ("two-solve", "laplacian-residual")
@@ -91,21 +92,19 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
     return x
 
 
-def _gram_bound(m, right: np.ndarray) -> float:
-    """|D|_1 |D|_inf >= |D^T D|_2 = |D D^T|_2 for D = m diag(right), m sparse."""
-    mag = abs(m)
-    col_sums = right * (mag.T @ np.ones(m.shape[0]))
-    return float(np.max(mag @ right, initial=0.0) * np.max(col_sums, initial=0.0))
-
-
 def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
-    """(A_c A_c^T, bound >= |A_c A_c^T|_2, D) for A_c = W_k^{-1/2} D^T, applied as products with
-    D = W_{k+1} d_k: the cached d_k itself when order k+2 has no weight table."""
-    d = coboundary(cx, k).matrix
+    """(A_c A_c^T, bound >= |A_c A_c^T|_2, D) for A_c = W_k^{-1/2} D^T, applied as products with D = W_{k+1} d_k,
+    the cached d_k itself when order k+2 has no weight table; the bound is |A_c|_1 |A_c|_inf, from d_k's faces."""
+    d, faces, up = coboundary(cx, k).matrix, cx._faces(k + 2), 1.0
     if k + 2 in w.tables:
         import scipy.sparse as sp
-        d = sp.diags(w.vector(cx, k + 1)) @ d
-    return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, _gram_bound(d, 1.0 / sqrt_w), d
+        up = w.vector(cx, k + 1)
+        d = sp.diags(up) @ d
+        d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
+    right = 1.0 / sqrt_w
+    rows, cols = _abs_products(faces, len(right), right, 1.0, up)
+    bound = float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0))
+    return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, bound, d
 
 
 def _mean_zero_gauge(values: np.ndarray, cx) -> np.ndarray:
@@ -196,7 +195,9 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         if k == 0 or cx.n_cliques(k) == 0:
             return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
         d = coboundary(cx, k - 1).matrix
-        atol = SOLVER_RTOL * np.sqrt(_gram_bound(d.T, sqrt_w)) * scale  # |rhs| <= |A_e|_2 |b|
+        rows, cols = _abs_products(cx._faces(k + 1), d.shape[1], np.ones(d.shape[1]), sqrt_w)
+        bound = np.max(cols, initial=0.0) * np.max(sqrt_w * rows, initial=0.0)  # |A_e|_inf |A_e|_1
+        atol = SOLVER_RTOL * np.sqrt(bound) * scale  # |rhs| <= |A_e|_2 |b|
         g = _cg(lambda x: d.T @ (w_here * (d @ x)), d.T @ (w_here * target), atol, "the potential")
         if k - 1 == 0:
             g = _mean_zero_gauge(g, cx)

@@ -20,7 +20,8 @@ table, and B_j is d_j itself when neither of its levels has one.
 _coboundary_entries reads B_j's entries off the recorded faces, their one home:
 coboundary() assembles d_k from them as CSR once per graph, for CG and the sparse
 sums of every Hodge Laplacian, and spectral's dense Grams and the operator command
-read them with no sparse matrix. Only harmonic_basis turns a Laplacian dense;
+read them with no sparse matrix, and so do decompose's CG stop bounds. Only
+harmonic_basis turns a Laplacian dense;
 nonlinear applies d_0 from the edge array itself. scipy.sparse is imported by
 the functions that build sparse matrices, not on import.
 """
@@ -80,13 +81,27 @@ def _coboundary_entries(cx: CliqueComplex, j: int, w: WeightScheme) -> tuple[np.
     return faces, (np.sqrt(w.vector(cx, j + 1))[:, None] * sign) * (1.0 / np.sqrt(w.vector(cx, j)))[faces]
 
 
+def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(|B| x, |B|^T y), B = diag(scale) d_j, from d_j's faces, summed as scipy's CSR and CSC products sum them. A
+    column's later rows insert a vertex ever later, so hold it at earlier face columns: those run last to first."""
+    rows, cols, weights = np.zeros(len(faces)), np.zeros(n_cols), scale * y
+    for column in faces.T:
+        term = x[column]
+        term *= scale
+        rows += term
+        del term  # before the next gather: one row-sized temporary at a time
+    for column in faces.T[::-1]:
+        np.add.at(cols, column, weights)
+    return rows, cols
+
+
 def _assemble_coboundary(cx: CliqueComplex, k: int, w: WeightScheme | None = None) -> sp.csr_matrix:
-    """B_k (d_k for unit weights) as CSR: the face array raveled is its column index as it stands, and scipy
-    keeps an int32 one without a copy."""
+    """B_k (d_k for unit weights) as CSR: the face array raveled is its column index as it stands, and its
+    row pointer is built in the face array's dtype, so scipy keeps an int32 pair without a copy."""
     import scipy.sparse as sp
     faces, values = _coboundary_entries(cx, k, w or WeightScheme.unit())
     n_rows, order = faces.shape
-    indptr = np.arange(0, order * n_rows + 1, order)
+    indptr = np.arange(0, faces.size + 1, order, dtype=faces.dtype if faces.size < 2**31 else np.int64)
     return sp.csr_matrix((values.ravel(), faces.ravel(), indptr), shape=(n_rows, cx.n_cliques(k + 1)))
 
 

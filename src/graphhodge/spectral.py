@@ -16,6 +16,7 @@ harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +77,14 @@ def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     Two cliques share at most one face, and two faces lie in at most one clique, so each off-diagonal entry
     is one product, written by assignment; the diagonal sums in scipy's order, so the Gram is scipy's bit for bit.
     """
+    side = min(cx.n_cliques(j + 2), cx.n_cliques(j + 1))
+    try:  # physical memory, where os.sysconf can tell: the Gram and eigvalsh's copy of it for LAPACK must fit
+        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, OSError, ValueError):
+        memory = 0
+    if memory and (need := 16 * side**2) > memory:
+        raise ValueError(f"the dense Gram of d_{j} has side {side}: with its LAPACK copy it needs {need} bytes, "
+                         f"more than the {memory} bytes of physical memory")
     faces, values = _coboundary_entries(cx, j, w)
     (n_rows, order), n_cols = faces.shape, cx.n_cliques(j + 1)
     # entries grouped by where they meet, each with its Gram index: B^T B pairs them within a row of B
@@ -86,7 +95,7 @@ def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     size = np.bincount(meet)[meet]
     left = np.repeat(np.arange(meet.size), size)  # each entry against every entry of its group, itself included
     right = np.repeat(np.searchsorted(meet, meet) - np.cumsum(size) + size, size) + np.arange(left.size)
-    gram = np.zeros((min(n_rows, n_cols),) * 2)
+    gram = np.zeros((side, side))
     gram[index[left], index[right]] = value[left] * value[right]
     np.fill_diagonal(gram, np.bincount(index, value * value, len(gram)))  # in the order the entries stand
     return gram

@@ -331,6 +331,27 @@ def sparse_gram(cx, j: int, w) -> np.ndarray:
     return (b @ b.T if b.shape[0] < b.shape[1] else b.T @ b).toarray()
 
 
+def abs_gram_bound(m, right: np.ndarray) -> float:
+    """|D|_1 |D|_inf >= |D^T D|_2 for D = m diag(right), m sparse, by products with abs(m): the CG stop bound
+    decompose took before it read the bound off the face array."""
+    mag = abs(m)
+    col_sums = right * (mag.T @ np.ones(m.shape[0]))
+    return float(np.max(mag @ right, initial=0.0) * np.max(col_sums, initial=0.0))
+
+
+def coexact_bound(cx, k: int, w, sqrt_w: np.ndarray) -> float:
+    """abs_gram_bound of D = W_{k+1} d_k, built as decompose builds it, scaled by W_k^{-1/2}."""
+    d = coboundary(cx, k).matrix
+    if k + 2 in w.tables:
+        d = sp.diags(w.vector(cx, k + 1)) @ d
+    return abs_gram_bound(d, 1.0 / sqrt_w)
+
+
+def potential_bound(cx, k: int, sqrt_w: np.ndarray) -> float:
+    """abs_gram_bound of d_{k-1}^T scaled by W_k^{1/2}: the square of a bound on |A_e|_2."""
+    return abs_gram_bound(coboundary(cx, k - 1).matrix.T, sqrt_w)
+
+
 # A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of
 # every vertex overflow int64 from order 4 on, since 70001**4 > 2**63.
 BIG_FIVE_CLIQUE = Graph.from_edges(70_000, combinations((3, 17, 40_000, 69_999, 70_000), 2))

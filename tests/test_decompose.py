@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,17 @@ import graphhodge.decompose as decompose
 from graphhodge.cli import main
 from graphhodge.decompose import SOLVER_RTOL, _mean_zero_gauge
 
-from conftest import LAP_ISO_A, complete_graph, cycle_graph, pinv_split, random_connected_graph, random_graph
+from conftest import (
+    LAP_ISO_A,
+    abs_gram_bound,
+    coexact_bound,
+    complete_graph,
+    cycle_graph,
+    pinv_split,
+    potential_bound,
+    random_connected_graph,
+    random_graph,
+)
 from test_operators import random_table_weights, weight_schemes
 
 
@@ -464,6 +475,90 @@ class TestPrepotentialOnDemand:
         assert main(["decompose", "--input", str(triangle), "--cochain", str(cochain)]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["prepotential"]
         assert solves[-1] == "the prepotential"
+
+
+class TestStopBoundOracle:
+    """The CG stop bounds, read off the face array, against conftest's products with abs(d): bit for bit."""
+
+    @pytest.fixture
+    def atols(self, monkeypatch):
+        seen = {}
+
+        def recording(matvec, rhs, atol, what):
+            seen[what] = atol
+            return np.zeros_like(rhs)  # no solve, so every stop is reached whatever the weights
+
+        monkeypatch.setattr(decompose, "_cg", recording)
+        return seen
+
+    def test_bit_equal_under_unit_and_spread_weights(self, atols):
+        cases = {"the potential": 0, "the coexact part": 0, "weighted D": 0}
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(6, 16)), 0.6), 5)
+            # 10^U(-2, 2) tables; one on order k+2 scales D = W_{k+1} d_k, as a diags product
+            schemes = [WeightScheme.unit()] + [
+                WeightScheme.from_table({c: 10 ** rng.uniform(-2, 2) for o in orders for c in cx.cliques(o)})
+                for orders in ((1, 2, 3, 4), (2,), (3,), (4,), (1, 3))]
+            for w in schemes:
+                for k in range(3):
+                    sqrt_w = np.sqrt(w.vector(cx, k))
+                    c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                    atols.clear()
+                    hodge_decompose(c, w).prepotential
+                    scale = np.linalg.norm(sqrt_w * c.values)
+                    if k >= 1 and cx.n_cliques(k):
+                        bound = potential_bound(cx, k, sqrt_w)
+                        assert atols["the potential"] == SOLVER_RTOL * np.sqrt(bound) * scale, (seed, k)
+                        cases["the potential"] += 1
+                    if cx.n_cliques(k + 2):
+                        bound = coexact_bound(cx, k, w, sqrt_w)
+                        assert decompose._coexact_operator(cx, k, w, sqrt_w)[1] == bound, (seed, k)
+                        assert atols["the coexact part"] == SOLVER_RTOL * bound * scale, (seed, k)
+                        assert atols["the prepotential"] == SOLVER_RTOL * np.sqrt(bound) * scale, (seed, k)
+                        cases["the coexact part"] += 1
+                        cases["weighted D"] += k + 2 in w.tables
+        assert min(cases.values()) >= 30, cases
+
+    def test_weighted_coexact_part_bit_equal_to_the_abs_path(self):
+        """With a table on order k+2, the coexact part is the one solved with D as abs() left it: sorted in place."""
+        compared = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(7, 14)), 0.7), 5)
+            w = WeightScheme.from_table({c: 10 ** rng.uniform(-1, 1) for o in (1, 2, 3, 4) for c in cx.cliques(o)})
+            for k in range(3):
+                if not cx.n_cliques(k + 2):
+                    continue
+                c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                sqrt_w = np.sqrt(w.vector(cx, k))
+                d = sp.diags(w.vector(cx, k + 1)) @ coboundary(cx, k).matrix
+                bound = abs_gram_bound(d, 1.0 / sqrt_w)  # abs() sums duplicates, sorting d in place
+
+                def gram(x):
+                    return (d.T @ (d @ (x / sqrt_w))) / sqrt_w
+
+                b = sqrt_w * c.values
+                ref = decompose._cg(gram, gram(b), SOLVER_RTOL * bound * np.linalg.norm(b), "the coexact part")
+                assert hodge_decompose(c, w).coexact.values.tobytes() == (ref / sqrt_w).tobytes(), (seed, k)
+                compared += 1
+        assert compared >= 10
+
+    def test_coexact_operator_copies_nothing_of_d(self):
+        """With d_1 cached, building the coexact operator and its bound allocates less than d_1's data."""
+        rng = np.random.default_rng(0)
+        cx = enumerate_cliques(random_graph(rng, 100, 0.6), 3)
+        w = WeightScheme.from_table({c: 10 ** rng.uniform(-2, 2) for c in cx.cliques(2)})
+        d, sqrt_w = coboundary(cx, 1).matrix, np.sqrt(w.vector(cx, 1))
+        assert cx.n_cliques(3) > 30_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            decompose._coexact_operator(cx, 1, w, sqrt_w)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < d.data.nbytes
 
 
 def random_pair(rng, m=8, n=12, p=3):

@@ -145,6 +145,15 @@ class TestCoboundaryOracle:
             for k in range(max_order - 1):
                 self.assert_bit_identical(coboundary(cx, k).matrix, dict_coboundary(levels, k))
 
+    def test_index_arrays_are_the_face_arrays_dtype(self, rng):
+        """indices is the face array itself and indptr is built in its dtype, so scipy copies neither."""
+        for g, max_order in oracle_graphs(rng):
+            cx = enumerate_cliques(g, max_order)
+            for k in range(max_order - 1):
+                matrix, faces = coboundary(cx, k).matrix, cx._faces(k + 2)
+                assert matrix.indptr.dtype == faces.dtype
+                assert faces.size == 0 or np.shares_memory(matrix.indices, faces)
+
     def test_top_degree_past_int64_base_keys(self):
         # d_3 of a 5-clique among 70,000 vertices: faces are 4-cliques, 70001**4 > 2**63
         assert (BIG_FIVE_CLIQUE.n_vertices + 1) ** 4 > 2**63

@@ -19,6 +19,8 @@ from graphhodge import (
     norm,
     spectrum,
 )
+import graphhodge.spectral as spectral
+from graphhodge.cli import main
 from graphhodge.operators import _weighted_coboundary
 from graphhodge.spectral import _gram, _kernel_mask
 
@@ -390,3 +392,38 @@ class TestFaceArrayGramOracle:
                 for j in range(3):
                     got, ref = _gram(cx, j, w), sparse_gram(cx, j, w)
                     assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(ref))
+
+
+class TestGramSizeGuard:
+    """A Gram that, with eigvalsh's copy, would not fit in physical memory is refused before it is allocated."""
+
+    @staticmethod
+    def probe(monkeypatch, pages):
+        """os.sysconf reporting the given number of one-byte pages."""
+        monkeypatch.setattr(spectral.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}[name])
+
+    def test_refused_past_physical_memory(self, monkeypatch):
+        cx = enumerate_cliques(complete_graph(6), 3)  # d_1: 20 triangles x 15 edges, Gram side 15
+        self.probe(monkeypatch, 2 * 8 * 15**2 - 1)
+        with pytest.raises(ValueError, match="Gram of d_1 has side 15: .* needs 3600 bytes, more than the 3599"):
+            betti(cx, 1)
+        self.probe(monkeypatch, 2 * 8 * 15**2)
+        assert betti(cx, 1) == 0
+
+    def test_cli_exits_1_naming_side_and_bytes(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "k6.txt"
+        path.write_text("".join(f"{u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)))
+        self.probe(monkeypatch, 1000)  # d_0's Gram, side 6, fits; d_1's does not
+        assert main(["spectrum", "--input", str(path), "--k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "Gram of d_1 has side 15" in err and "needs 3600 bytes" in err
+
+    @pytest.mark.parametrize("sysconf", [{}, {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": -1}])
+    def test_no_guard_where_sysconf_cannot_tell(self, monkeypatch, sysconf):
+        def report(name):
+            if name not in sysconf:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return sysconf[name]
+
+        monkeypatch.setattr(spectral.os, "sysconf", report)
+        assert betti(enumerate_cliques(complete_graph(6), 3), 1) == 0
