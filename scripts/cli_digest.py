@@ -38,7 +38,9 @@ full weight table of 10^U(-150, 150), and its cochains of degree 0..2 go through
 two-solve decompose under a full weight table of 10^U(-2, 2); finite cochains,
 comparison records and game utilities whose least-squares solves overflow
 float64, a cochain that fits at
-1e150, and a cochain line of 2,000 ids follow. It ends with runs
+1e150, and a cochain line of 2,000 ids follow, then an edge flow on a seeded
+G(40, 0.7), whose triangles fill a dense level, through two-solve decompose
+with no weight table and with one on its triangles. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -273,6 +275,7 @@ def cases(root: Path, small: bool):
         yield from wide_weights(root, graphs["g14a"][0])
         yield from spread_weights(root, graphs["g14a"][0], graphs["g14a"][2])
         yield from overflowing_solves(root)
+        yield from dense_graph(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -374,6 +377,21 @@ def spread_weights(root: Path, graph: Path, cochains: list):
                                for order in (1, 2, 3, 4) for c in cliques(n, edges, order)))
     for cochain in cochains:
         yield ["decompose", "--input", graph, "--cochain", cochain, "--method", "two-solve", "--weights", weights], "--plot"
+
+
+def dense_graph(root: Path):
+    """two-solve decompose of an edge flow on a seeded G(40, 0.7), on a generator of its own, with no weight table
+    and with one on its triangles. Its triangles fill a dense level (64 c_3 >= n^3), so the coexact solve applies
+    d_1^T d_1 as one n x n product without the table, and as d_1's CSR products with it."""
+    rng = np.random.default_rng(40)
+    n = 40
+    edges = random_edges(rng, n, 0.7)
+    graph, cochain, weights = root / "dense.txt", root / "dense.x1.tsv", root / "dense.w.triangles.tsv"
+    graph.write_text(graph_text(n, edges))
+    cochain.write_text(cochain_text(rng, n, edges, 1))
+    weights.write_text(weights_text(rng, n, edges, (3,)))
+    for extra in ([], ["--weights", weights]):
+        yield ["decompose", "--input", graph, "--cochain", cochain, "--method", "two-solve", *extra], "--plot"
 
 
 def overflowing_solves(root: Path):

@@ -19,7 +19,10 @@ converge to the minimum-norm solution (Kaasschieter, J. Comput. Appl. Math.
 A_c A_c^T b for the coexact part, u the projection of b onto im(A_c); A_c^T A_c
 h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
 = Delta_k b for the laplacian image. g and h are LSQR's limits, the least-norm
-minimizers. A_e and A_c act as products with the cached d_j and the weights.
+minimizers. A_e and A_c act as products with the cached d_j and the weights,
+except on an edge flow over a dense triangle level (64 c_3 >= n^3) with no
+triangle weights: there A_c A_c^T applies d_1^T d_1 as one product of n x n
+matrices (operators._curl_gram), and d_1 is assembled only for the prepotential.
 CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
@@ -37,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
-from .operators import _abs_products, coboundary, hodge_laplacian
+from .operators import _abs_products, _abs_row_sums, _curl_gram, coboundary, hodge_laplacian
 
 SOLVER_RTOL = 1e-10
 METHODS = ("two-solve", "laplacian-residual")
@@ -93,18 +96,44 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
 
 
 def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
-    """(A_c A_c^T, bound >= |A_c A_c^T|_2, D) for A_c = W_k^{-1/2} D^T, applied as products with D = W_{k+1} d_k,
-    the cached d_k itself when order k+2 has no weight table; the bound is |A_c|_1 |A_c|_inf, from d_k's faces."""
-    d, faces, up = coboundary(cx, k).matrix, cx._faces(k + 2), 1.0
-    if k + 2 in w.tables:
+    """(A_c A_c^T, bound >= |A_c A_c^T|_2) for A_c = W_k^{-1/2} D^T, D = W_{k+1} d_k.
+
+    On an edge flow whose triangles have no weight table and fill a dense level, 64 c_3 >= n^3, A_c A_c^T is
+    operators._curl_gram's one n x n product, fed the triangle count of each edge, which the bound sums anyway, and
+    d_1 is not assembled; otherwise it is two CSR products with D."""
+    up = _up_weights(cx, k, w)
+    bound, cols = _coexact_bound(cx, k, up, sqrt_w)
+    if k == 1 and np.ndim(up) == 0 and 64 * cx.n_cliques(3) >= cx.graph.n_vertices ** 3:
+        gram = _curl_gram(cx, cols)  # cols = |d_1|^T 1: triangles per edge
+    else:
+        d = _up_coboundary(cx, k, up)
+
+        def gram(y):
+            return d.T @ (d @ y)
+
+    return lambda x: gram(x / sqrt_w) / sqrt_w, bound
+
+
+def _up_weights(cx, k: int, w: WeightScheme):
+    """W_{k+1} as the weight vector of order k+2, or 1.0 when that order has no table."""
+    return w.vector(cx, k + 1) if k + 2 in w.tables else 1.0
+
+
+def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> tuple[float, np.ndarray]:
+    """(|A_c|_1 |A_c|_inf, |D|^T 1) for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces."""
+    right = 1.0 / sqrt_w
+    rows, cols = _abs_products(cx._faces(k + 2), len(right), right, 1.0, up)
+    return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0)), cols
+
+
+def _up_coboundary(cx, k: int, up):
+    """D = diag(up) d_k as CSR: the cached d_k itself when up is 1.0."""
+    d = coboundary(cx, k).matrix
+    if np.ndim(up):
         import scipy.sparse as sp
-        up = w.vector(cx, k + 1)
         d = sp.diags(up) @ d
         d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
-    right = 1.0 / sqrt_w
-    rows, cols = _abs_products(faces, len(right), right, 1.0, up)
-    bound = float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0))
-    return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w, bound, d
+    return d
 
 
 def _mean_zero_gauge(values: np.ndarray, cx) -> np.ndarray:
@@ -139,7 +168,9 @@ class HodgeSplit:
             return None
         w_here = self.weights.vector(cx, k)
         sqrt_w = np.sqrt(w_here)
-        _, bound, d = _coexact_operator(cx, k, self.weights, sqrt_w)
+        up = _up_weights(cx, k, self.weights)
+        bound, _ = _coexact_bound(cx, k, up, sqrt_w)
+        d = _up_coboundary(cx, k, up)
         atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |A_c|_2 |b|
         h = _cg(lambda x: d @ ((d.T @ x) / w_here), d @ self.input.values, atol, "the prepotential")
         return Cochain(k + 1, cx, h)
@@ -209,13 +240,13 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         exact_vals, g, residuals["exact_solve"] = solve_exact(c.values)
         coexact_vals = np.zeros_like(c.values)
         if has_up:
-            gram, bound, _ = _coexact_operator(cx, k, w, sqrt_w)
+            gram, bound = _coexact_operator(cx, k, w, sqrt_w)
             coexact_vals = _cg(gram, gram(b), SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
         residuals["coexact_solve"] = float(np.linalg.norm(sqrt_w * (c.values - coexact_vals)))
         harmonic_vals = c.values - exact_vals - coexact_vals
     else:
         lap = hodge_laplacian(cx, k, w).matrix
-        bound = float(np.max(abs(lap) @ np.ones(lap.shape[0]), initial=0.0))  # |lap|_1 >= |lap|_2
+        bound = float(np.max(_abs_row_sums(lap), initial=0.0))  # |lap|_1 >= |lap|_2
         image_scaled = _cg(lap.dot, lap @ b, SOLVER_RTOL * bound * scale, "the laplacian image")
         residuals["laplacian_solve"] = float(np.linalg.norm(b - image_scaled))
         image_vals = image_scaled / sqrt_w

@@ -20,8 +20,10 @@ table, and B_j is d_j itself when neither of its levels has one.
 _coboundary_entries reads B_j's entries off the recorded faces, their one home:
 coboundary() assembles d_k from them as CSR once per graph, for CG and the sparse
 sums of every Hodge Laplacian, and spectral's dense Grams and the operator command
-read them with no sparse matrix, and so do decompose's CG stop bounds. Only
-harmonic_basis turns a Laplacian dense;
+read them with no sparse matrix, and so do decompose's CG stop bounds
+(_abs_products). On a dense triangle level, decompose's CG applies d_1^T d_1 with
+no d_1 at all: _curl_gram's one product with the dense adjacency matrix, kept
+once per graph. Only harmonic_basis turns a Laplacian dense;
 nonlinear applies d_0 from the edge array itself. scipy.sparse is imported by
 the functions that build sparse matrices, not on import.
 """
@@ -81,18 +83,68 @@ def _coboundary_entries(cx: CliqueComplex, j: int, w: WeightScheme) -> tuple[np.
     return faces, (np.sqrt(w.vector(cx, j + 1))[:, None] * sign) * (1.0 / np.sqrt(w.vector(cx, j)))[faces]
 
 
+_BLOCK = 1 << 13  # rows per block of _abs_products: an intp copy of its faces stays in cache
+
+
 def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
     """(|B| x, |B|^T y), B = diag(scale) d_j, from d_j's faces, summed as scipy's CSR and CSC products sum them. A
-    column's later rows insert a vertex ever later, so hold it at earlier face columns: those run last to first."""
+    face's later rows insert a vertex ever later, so hold it at earlier face columns: run those last to first, and
+    each column sum runs down the rows, block after block of _BLOCK rows. A block gathers and scatters through a
+    contiguous intp copy of its face columns, not the strided int32 ones."""
     rows, cols, weights = np.zeros(len(faces)), np.zeros(n_cols), scale * y
-    for column in faces.T:
-        term = x[column]
-        term *= scale
-        rows += term
-        del term  # before the next gather: one row-sized temporary at a time
-    for column in faces.T[::-1]:
-        np.add.at(cols, column, weights)
+
+    def part(values, block):
+        return values[block] if np.ndim(values) else values
+
+    for start in range(0, len(faces), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        columns, out = faces[block].T.astype(np.intp, order="C"), rows[block]
+        for column in columns:
+            term = x[column]
+            term *= part(scale, block)
+            out += term
+        for column in columns[::-1]:
+            np.add.at(cols, column, part(weights, block))
     return rows, cols
+
+
+def _abs_row_sums(m: sp.csr_matrix) -> np.ndarray:
+    """abs(m) @ ones, bit for bit, with |m.data| the one copy: the matrix it multiplies shares m's index arrays."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape) @ np.ones(m.shape[1])
+
+
+def _curl_gram(cx: CliqueComplex, counts: np.ndarray):
+    """y -> d_1^T d_1 y for flows y on cx's edges, as one product of n x n matrices and no d_1.
+
+    Every triangle on the edge (i, j) is a common neighbour k, so with Y the skew matrix of y, A the adjacency
+    matrix and counts the triangles on each edge, (d_1^T d_1 y)(i, j) = sum_k Y_ij + Y_jk + Y_ki = counts_ij Y_ij
+    + (Y A)_ji - (Y A)_ij: the local inconsistency operator of HodgeRank (Jiang, Lim, Yao and Ye, Math. Program.
+    2011). Each entry of Y A sums over the common neighbours alone, as d_1's products do, in another order.
+    A is kept once per graph; Y and Y A are the returned function's own buffers, and Y is zero off the edges.
+    """
+    n = cx.graph.n_vertices
+    adjacency = cx._memo("adjacency", 2, lambda: _adjacency(cx.graph.pairs, n))
+    ends = cx.graph.pairs - 1
+    ij, ji = ends @ (n, 1), ends @ (1, n)
+    flow, product = np.zeros((n, n)), np.empty((n, n))
+    flat_flow, flat_product = flow.reshape(-1), product.reshape(-1)
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        flat_flow[ij] = y
+        flat_flow[ji] = -y
+        np.matmul(flow, adjacency, out=product)
+        return (counts * y + flat_product.take(ji)) - flat_product.take(ij)
+
+    return apply
+
+
+def _adjacency(pairs: np.ndarray, n: int) -> np.ndarray:
+    """The read-only dense n x n adjacency matrix of the 1-indexed ascending pairs, as floats."""
+    adjacency = np.zeros((n, n))
+    adjacency[pairs[:, 0] - 1, pairs[:, 1] - 1] = adjacency[pairs[:, 1] - 1, pairs[:, 0] - 1] = 1.0
+    adjacency.setflags(write=False)
+    return adjacency
 
 
 def _assemble_coboundary(cx: CliqueComplex, k: int, w: WeightScheme | None = None) -> sp.csr_matrix:

@@ -12,6 +12,7 @@ bit the sparse product's, so these paths load no scipy. When B_j is d_j (no
 weight table on its levels) its Gram spectrum is computed once per graph, so
 d_j is eigensolved once for Delta_j and Delta_{j+1}.
 harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
+Both dense paths first check the bytes they need against physical memory.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ class Spectrum:
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 
+def _check_fits(matrix: str, side: int, entry_bytes: int, what: str) -> None:
+    """ValueError, naming the side and the bytes, when entry_bytes per entry of a dense side x side matrix exceed
+    physical memory, where os.sysconf can tell; checked before anything of that size is allocated."""
+    try:
+        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, OSError, ValueError):
+        memory = 0
+    if memory and (need := entry_bytes * side**2) > memory:
+        raise ValueError(f"the dense {matrix} has side {side}: {what} it needs {need} bytes, "
+                         f"more than the {memory} bytes of physical memory")
+
+
 def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     """The smaller Gram of B_j, dense, from its entries: B B^T when B has fewer rows than columns, else B^T B.
 
@@ -78,13 +91,7 @@ def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     is one product, written by assignment; the diagonal sums in scipy's order, so the Gram is scipy's bit for bit.
     """
     side = min(cx.n_cliques(j + 2), cx.n_cliques(j + 1))
-    try:  # physical memory, where os.sysconf can tell: the Gram and eigvalsh's copy of it for LAPACK must fit
-        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
-    except (AttributeError, OSError, ValueError):
-        memory = 0
-    if memory and (need := 16 * side**2) > memory:
-        raise ValueError(f"the dense Gram of d_{j} has side {side}: with its LAPACK copy it needs {need} bytes, "
-                         f"more than the {memory} bytes of physical memory")
+    _check_fits(f"Gram of d_{j}", side, 16, "with its LAPACK copy")  # the Gram and eigvalsh's copy of it
     faces, values = _coboundary_entries(cx, j, w)
     (n_rows, order), n_cols = faces.shape, cx.n_cliques(j + 1)
     # entries grouped by where they meet, each with its Gram index: B^T B pairs them within a row of B
@@ -138,11 +145,12 @@ def betti(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> int
 def harmonic_basis(cx: CliqueComplex, k: int, weights: WeightScheme | None = None) -> list[Cochain]:
     """Orthonormal basis of ker(Delta_k), orthonormal in the weighted inner product."""
     w = weights or WeightScheme.unit()
-    lap = hodge_laplacian(cx, k, w)
-    n = lap.shape[0]
+    n = _laplacian_dim(cx, k)
     if n == 0:
         return []
-    eigvals, eigvecs = np.linalg.eigh(lap.dense())
+    # the matrix, eigh's copy of it, its eigenvectors and syevd's 2 n^2 workspace
+    _check_fits(f"Hodge {k}-Laplacian", n, 40, "with eigh's copies and workspace")
+    eigvals, eigvecs = np.linalg.eigh(hodge_laplacian(cx, k, w).dense())
     mask, _ = _kernel_mask(eigvals)
     sqrt_w = np.sqrt(w.vector(cx, k))
     # symmetrized-coordinate eigenvectors back to cochain coordinates

@@ -11,8 +11,10 @@ from scipy.sparse.linalg import LinearOperator, cg, lsqr
 
 from graphhodge import (
     Cochain,
+    ComparisonData,
     Graph,
     WeightScheme,
+    aggregate,
     betti,
     coboundary,
     enumerate_cliques,
@@ -21,9 +23,11 @@ from graphhodge import (
     hodge_laplacian,
     inner_product,
     norm,
+    rank,
     verify_operator_pair,
 )
 import graphhodge.decompose as decompose
+import graphhodge.operators as operators
 from graphhodge.cli import main
 from graphhodge.decompose import SOLVER_RTOL, _mean_zero_gauge
 
@@ -559,6 +563,168 @@ class TestStopBoundOracle:
         finally:
             tracemalloc.stop()
         assert peak < d.data.nbytes
+
+
+def csr_coexact_gram(cx, w, sqrt_w):
+    """A_c A_c^T by the CSR products with D = W_2 d_1, the path kept for sparse triangle levels and tables on them."""
+    d = coboundary(cx, 1).matrix
+    if 3 in w.tables:
+        d = sp.diags(w.vector(cx, 2)) @ d
+    return lambda x: (d.T @ (d @ (x / sqrt_w))) / sqrt_w
+
+
+def is_dense(cx) -> bool:
+    return 64 * cx.n_cliques(3) >= cx.graph.n_vertices ** 3
+
+
+class TestDenseCurlGram:
+    """On a dense triangle level with no table on it, A_c A_c^T is one n x n product with no d_1, against CSR."""
+
+    def assert_matches_csr(self, graph, w_of, rng):
+        """Build the operator on a fresh copy of graph; returns whether it took the dense product."""
+        cx = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), 3)
+        w = w_of(cx)
+        sqrt_w = np.sqrt(w.vector(cx, 1))
+        gram, _ = decompose._coexact_operator(cx, 1, w, sqrt_w)
+        dense = ("coboundary", 3) not in cx.graph._memo
+        assert dense == (is_dense(cx) and 3 not in w.tables)
+        assert (("adjacency", 2) in cx.graph._memo) == dense
+        ref_gram = csr_coexact_gram(cx, w, sqrt_w)
+        for x in (rng.normal(size=cx.n_cliques(2)), np.zeros(cx.n_cliques(2))):
+            got, ref = gram(x), ref_gram(x)
+            assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
+            assert gram(x).tobytes() == got.tobytes()  # the function's buffers carry nothing between calls
+        return dense
+
+    def test_both_sides_of_the_rule_with_and_without_edge_weights(self, rng):
+        taken = {True: 0, False: 0}
+        for n in (6, 9, 14, 20, 30):
+            for p in (0.15, 0.4, 0.7, 0.95):
+                graph = random_graph(rng, n, p)
+                for w_of in (lambda cx: WeightScheme.unit(), lambda cx: random_table_weights(rng, cx, [2]),
+                             lambda cx: random_table_weights(rng, cx, [1, 2])):
+                    taken[self.assert_matches_csr(graph, w_of, rng)] += 1
+        assert min(taken.values()) >= 15, taken
+
+    def test_isolated_vertices_pendant_edges_and_empty_levels(self, rng):
+        k8 = list(combinations(range(1, 9), 2))
+        cases = [Graph(12, k8 + [(8, 9), (9, 10)]),  # 11 and 12 isolated; edges on no triangle
+                 Graph(3, [(1, 2)]), Graph(4, [])]  # a level of edges with no triangles, and none at all
+        for graph in cases:
+            for w_of in (lambda cx: WeightScheme.unit(), lambda cx: random_table_weights(rng, cx, [2])):
+                assert self.assert_matches_csr(graph, w_of, rng) == (graph.n_vertices == 12)
+        cx = enumerate_cliques(cases[0], 3)
+        x = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)))
+        TestTwoSolveOracle().assert_matches_lsqr(x, random_table_weights(rng, cx, [2]))
+
+    def test_a_triangle_table_takes_csr_on_a_dense_graph(self, rng):
+        graph = random_graph(rng, 12, 0.8)
+        assert is_dense(enumerate_cliques(graph, 3))
+        for orders in ([3], [2, 3]):
+            assert not self.assert_matches_csr(graph, lambda cx: random_table_weights(rng, cx, orders), rng)
+
+    def test_rank_on_a_dense_input_never_assembles_d1(self):
+        rng = np.random.default_rng(3)
+        records = [f"v{v},i{i},{int(rng.integers(1, 6))}" for v in range(30) for i in rng.choice(12, 8, replace=False)]
+        cf = aggregate(ComparisonData.from_csv("voter,item,score\n" + "\n".join(records) + "\n"))
+        assert is_dense(cf.complex) and 3 not in cf.weights.tables
+        result = rank(cf)
+        assert result.certificate.norm_locally_inconsistent > 0
+        assert ("coboundary", 3) not in cf.graph._memo and ("adjacency", 2) in cf.graph._memo
+
+    def test_prepotential_after_a_dense_split_matches_the_csr_built_one(self):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 14, 0.8), 3)
+            assert is_dense(cx)
+            edges = random_table_weights(rng, cx, [2])
+            c = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)))
+            split = hodge_decompose(c, edges)
+            assert ("coboundary", 3) not in cx.graph._memo
+            h = split.prepotential.values
+            assert ("coboundary", 3) in cx.graph._memo
+            # unit triangle weights as a table: the same weights, solved by CSR products throughout
+            table = {q: x for order in (2, 3) for q, x in zip(cx.cliques(order), edges.vector(cx, order - 1))}
+            csr = hodge_decompose(c, WeightScheme.from_table(table))
+            assert h.tobytes() == csr.prepotential.values.tobytes()
+            assert np.linalg.norm(h - lstsq_prepotential(c, edges)) <= 1e-8 * np.linalg.norm(h)
+            scale = np.linalg.norm(c.values)
+            for part in ("exact", "harmonic", "coexact"):
+                assert np.linalg.norm(getattr(split, part).values - getattr(csr, part).values) <= 1e-9 * scale
+
+
+def old_abs_products(faces, n_cols, x, y, scale=1.0):
+    """_abs_products as it was before blocking: one strided int32 gather or scatter per face column."""
+    rows, cols, weights = np.zeros(len(faces)), np.zeros(n_cols), scale * y
+    for column in faces.T:
+        term = x[column]
+        term *= scale
+        rows += term
+    for column in faces.T[::-1]:
+        np.add.at(cols, column, weights)
+    return rows, cols
+
+
+class TestBlockedAbsProducts:
+    @pytest.mark.parametrize("block", [1, 5, 64, 1 << 13])
+    def test_bit_equal_to_the_unblocked_sums(self, monkeypatch, block):
+        monkeypatch.setattr(operators, "_BLOCK", block)
+        compared = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(8, 18)), 0.7), 5)
+            for order in range(2, 6):
+                faces, n_cols = cx._faces(order), cx.n_cliques(order - 1)
+                n_rows = len(faces)
+                x, rows_w = 10 ** rng.uniform(-2, 2, n_cols), 10 ** rng.uniform(-2, 2, n_rows)
+                for y, scale in ((1.0, 1.0), (rows_w, 1.0), (1.0, rows_w), (rows_w[::-1].copy(), rows_w)):
+                    got = operators._abs_products(faces, n_cols, x, y, scale)
+                    ref = old_abs_products(faces, n_cols, x, y, scale)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref)), (seed, order)
+                    compared += n_rows > block
+        assert compared >= 10 or block == 1 << 13
+
+
+class TestLaplacianStopBound:
+    def test_bit_equal_to_abs_lap_through_the_split(self, monkeypatch):
+        seen = {}
+
+        def recording(matvec, rhs, atol, what):
+            seen[what] = atol
+            return np.zeros_like(rhs)
+
+        monkeypatch.setattr(decompose, "_cg", recording)
+        compared = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(6, 15)), 0.6), 5)
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+                for k in range(3):
+                    if not cx.n_cliques(k + 1):
+                        continue
+                    c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                    hodge_decompose(c, w, method="laplacian-residual")
+                    lap = hodge_laplacian(cx, k, w).matrix
+                    bound = float(np.max(abs(lap) @ np.ones(lap.shape[0]), initial=0.0))
+                    scale = np.linalg.norm(np.sqrt(w.vector(cx, k)) * c.values)
+                    assert seen["the laplacian image"] == SOLVER_RTOL * bound * scale, (seed, k)
+                    compared += 1
+        assert compared >= 40
+
+    def test_row_sums_copy_no_index_array(self):
+        rng = np.random.default_rng(0)
+        cx = enumerate_cliques(random_graph(rng, 100, 0.5), 3)
+        lap = hodge_laplacian(cx, 1, random_table_weights(rng, cx, [1, 2, 3])).matrix
+        assert lap.nnz > 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = operators._abs_row_sums(lap)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == (abs(lap) @ np.ones(lap.shape[0])).tobytes()
+        assert peak < lap.data.nbytes + lap.indices.nbytes // 2  # abs(lap) copies both
 
 
 def random_pair(rng, m=8, n=12, p=3):

@@ -427,3 +427,25 @@ class TestGramSizeGuard:
 
         monkeypatch.setattr(spectral.os, "sysconf", report)
         assert betti(enumerate_cliques(complete_graph(6), 3), 1) == 0
+
+
+class TestHarmonicBasisSizeGuard:
+    """harmonic_basis refuses a dense Laplacian that, with eigh's copies and workspace, would not fit in physical
+    memory, before it builds any Laplacian."""
+
+    def test_refused_past_physical_memory(self, monkeypatch):
+        cx = enumerate_cliques(complete_graph(6), 3)  # Delta_1 has side 15: 40 bytes an entry need 9000
+        built = []
+        monkeypatch.setattr(spectral, "hodge_laplacian", lambda *args: built.append(args) or hodge_laplacian(*args))
+        TestGramSizeGuard.probe(monkeypatch, 40 * 15**2 - 1)
+        with pytest.raises(ValueError, match="Hodge 1-Laplacian has side 15: .* needs 9000 bytes, more than the 8999"):
+            harmonic_basis(cx, 1)
+        assert not built
+        TestGramSizeGuard.probe(monkeypatch, 40 * 15**2)
+        assert harmonic_basis(cx, 1) == [] and len(built) == 1
+
+    def test_range_checked_before_size(self, monkeypatch):
+        TestGramSizeGuard.probe(monkeypatch, 1)
+        with pytest.raises(ValueError, match="laplacian degree 3 out of range"):
+            harmonic_basis(enumerate_cliques(complete_graph(6), 3), 3)
+        assert harmonic_basis(enumerate_cliques(cycle_graph(5), 3), 2) == []  # no triangles: nothing to allocate
