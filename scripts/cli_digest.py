@@ -38,9 +38,9 @@ full weight table of 10^U(-150, 150), and its cochains of degree 0..2 go through
 two-solve decompose under a full weight table of 10^U(-2, 2); finite cochains,
 comparison records and game utilities whose least-squares solves overflow
 float64, a cochain that fits at
-1e150, and a cochain line of 2,000 ids follow, then an edge flow on a seeded
-G(40, 0.7), whose triangles fill a dense level, through two-solve decompose
-with no weight table and with one on its triangles. It ends with runs
+1e150, and a cochain line of 2,000 ids follow, then a seeded G(40, 0.7), whose triangles fill a
+dense level, through cliques --max-order 4, and an edge flow on it through
+two-solve decompose with no weight table and with one on its triangles. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -380,9 +380,11 @@ def spread_weights(root: Path, graph: Path, cochains: list):
 
 
 def dense_graph(root: Path):
-    """two-solve decompose of an edge flow on a seeded G(40, 0.7), on a generator of its own, with no weight table
-    and with one on its triangles. Its triangles fill a dense level (64 c_3 >= n^3), so the coexact solve applies
-    d_1^T d_1 as one n x n product without the table, and as d_1's CSR products with it."""
+    """A seeded G(40, 0.7), on a generator of its own: cliques --max-order 4, and two-solve decompose of an edge flow
+    with no weight table and with one on its triangles. Its triangles fill a dense level (64 c_3 >= n^3), so the
+    coexact solve applies d_1^T d_1 as one n x n product without the table, and as d_1's CSR products with it. Its
+    enumeration finds faces both ways: by table lookup at order 3 and at the first lookup of order 4, whose queries
+    outnumber the keys' range, and by binary search at the other two lookups of order 4."""
     rng = np.random.default_rng(40)
     n = 40
     edges = random_edges(rng, n, 0.7)
@@ -390,6 +392,7 @@ def dense_graph(root: Path):
     graph.write_text(graph_text(n, edges))
     cochain.write_text(cochain_text(rng, n, edges, 1))
     weights.write_text(weights_text(rng, n, edges, (3,)))
+    yield ["cliques", "--input", graph, "--max-order", "4"], None
     for extra in ([], ["--weights", weights]):
         yield ["decompose", "--input", graph, "--cochain", cochain, "--method", "two-solve", *extra], "--plot"
 

@@ -5,8 +5,13 @@ of a complex are ordered lexicographically, each one ascending. That ordering
 is the canonical basis used by every operator matrix in this package, so it
 must be reproducible bit for bit. A level of order k >= 2 is its face array:
 enumeration records, once per graph, where each clique's faces sit in the
-level below, and d_k, the counts and the keys read only that. locate() finds
-cochain and weight table rows by binary search on keys that cannot overflow.
+level below, and d_k, the counts and the keys read only that. Enumeration
+finds a candidate's faces by their keys, which cannot overflow: by one gather
+from a direct-address table when the keys' range is no larger than the number
+of queries, else by binary search. It refuses an order whose candidates would
+not fit in physical memory before laying them out; _check_fits is the one such
+check, which spectral's dense paths use too. locate() finds cochain and weight
+table rows by binary search on the same keys.
 level(k) builds the (N, k) vertex rows of an order k >= 3 from the faces on
 first read, for output; cliques(k) is a tuple view of it that no computation
 reads. A Graph stores its edges once, as the order-2 level itself: producers
@@ -16,12 +21,18 @@ sorted_edges is a view built from it on first read.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 MAX_VERTICES = 3_037_000_499  # the largest n with n(n+1) in int64: every _key stays below it
+# bytes an order's step of _extend holds per candidate: its tracemalloc peak over the candidate count read 35.0-47.7
+# at orders 3-5 of G(n, p) graphs and of a 300-vertex, 25,616-edge comparison graph (1,480,618 candidates, 53.6 MB)
+_CANDIDATE_BYTES = 35
+# a step needing fewer bytes is not checked against physical memory: importing numpy alone keeps ~27 MB resident
+_CHECKED_FROM = 1 << 24
 
 
 class InputFormatError(ValueError):
@@ -313,10 +324,13 @@ def _extend(cx: CliqueComplex) -> None:
 
     Each k-clique Q is extended by the larger neighbours w of its last vertex, in
     ascending order, so the levels come out sorted. The face of (Q, w) without q_j
-    is the child by w of Q's face without q_j, found by binary search of its key in
-    level k; a candidate is kept when all are found. Q is the face without w, and at
-    order 3 the face without q_0 is the candidate's own edge. graph._memo["faces",
-    order] keeps them, int32 when every position fits (see CliqueComplex._faces).
+    is the child by w of Q's face without q_j, found by its key in level k; a
+    candidate is kept when all are found. Q is the face without w, and at order 3
+    the face without q_0 is the candidate's own edge. The keys of level k lie below
+    (size of level k-1) * (n+1), so a lookup with at least that many queries reads
+    them from a direct-address table (see _find). graph._memo["faces", order] keeps
+    them, int32 when every position fits (see CliqueComplex._faces). Before an
+    order's candidates are laid out, their count is checked against physical memory.
     """
     graph, n, edges = cx.graph, cx.graph.n_vertices, cx.graph.pairs
     order = _top(graph) + 1
@@ -330,13 +344,16 @@ def _extend(cx: CliqueComplex) -> None:
         last = keys % (n + 1)
         start = first[last - 1]
         count = first[last] - start
+        candidates = int(count.sum())
+        if (need := _CANDIDATE_BYTES * candidates) >= _CHECKED_FROM:
+            _check_fits(need, f"clique enumeration at order {order} has {candidates} candidates: it")
         parent = np.repeat(np.arange(len(faces)), count)
         # candidate t of a parent whose candidates begin at t0 is edge shift + t, shift = start - t0
         shift = start - np.cumsum(count) + count
         vertex = edges[np.repeat(shift, count) + np.arange(len(parent)), 1]
-        found = []
+        found, bound = [], cx.n_cliques(order - 2) * (n + 1)  # every key of level order-1 lies below it
         for i in range(1, 2 if order == 3 else order):
-            keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n))
+            keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n), bound)
             parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
         if order == 3:
             found.append(shift[parent] + keep)
@@ -344,11 +361,33 @@ def _extend(cx: CliqueComplex) -> None:
         order += 1
 
 
-def _find(keys: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of key are among the sorted keys, and where."""
-    at = np.searchsorted(keys, key)
-    keep = np.flatnonzero(keys.take(at, mode="clip") == key) if len(keys) else at[:0]
+def _find(keys: np.ndarray, key: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Which of key are among the sorted keys, and where.
+
+    By binary search, or, given a bound that every key and every query lies below and that is no larger than the
+    number of queries, by one gather from a direct-address table of the keys' positions (Cormen, Leiserson, Rivest
+    and Stein, Introduction to Algorithms, 11.1): int32 while the positions fit, it is at most half the queries' size.
+    """
+    if bound is not None and bound <= len(key):
+        table = np.full(bound, -1, dtype=np.int32 if len(keys) <= 2**31 else np.int64)
+        table[keys] = np.arange(len(keys))
+        at = table.take(key)
+        keep = np.flatnonzero(at >= 0)
+    else:
+        at = np.searchsorted(keys, key)
+        keep = np.flatnonzero(keys.take(at, mode="clip") == key) if len(keys) else at[:0]
     return keep, at[keep]
+
+
+def _check_fits(need: int, subject: str) -> None:
+    """ValueError, "<subject> needs <need> bytes, more than the <memory> bytes of physical memory", when need exceeds
+    physical memory, where os.sysconf can tell; called before anything of that size is allocated."""
+    try:
+        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
+    except (AttributeError, OSError, ValueError):
+        memory = 0
+    if memory and need > memory:
+        raise ValueError(f"{subject} needs {need} bytes, more than the {memory} bytes of physical memory")
 
 
 def _keep_faces(graph: Graph, order: int, columns: list[np.ndarray], below: int) -> None:

@@ -28,8 +28,10 @@ CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
 answer does, and never relative to the right-hand side alone, which can be
 round-off (the exact part of a harmonic cochain). The bounds for A_e and A_c are
-1- times inf-norms read off d_j's faces. The residuals |b - A_e g| and |b - u|
-come from the returned parts. CG is the in-house loop cg().
+1- times inf-norms read off d_j's faces; on the n x n path the column sums of
+|d_1| are the triangles on each edge, counted from the adjacency matrix. The
+residuals |b - A_e g| and |b - u| come from the returned parts. CG is the
+in-house loop cg().
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
-from .operators import _abs_products, _abs_row_sums, _curl_gram, coboundary, hodge_laplacian
+from .operators import _abs_products, _abs_row_sums, _curl_gram, _edge_triangles, coboundary, hodge_laplacian
 
 SOLVER_RTOL = 1e-10
 METHODS = ("two-solve", "laplacian-residual")
@@ -98,12 +100,11 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
 def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
     """(A_c A_c^T, bound >= |A_c A_c^T|_2) for A_c = W_k^{-1/2} D^T, D = W_{k+1} d_k.
 
-    On an edge flow whose triangles have no weight table and fill a dense level, 64 c_3 >= n^3, A_c A_c^T is
-    operators._curl_gram's one n x n product, fed the triangle count of each edge, which the bound sums anyway, and
-    d_1 is not assembled; otherwise it is two CSR products with D."""
+    Where _dense_curl holds, A_c A_c^T is operators._curl_gram's one n x n product, fed the triangle count of each
+    edge that the bound reads too, and d_1 is not assembled; otherwise it is two CSR products with D."""
     up = _up_weights(cx, k, w)
     bound, cols = _coexact_bound(cx, k, up, sqrt_w)
-    if k == 1 and np.ndim(up) == 0 and 64 * cx.n_cliques(3) >= cx.graph.n_vertices ** 3:
+    if _dense_curl(cx, k, up):
         gram = _curl_gram(cx, cols)  # cols = |d_1|^T 1: triangles per edge
     else:
         d = _up_coboundary(cx, k, up)
@@ -119,10 +120,19 @@ def _up_weights(cx, k: int, w: WeightScheme):
     return w.vector(cx, k + 1) if k + 2 in w.tables else 1.0
 
 
+def _dense_curl(cx, k: int, up) -> bool:
+    """Whether A_c A_c^T is _curl_gram's n x n product: an edge flow whose triangles have no weight table and fill a
+    dense level, 64 c_3 >= n^3."""
+    return k == 1 and np.ndim(up) == 0 and 64 * cx.n_cliques(3) >= cx.graph.n_vertices ** 3
+
+
 def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> tuple[float, np.ndarray]:
-    """(|A_c|_1 |A_c|_inf, |D|^T 1) for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces."""
+    """(|A_c|_1 |A_c|_inf, |D|^T 1) for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces; where
+    _dense_curl holds, |D|^T 1 is the triangles on each edge, counted from the adjacency matrix instead."""
     right = 1.0 / sqrt_w
-    rows, cols = _abs_products(cx._faces(k + 2), len(right), right, 1.0, up)
+    dense = _dense_curl(cx, k, up)
+    rows, cols = _abs_products(cx._faces(k + 2), len(right), right, None if dense else 1.0, up)
+    cols = _edge_triangles(cx) if dense else cols
     return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0)), cols
 
 

@@ -86,12 +86,13 @@ def _coboundary_entries(cx: CliqueComplex, j: int, w: WeightScheme) -> tuple[np.
 _BLOCK = 1 << 13  # rows per block of _abs_products: an intp copy of its faces stays in cache
 
 
-def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(|B| x, |B|^T y), B = diag(scale) d_j, from d_j's faces, summed as scipy's CSR and CSC products sum them. A
-    face's later rows insert a vertex ever later, so hold it at earlier face columns: run those last to first, and
-    each column sum runs down the rows, block after block of _BLOCK rows. A block gathers and scatters through a
-    contiguous intp copy of its face columns, not the strided int32 ones."""
-    rows, cols, weights = np.zeros(len(faces)), np.zeros(n_cols), scale * y
+def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """(|B| x, |B|^T y), B = diag(scale) d_j, from d_j's faces, summed as scipy's CSR and CSC products sum them; with y
+    None, (|B| x, None). A face's later rows insert a vertex ever later, so hold it at earlier face columns: run those
+    last to first, and each column sum runs down the rows, block after block of _BLOCK rows. A block gathers and
+    scatters through a contiguous intp copy of its face columns, not the strided int32 ones."""
+    rows, cols = np.zeros(len(faces)), None if y is None else np.zeros(n_cols)
+    weights = None if y is None else scale * y
 
     def part(values, block):
         return values[block] if np.ndim(values) else values
@@ -103,8 +104,9 @@ def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -
             term = x[column]
             term *= part(scale, block)
             out += term
-        for column in columns[::-1]:
-            np.add.at(cols, column, part(weights, block))
+        if cols is not None:
+            for column in columns[::-1]:
+                np.add.at(cols, column, part(weights, block))
     return rows, cols
 
 
@@ -123,9 +125,7 @@ def _curl_gram(cx: CliqueComplex, counts: np.ndarray):
     2011). Each entry of Y A sums over the common neighbours alone, as d_1's products do, in another order.
     A is kept once per graph; Y and Y A are the returned function's own buffers, and Y is zero off the edges.
     """
-    n = cx.graph.n_vertices
-    adjacency = cx._memo("adjacency", 2, lambda: _adjacency(cx.graph.pairs, n))
-    ends = cx.graph.pairs - 1
+    n, adjacency, ends = cx.graph.n_vertices, _adjacency(cx), cx.graph.pairs - 1
     ij, ji = ends @ (n, 1), ends @ (1, n)
     flow, product = np.zeros((n, n)), np.empty((n, n))
     flat_flow, flat_product = flow.reshape(-1), product.reshape(-1)
@@ -139,12 +139,23 @@ def _curl_gram(cx: CliqueComplex, counts: np.ndarray):
     return apply
 
 
-def _adjacency(pairs: np.ndarray, n: int) -> np.ndarray:
-    """The read-only dense n x n adjacency matrix of the 1-indexed ascending pairs, as floats."""
-    adjacency = np.zeros((n, n))
-    adjacency[pairs[:, 0] - 1, pairs[:, 1] - 1] = adjacency[pairs[:, 1] - 1, pairs[:, 0] - 1] = 1.0
-    adjacency.setflags(write=False)
-    return adjacency
+def _edge_triangles(cx: CliqueComplex) -> np.ndarray:
+    """|d_1|^T 1, the triangles on each edge (i, j), bit for bit: (A A)_ij counts their common neighbours exactly."""
+    adjacency, ends = _adjacency(cx), cx.graph.pairs - 1
+    return (adjacency @ adjacency)[ends[:, 0], ends[:, 1]]
+
+
+def _adjacency(cx: CliqueComplex) -> np.ndarray:
+    """The read-only dense n x n adjacency matrix of cx's graph, as floats, kept once per graph."""
+
+    def build() -> np.ndarray:
+        n, ends = cx.graph.n_vertices, cx.graph.pairs - 1
+        adjacency = np.zeros((n, n))
+        adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = 1.0
+        adjacency.setflags(write=False)
+        return adjacency
+
+    return cx._memo("adjacency", 2, build)
 
 
 def _assemble_coboundary(cx: CliqueComplex, k: int, w: WeightScheme | None = None) -> sp.csr_matrix:

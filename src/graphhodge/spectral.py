@@ -17,13 +17,13 @@ Both dense paths first check the bytes they need against physical memory.
 
 from __future__ import annotations
 
-import os
+import os  # noqa: F401 - the size-guard tests patch os.sysconf, which complexes._check_fits reads, here
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, enumerate_cliques
+from .complexes import CliqueComplex, Graph, _check_fits, enumerate_cliques
 from .operators import HodgeLaplacian, _coboundary_entries, _laplacian_dim, _unscaled, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
@@ -72,18 +72,6 @@ class Spectrum:
         return replace(self, kernel_dim=int(np.count_nonzero(mask)), tolerance=tol)
 
 
-def _check_fits(matrix: str, side: int, entry_bytes: int, what: str) -> None:
-    """ValueError, naming the side and the bytes, when entry_bytes per entry of a dense side x side matrix exceed
-    physical memory, where os.sysconf can tell; checked before anything of that size is allocated."""
-    try:
-        memory = max(os.sysconf("SC_PAGE_SIZE"), 0) * max(os.sysconf("SC_PHYS_PAGES"), 0)
-    except (AttributeError, OSError, ValueError):
-        memory = 0
-    if memory and (need := entry_bytes * side**2) > memory:
-        raise ValueError(f"the dense {matrix} has side {side}: {what} it needs {need} bytes, "
-                         f"more than the {memory} bytes of physical memory")
-
-
 def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     """The smaller Gram of B_j, dense, from its entries: B B^T when B has fewer rows than columns, else B^T B.
 
@@ -91,7 +79,8 @@ def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     is one product, written by assignment; the diagonal sums in scipy's order, so the Gram is scipy's bit for bit.
     """
     side = min(cx.n_cliques(j + 2), cx.n_cliques(j + 1))
-    _check_fits(f"Gram of d_{j}", side, 16, "with its LAPACK copy")  # the Gram and eigvalsh's copy of it
+    # the Gram and eigvalsh's copy of it
+    _check_fits(16 * side**2, f"the dense Gram of d_{j} has side {side}: with its LAPACK copy it")
     faces, values = _coboundary_entries(cx, j, w)
     (n_rows, order), n_cols = faces.shape, cx.n_cliques(j + 1)
     # entries grouped by where they meet, each with its Gram index: B^T B pairs them within a row of B
@@ -149,7 +138,7 @@ def harmonic_basis(cx: CliqueComplex, k: int, weights: WeightScheme | None = Non
     if n == 0:
         return []
     # the matrix, eigh's copy of it, its eigenvectors and syevd's 2 n^2 workspace
-    _check_fits(f"Hodge {k}-Laplacian", n, 40, "with eigh's copies and workspace")
+    _check_fits(40 * n**2, f"the dense Hodge {k}-Laplacian has side {n}: with eigh's copies and workspace it")
     eigvals, eigvecs = np.linalg.eigh(hodge_laplacian(cx, k, w).dense())
     mask, _ = _kernel_mask(eigvals)
     sqrt_w = np.sqrt(w.vector(cx, k))

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphhodge import Graph, InputFormatError, coboundary, enumerate_cliques, parse_graph
-from graphhodge.complexes import MAX_VERTICES, _keep_faces, _key
+from graphhodge import complexes
+from graphhodge.cli import main
+from graphhodge.complexes import MAX_VERTICES, _find, _keep_faces, _key
 
 from conftest import (
     BIG_FIVE_CLIQUE,
@@ -503,3 +505,112 @@ class TestVertexCountBound:
             with pytest.raises(ValueError) as info:
                 enumerate_cliques(g, 2)
             assert str(info.value) == f"vertex count {count} is above 3037000499: clique keys would pass int64"
+
+
+class TestTableLookup:
+    """_extend finds a candidate's faces by one gather from a direct-address table when the keys' range is at most
+    the number of queries, else by binary search; _find's binary search is the oracle."""
+
+    @staticmethod
+    def enumerate_both(monkeypatch, graph: Graph, max_order: int):
+        """(complex, complex by binary search alone, (range, queries) of each lookup), each on a fresh graph."""
+        lookups = []
+
+        def spy(keys, key, bound=None):
+            lookups.append((bound, len(key)))
+            return _find(keys, key, bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_find", spy)
+            cx = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), max_order)
+            patch.setattr(complexes, "_find", lambda keys, key, bound=None: _find(keys, key))
+            oracle = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), max_order)
+        return cx, oracle, lookups
+
+    def test_faces_and_keys_match_binary_search_on_both_sides_of_the_rule(self, monkeypatch):
+        # (11, 0.9, 31) and (15, 0.7, 30) have exactly as many order-3 queries as the range n(n+1)
+        cases = [(11, 0.9, 31), (15, 0.7, 30), (12, 0.5, 0), (14, 0.8, 1), (16, 0.9, 2), (20, 0.3, 3), (9, 1.0, 4)]
+        sides = set()
+        for n, p, seed in cases:
+            graph = random_graph(np.random.default_rng(seed), n, p)
+            cx, oracle, lookups = self.enumerate_both(monkeypatch, graph, 5)
+            sides |= {int(np.sign(queries - bound)) for bound, queries in lookups}
+            for order in range(3, 6):
+                faces = cx._faces(order)
+                assert faces.dtype == np.int32 and not faces.flags.writeable, (n, p, seed, order)
+                assert np.array_equal(faces, oracle._faces(order)), (n, p, seed, order)
+                assert np.array_equal(cx._keys(order), oracle._keys(order)), (n, p, seed, order)
+            assert all(np.array_equal(a, b) for a, b in zip(cx.levels, stacked_levels(graph, 5)))
+        assert sides == {-1, 0, 1}
+
+    def test_gnp_30_to_order_4_against_networkx(self, monkeypatch):
+        graph = random_graph(np.random.default_rng(30), 30, 0.6)
+        cx, _, lookups = self.enumerate_both(monkeypatch, graph, 4)
+        bound, queries = lookups[0]  # order 3 takes the table
+        assert bound == 30 * 31 <= queries
+        nxg = nx.Graph(list(edge_set(graph)))
+        nxg.add_nodes_from(range(1, 31))
+        found = {order: [] for order in range(1, 5)}
+        for clique in nx.enumerate_all_cliques(nxg):  # by size, ascending: stop past size 4
+            if len(clique) > 4:
+                break
+            found[len(clique)].append(tuple(sorted(clique)))
+        for order in range(1, 5):
+            assert cx.cliques(order) == tuple(sorted(found[order])), order
+
+    def test_find_by_table_equals_binary_search(self):
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.integers(0, 1000, 300))
+        for bound in (1000, 1500):
+            for size in (bound - 1, bound, bound + 1, 3 * bound):
+                key = rng.integers(0, 1000, size)
+                got, ref = _find(keys, key, bound), _find(keys, key)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (bound, size)
+        assert [a.tolist() for a in _find(keys[:0], np.arange(5), 5)] == [[], []]
+
+    def test_locate_keeps_minus_one_for_lost_and_out_of_range_rows(self):
+        graph = random_graph(np.random.default_rng(6), 12, 0.8)
+        cx = enumerate_cliques(graph, 3)
+        index = {order: clique_index(cx, order) for order in (2, 3)}
+        rng = np.random.default_rng(7)
+        for order in (2, 3):  # more rows than n(n+1) = 156, ids 0 and n+1 included
+            rows = rng.integers(0, 14, (400, order))
+            expected = [index[order].get(tuple(row), -1) for row in rows.tolist()]
+            assert -1 in expected and max(expected) >= 0
+            assert cx.locate(rows).tolist() == expected, order
+
+
+class TestEnumerationSizeGuard:
+    """Enumeration refuses an order whose candidates would not fit in physical memory, before laying them out."""
+
+    @staticmethod
+    def probe(monkeypatch, memory):
+        """os.sysconf reporting memory one-byte pages."""
+        monkeypatch.setattr(complexes.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+
+    # K_150 holds 551,300 candidates at order 3, one per triangle: 35 bytes each need 19,295,500
+    NEED = 35 * 551_300
+
+    def test_refused_past_physical_memory_naming_order_and_count(self, monkeypatch):
+        graph = complete_graph(150)
+        self.probe(monkeypatch, self.NEED - 1)
+        for _ in range(2):  # the refusal is not cached away
+            with pytest.raises(ValueError) as info:
+                enumerate_cliques(graph, 3)
+            assert str(info.value) == (f"clique enumeration at order 3 has 551300 candidates: it needs {self.NEED} "
+                                       f"bytes, more than the {self.NEED - 1} bytes of physical memory")
+        assert enumerate_cliques(graph, 2).n_cliques(2) == 150 * 149 // 2  # the orders below stay enumerated
+        self.probe(monkeypatch, self.NEED)
+        assert enumerate_cliques(graph, 3).n_cliques(3) == 551_300
+
+    def test_small_steps_are_not_checked(self, monkeypatch):
+        self.probe(monkeypatch, 1)  # K_12's steps need at most 35 * 924 bytes, under the 16 MiB checked from
+        assert enumerate_cliques(complete_graph(12), 13).clique_number() == 12
+
+    def test_cli_exits_1_naming_order_and_count(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "k150.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in combinations(range(1, 151), 2)))
+        self.probe(monkeypatch, self.NEED - 1)
+        assert main(["cliques", "--input", str(path), "--max-order", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "clique enumeration at order 3 has 551300 candidates" in err and f"needs {self.NEED} bytes" in err

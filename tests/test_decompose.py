@@ -653,6 +653,37 @@ class TestDenseCurlGram:
                 assert np.linalg.norm(getattr(split, part).values - getattr(csr, part).values) <= 1e-9 * scale
 
 
+class TestDenseCoexactBound:
+    """Where the coexact Gram is the n x n product, the bound's triangle counts come from the adjacency matrix, and
+    the bound and counts are bit for bit those _abs_products sums off the faces."""
+
+    def test_bit_equal_to_the_face_sums(self):
+        taken = {True: 0, False: 0}
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, int(rng.integers(6, 30)), float(rng.uniform(0.3, 0.95)))
+            cx = enumerate_cliques(graph, 3)
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx, [2]), random_table_weights(rng, cx, [1, 2])):
+                sqrt_w = np.sqrt(w.vector(cx, 1))
+                right = 1.0 / sqrt_w
+                rows, cols = operators._abs_products(cx._faces(3), len(right), right, 1.0, 1.0)
+                expected = float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0))
+                bound, counts = decompose._coexact_bound(cx, 1, 1.0, sqrt_w)
+                assert bound.hex() == expected.hex() and counts.tobytes() == cols.tobytes(), seed
+                dense = decompose._dense_curl(cx, 1, 1.0)
+                assert (("adjacency", 2) in cx.graph._memo) == dense == is_dense(cx)
+                taken[dense] += 1
+        assert min(taken.values()) >= 6, taken
+
+    def test_row_sums_alone(self):
+        cx = enumerate_cliques(random_graph(np.random.default_rng(9), 16, 0.7), 4)
+        for order in (3, 4):
+            x = 10 ** np.random.default_rng(order).uniform(-2, 2, cx.n_cliques(order - 1))
+            faces = cx._faces(order)
+            rows, cols = operators._abs_products(faces, len(x), x, None)
+            assert cols is None and rows.tobytes() == operators._abs_products(faces, len(x), x, 1.0)[0].tobytes()
+
+
 def old_abs_products(faces, n_cols, x, y, scale=1.0):
     """_abs_products as it was before blocking: one strided int32 gather or scatter per face column."""
     rows, cols, weights = np.zeros(len(faces)), np.zeros(n_cols), scale * y
