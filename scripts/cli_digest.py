@@ -40,7 +40,8 @@ comparison records and game utilities whose least-squares solves overflow
 float64, a cochain that fits at
 1e150, and a cochain line of 2,000 ids follow, then a seeded G(40, 0.7), whose triangles fill a
 dense level, through cliques --max-order 4, and an edge flow on it through
-two-solve decompose with no weight table and with one on its triangles. It ends with runs
+two-solve decompose with no weight table and with one on its triangles, and rank on two disjoint
+complete comparison graphs of 8 items each, whose triangles fill a dense level too. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -276,6 +277,7 @@ def cases(root: Path, small: bool):
         yield from spread_weights(root, graphs["g14a"][0], graphs["g14a"][2])
         yield from overflowing_solves(root)
         yield from dense_graph(root)
+        yield from dense_comparisons(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -395,6 +397,16 @@ def dense_graph(root: Path):
     yield ["cliques", "--input", graph, "--max-order", "4"], None
     for extra in ([], ["--weights", weights]):
         yield ["decompose", "--input", graph, "--cochain", cochain, "--method", "two-solve", *extra], "--plot"
+
+
+def dense_comparisons(root: Path):
+    """rank on fixed pairwise votes over two disjoint complete graphs of 8 items each: 16 vertices and 112 triangles
+    fill a dense level (64 c_3 >= n^3), so the coexact solve takes the n x n product, and the potential, solved on
+    the edge array, is gauged to mean zero on each of the two components."""
+    votes = root / "dense_comparisons.csv"
+    votes.write_text("".join(f"v{(i + j) % 3},{group}{i},{group}{j},{((3 * i + 5 * j + 7 * g) % 11 - 5) / 2}\n"
+                             for g, group in enumerate("ab") for i, j in combinations(range(8), 2)))
+    yield ["rank", "--input", votes], "--plot"
 
 
 def overflowing_solves(root: Path):

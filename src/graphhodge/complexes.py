@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import isub
 
 import numpy as np
 
@@ -113,6 +114,21 @@ class Graph:
     def _memo(self) -> dict:
         """The faces _extend recorded and what CliqueComplex._memo built from them, keyed by (kind, order)."""
         return {}
+
+
+def _d0(graph: Graph):
+    """(d_0, d_0^T) on the edge array, bit for bit coboundary's CSR d_0: x[head] - x[tail], subtracted into the gather,
+    and one bincount adding -y_e, +y_e into each edge's tail and head in edge order, as CSC's product does, through
+    a buffer of its own."""
+    n, ends = graph.n_vertices, graph.pairs.ravel() - 1
+    tail, head, signed = ends[::2].copy(), ends[1::2].copy(), np.empty(len(ends))
+
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        np.negative(y, out=signed[::2])
+        signed[1::2] = y
+        return np.bincount(ends, signed, minlength=n).astype(float, copy=False)  # int64 when there is no edge
+
+    return lambda x: isub(x[head], x[tail]), adjoint
 
 
 def _pair_array(pairs) -> np.ndarray:

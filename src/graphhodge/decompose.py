@@ -20,9 +20,9 @@ A_c A_c^T b for the coexact part, u the projection of b onto im(A_c); A_c^T A_c
 h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
 = Delta_k b for the laplacian image. g and h are LSQR's limits, the least-norm
 minimizers. A_e and A_c act as products with the cached d_j and the weights,
-except on an edge flow over a dense triangle level (64 c_3 >= n^3) with no
-triangle weights: there A_c A_c^T applies d_1^T d_1 as one product of n x n
-matrices (operators._curl_gram), and d_1 is assembled only for the prepotential.
+except on an edge flow: A_e's d_0 is complexes._d0, and over a dense triangle
+level (64 c_3 >= n^3) with no triangle weights A_c A_c^T applies d_1^T d_1 as one
+product of n x n matrices (operators._curl_gram); d_1 is built for the prepotential.
 CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
+from .complexes import _d0
 from .operators import _abs_products, _abs_row_sums, _curl_gram, _edge_triangles, coboundary, hodge_laplacian
 
 SOLVER_RTOL = 1e-10
@@ -235,14 +236,15 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         """min_g |d_{k-1} g - target|_w; returns (exact coords, potential, residual)."""
         if k == 0 or cx.n_cliques(k) == 0:
             return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
-        d = coboundary(cx, k - 1).matrix
-        rows, cols = _abs_products(cx._faces(k + 1), d.shape[1], np.ones(d.shape[1]), sqrt_w)
+        matrix = coboundary(cx, k - 1).matrix if k > 1 else None  # an edge flow's d_0 builds no CSR
+        d, dt = (matrix.dot, matrix.T.dot) if k > 1 else _d0(cx.graph)
+        rows, cols = _abs_products(cx._faces(k + 1), cx.n_cliques(k), np.ones(cx.n_cliques(k)), sqrt_w)
         bound = np.max(cols, initial=0.0) * np.max(sqrt_w * rows, initial=0.0)  # |A_e|_inf |A_e|_1
         atol = SOLVER_RTOL * np.sqrt(bound) * scale  # |rhs| <= |A_e|_2 |b|
-        g = _cg(lambda x: d.T @ (w_here * (d @ x)), d.T @ (w_here * target), atol, "the potential")
+        g = _cg(lambda x: dt(w_here * d(x)), dt(w_here * target), atol, "the potential")
         if k - 1 == 0:
             g = _mean_zero_gauge(g, cx)
-        exact = d @ g
+        exact = d(g)
         return exact, g, float(np.linalg.norm(sqrt_w * (target - exact)))
 
     residuals: dict[str, float] = {}

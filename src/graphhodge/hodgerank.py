@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, InputFormatError, enumerate_cliques
+from .complexes import CliqueComplex, Graph, InputFormatError, _d0, enumerate_cliques
 from .decompose import hodge_decompose
-from .operators import divergence_matrix
 
 MODELS = ("mean", "logodds")
 
@@ -253,6 +252,5 @@ def rank(cf: ComparisonFlow) -> RankingResult:
 
 
 def borda_divergence(flow: Cochain) -> Cochain:
-    """Net preference per item under unit weights: (div X)(i) = sum_j X(i,j)."""
-    div = divergence_matrix(flow.complex)
-    return Cochain(0, flow.complex, div @ flow.values)
+    """Net preference per item under unit weights: (div X)(i) = sum_j X(i,j) = (d_0^T (-X))(i), on the edge array."""
+    return Cochain(0, flow.complex, _d0(flow.complex.graph)[1](-flow.values))

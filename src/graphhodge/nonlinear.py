@@ -11,7 +11,7 @@ Laplacian at p = 2). At p = 1 the sign function is set-valued on zero-gradient
 edges, so the operator returns per-vertex intervals of attainable values; a
 selection mode with sgn(0) := 0 picks a single representative. The gradient
 is f(head) - f(tail) on each edge of graph.pairs (tail < head), and d_0^T adds
-each edge's term into its tail and head in edge order, as a sparse d_0 would.
+each edge's term into its tail and head in edge order (complexes._d0).
 
 The Cheeger constant of a connected graph,
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Graph
+from .complexes import Graph, _d0
 
 MAX_EXHAUSTIVE_VERTICES = 24
 _CHUNK = 1 << 18
@@ -58,10 +58,10 @@ def apply_p_laplacian(graph: Graph, f, p: float, mode: str = "interval"):
         raise ValueError(f"expected {n} vertex values, got shape {values.shape}")
     if p == 1 and mode not in ("interval", "selection"):
         raise ValueError(f"unknown mode {mode!r}")
-    ends = graph.pairs.ravel() - 1  # tail, head of each edge in turn
-    grad = values[ends[1::2]] - values[ends[::2]]
+    d0, d0t = _d0(graph)
+    grad = d0(values)
     edge_term = np.sign(grad) * np.abs(grad) ** (p - 1.0)  # sgn(grad) exactly at p = 1: |x|**0 is 1
-    out = np.bincount(ends, (edge_term[:, None] * [-1.0, 1.0]).ravel(), minlength=n)  # d_0^T edge_term
+    out = d0t(edge_term)
     if p > 1 or mode == "selection":
         return out
     slack = np.bincount(graph.pairs[grad == 0].ravel() - 1, minlength=n).astype(float)

@@ -23,9 +23,9 @@ sums of every Hodge Laplacian, and spectral's dense Grams and the operator comma
 read them with no sparse matrix, and so do decompose's CG stop bounds
 (_abs_products). On a dense triangle level, decompose's CG applies d_1^T d_1 with
 no d_1 at all: _curl_gram's one product with the dense adjacency matrix, kept
-once per graph. Only harmonic_basis turns a Laplacian dense;
-nonlinear applies d_0 from the edge array itself. scipy.sparse is imported by
-the functions that build sparse matrices, not on import.
+once per graph. Only harmonic_basis turns a Laplacian dense; an edge flow's
+potential, borda_divergence and nonlinear apply d_0 from the edge array, by
+complexes._d0. scipy.sparse is imported by the functions that build sparse matrices.
 """
 
 from __future__ import annotations

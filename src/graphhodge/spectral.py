@@ -17,7 +17,6 @@ Both dense paths first check the bytes they need against physical memory.
 
 from __future__ import annotations
 
-import os  # noqa: F401 - the size-guard tests patch os.sysconf, which complexes._check_fits reads, here
 from dataclasses import dataclass, replace
 
 import numpy as np

@@ -352,6 +352,20 @@ def potential_bound(cx, k: int, sqrt_w: np.ndarray) -> float:
     return abs_gram_bound(coboundary(cx, k - 1).matrix.T, sqrt_w)
 
 
+def csr_edge_potential(c, w) -> tuple[np.ndarray, np.ndarray]:
+    """(exact part, potential) of an edge flow c by decompose's CG with products with the CSR d_0 =
+    coboundary(cx, 0), the potential solve the edge-array d_0 replaced: same stop, same gauge."""
+    from graphhodge.decompose import SOLVER_RTOL, _cg, _mean_zero_gauge
+
+    cx = c.complex
+    d, w_edges = coboundary(cx, 0).matrix, w.vector(cx, 1)
+    sqrt_w = np.sqrt(w_edges)
+    atol = SOLVER_RTOL * np.sqrt(potential_bound(cx, 1, sqrt_w)) * np.linalg.norm(sqrt_w * c.values)
+    g = _cg(lambda x: d.T @ (w_edges * (d @ x)), d.T @ (w_edges * c.values), atol, "the potential")
+    g = _mean_zero_gauge(g, cx)
+    return d @ g, g
+
+
 # A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of
 # every vertex overflow int64 from order 4 on, since 70001**4 > 2**63.
 BIG_FIVE_CLIQUE = Graph.from_edges(70_000, combinations((3, 17, 40_000, 69_999, 70_000), 2))

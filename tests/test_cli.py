@@ -970,6 +970,12 @@ class TestStartup:
         seen = self.probe(tmp_path, runs)  # sys.modules only grows, so each entry covers every run before it too
         assert seen == {"import": [], "operator": [], "spectrum": [], "betti": [], "isospectral": []}
 
+    def test_rank_on_a_dense_comparison_graph_loads_no_scipy(self, tmp_path):
+        # 3 items and their triangle: 64 c_3 >= n^3, so the coexact solve takes the n x n product, and the
+        # potential's d_0 is the edge array's
+        seen = self.probe(tmp_path, [["rank", "--input", str(DATA / "ratings_small.csv")]])
+        assert seen["rank"] == []
+
     def test_no_command_loads_the_sparse_solvers(self, tmp_path):
         c4 = str(DATA / "c4.txt")
         runs = [["decompose", "--input", c4, "--cochain", str(DATA / "c4_cyclic_flow.tsv")],

@@ -30,6 +30,7 @@ from conftest import (
     oracle_graphs,
     raised_message,
     random_graph,
+    special_floats,
     stacked_levels,
     tuple_graph,
 )
@@ -247,6 +248,32 @@ class TestEdgeArray:
         g = complexes.Graph.from_edges(100_000, pairs[::-1, ::-1])
         assert g.degrees[:3] == (1, 2, 2) and g.is_connected()
         assert np.array_equal(enumerate_cliques(g, 3).level(2), pairs)
+
+
+class TestEdgeArrayD0:
+    """complexes._d0 against its oracle, the CSR d_0 = coboundary(cx, 0).matrix: equal products, always float64."""
+
+    @staticmethod
+    def assert_matches_csr(graph, rng):
+        d = coboundary(enumerate_cliques(graph, 2), 0).matrix
+        d0, d0t = complexes._d0(graph)
+        for _ in range(3):
+            x, y = special_floats(rng, graph.n_vertices), special_floats(rng, len(graph.pairs))
+            grad, div = d0(x), d0t(y)
+            assert np.array_equal(grad, d @ x) and np.array_equal(div, d.T @ y)
+            assert grad.dtype == div.dtype == np.float64
+            assert np.array_equal(d0t(y), div)  # the interleave buffer carries nothing between calls
+
+    @given(pair_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_products_equal_the_csr_ones(self, case, seed):
+        n, raw = case
+        self.assert_matches_csr(Graph.from_edges(n, raw), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("graph", [Graph(1, []), Graph(5, []), Graph(12, [(1, 2), (2, 3), (1, 3), (7, 8)]),
+                                       complete_graph(9)], ids=["one-vertex", "edgeless", "isolated", "K9"])
+    def test_one_vertex_edgeless_isolated_and_complete(self, graph, rng):
+        self.assert_matches_csr(graph, rng)
 
 
 class TestEnumerateCliques:

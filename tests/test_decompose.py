@@ -36,6 +36,7 @@ from conftest import (
     abs_gram_bound,
     coexact_bound,
     complete_graph,
+    csr_edge_potential,
     cycle_graph,
     pinv_split,
     potential_bound,
@@ -479,6 +480,33 @@ class TestPrepotentialOnDemand:
         assert main(["decompose", "--input", str(triangle), "--cochain", str(cochain)]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["prepotential"]
         assert solves[-1] == "the prepotential"
+
+
+class TestEdgeArrayPotential:
+    """An edge flow's potential and exact part by complexes._d0, against conftest's CG with the CSR d_0: equal."""
+
+    @staticmethod
+    def graphs(rng):
+        for _ in range(12):
+            graph = random_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0.2, 0.9)))
+            yield Graph(graph.n_vertices + int(rng.integers(0, 3)), graph.pairs)  # up to 2 isolated vertices
+        yield from (Graph(1, []), Graph(4, []), Graph(9, list(combinations(range(1, 5), 2)) + [(6, 7)]))
+
+    def test_two_solve_matches_the_csr_solve(self, rng):
+        compared = 0
+        for graph in self.graphs(rng):
+            cx = enumerate_cliques(graph, 3)
+            spread = WeightScheme.from_table({c: 10 ** rng.uniform(-2, 2) for o in (1, 2) for c in cx.cliques(o)})
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx, [2]), random_table_weights(rng, cx), spread):
+                c = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)) * 10 ** rng.uniform(-3, 3))
+                split = hodge_decompose(c, w, method="two-solve")
+                assert ("coboundary", 2) not in cx.graph._memo  # no CSR d_0 was built for it
+                exact, g = csr_edge_potential(c, w)
+                assert np.array_equal(split.exact.values, exact) and np.array_equal(split.potential.values, g)
+                assert split.potential.values.dtype == np.float64
+                compared += 1
+                del cx.graph._memo["coboundary", 2]
+        assert compared == 60
 
 
 class TestStopBoundOracle:

@@ -8,15 +8,17 @@ from graphhodge import (
     CliqueComplex,
     Cochain,
     ComparisonData,
+    Graph,
     InputFormatError,
     aggregate,
     borda_divergence,
+    divergence_matrix,
     enumerate_cliques,
     rank,
 )
 from graphhodge.hodgerank import _pair_statistics
 
-from conftest import assert_is_tuple_graph, kendall_tau_distance
+from conftest import assert_is_tuple_graph, kendall_tau_distance, random_graph
 
 
 def ratings(records):
@@ -381,6 +383,17 @@ class TestBorda:
         cf = aggregate(pairwise([("v1", "a", "b", 3.0)]))
         div = dict(zip(cf.items, borda_divergence(cf.flow).values))
         assert div == {"a": pytest.approx(3.0), "b": pytest.approx(-3.0)}
+
+    def test_equals_the_divergence_matrix_product(self, rng):
+        """By the edge-array d_0, against divergence_matrix(cx) @ X: equal, with isolated items at +0 as there."""
+        for _ in range(20):
+            graph = random_graph(rng, int(rng.integers(2, 16)), float(rng.uniform(0.2, 0.9)))
+            cx = enumerate_cliques(Graph(graph.n_vertices + 2, graph.pairs), 2)  # the last two items isolated
+            x = Cochain(1, cx, rng.normal(size=cx.n_cliques(2)) * 10.0 ** rng.integers(-5, 5, cx.n_cliques(2)))
+            got, ref = borda_divergence(x).values, divergence_matrix(cx) @ x.values
+            assert np.array_equal(got, ref) and not np.signbit(got[-2:]).any()
+        cx = enumerate_cliques(Graph(1, []), 2)
+        assert borda_divergence(Cochain(1, cx, np.zeros(0))).values.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])

@@ -269,6 +269,14 @@ class TestSparseOracle:
             for mode in ("interval", "selection"):
                 assert_same_bits(apply_p_laplacian(g, f, 1.0, mode), sparse_p_laplacian(g, f, 1.0, mode))
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless_graph_gives_float_zeros(self, n):
+        g, f = Graph(n, []), np.arange(n, dtype=float)
+        for p, mode in ((3.0, "interval"), (1.0, "interval"), (1.0, "selection")):
+            got = apply_p_laplacian(g, f, p, mode)
+            assert got.dtype == np.float64  # np.bincount of no weights is int64
+            assert_same_bits(got, sparse_p_laplacian(g, f, p, mode))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_cheeger_laplacians_bit_identical(self, n, extra, seed):

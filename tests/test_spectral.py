@@ -19,6 +19,7 @@ from graphhodge import (
     norm,
     spectrum,
 )
+import graphhodge.complexes as complexes
 import graphhodge.spectral as spectral
 from graphhodge.cli import main
 from graphhodge.operators import _weighted_coboundary
@@ -400,7 +401,7 @@ class TestGramSizeGuard:
     @staticmethod
     def probe(monkeypatch, pages):
         """os.sysconf reporting the given number of one-byte pages."""
-        monkeypatch.setattr(spectral.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}[name])
+        monkeypatch.setattr(complexes.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": pages}[name])
 
     def test_refused_past_physical_memory(self, monkeypatch):
         cx = enumerate_cliques(complete_graph(6), 3)  # d_1: 20 triangles x 15 edges, Gram side 15
@@ -425,7 +426,7 @@ class TestGramSizeGuard:
                 raise ValueError(f"unrecognized configuration name {name!r}")
             return sysconf[name]
 
-        monkeypatch.setattr(spectral.os, "sysconf", report)
+        monkeypatch.setattr(complexes.os, "sysconf", report)
         assert betti(enumerate_cliques(complete_graph(6), 3), 1) == 0
 
 
