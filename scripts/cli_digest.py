@@ -40,8 +40,10 @@ comparison records and game utilities whose least-squares solves overflow
 float64, a cochain that fits at
 1e150, and a cochain line of 2,000 ids follow, then a seeded G(40, 0.7), whose triangles fill a
 dense level, through cliques --max-order 4, and an edge flow on it through
-two-solve decompose with no weight table and with one on its triangles, and rank on two disjoint
-complete comparison graphs of 8 items each, whose triangles fill a dense level too. It ends with runs
+two-solve decompose with no weight table and with one on its triangles, rank on two disjoint
+complete comparison graphs of 8 items each, whose triangles fill a dense level too, and game on a
+seeded 3 x 3 x 3 game with Gaussian float utilities, whose flow has a round-off curl (the games
+above have integer utilities, whose curl is exactly 0). It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -278,6 +280,7 @@ def cases(root: Path, small: bool):
         yield from overflowing_solves(root)
         yield from dense_graph(root)
         yield from dense_comparisons(root)
+        yield from round_off_game(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -407,6 +410,17 @@ def dense_comparisons(root: Path):
     votes.write_text("".join(f"v{(i + j) % 3},{group}{i},{group}{j},{((3 * i + 5 * j + 7 * g) % 11 - 5) / 2}\n"
                              for g, group in enumerate("ab") for i, j in combinations(range(8), 2)))
     yield ["rank", "--input", votes], "--plot"
+
+
+def round_off_game(root: Path):
+    """game on a seeded 3 x 3 x 3 game with Gaussian float utilities, on a generator of its own: 27 triangles on a
+    sparse level, and a flow whose curl is round-off but not zero, so the coexact right-hand side is round-off too."""
+    rng = np.random.default_rng(333)
+    strategies = [["a", "b", "c"], ["p", "q", "r"], ["x", "y", "z"]]
+    game = root / "round_off.game.json"
+    game.write_text(json.dumps({"strategies": strategies, "utilities": [
+        {",".join(p): float(rng.normal()) for p in product(*strategies)} for _ in strategies]}))
+    yield ["game", "--input", game], "--flow-out"
 
 
 def overflowing_solves(root: Path):

@@ -116,10 +116,10 @@ class Graph:
         return {}
 
 
-def _d0(graph: Graph):
-    """(d_0, d_0^T) on the edge array, bit for bit coboundary's CSR d_0: x[head] - x[tail], subtracted into the gather,
-    and one bincount adding -y_e, +y_e into each edge's tail and head in edge order, as CSC's product does, through
-    a buffer of its own."""
+def _d0(graph: Graph, scale=1.0):
+    """(D, D^T) on the edge array, D = diag(scale) d_0 for scale 1.0 or an edge vector, bit for bit sp.diags(scale) @
+    the CSR d_0: x[head] - x[tail] subtracted into the gather (scale * x[head] - scale * x[tail]), and one bincount
+    adding -z_e, +z_e, z = scale * y, into each edge's tail and head in edge order, as CSC's product does."""
     n, ends = graph.n_vertices, graph.pairs.ravel() - 1
     tail, head, signed = ends[::2].copy(), ends[1::2].copy(), np.empty(len(ends))
 
@@ -128,6 +128,8 @@ def _d0(graph: Graph):
         signed[1::2] = y
         return np.bincount(ends, signed, minlength=n).astype(float, copy=False)  # int64 when there is no edge
 
+    if np.ndim(scale):
+        return lambda x: isub(scale * x[head], scale * x[tail]), lambda y: adjoint(scale * y)
     return lambda x: isub(x[head], x[tail]), adjoint
 
 

@@ -19,10 +19,10 @@ converge to the minimum-norm solution (Kaasschieter, J. Comput. Appl. Math.
 A_c A_c^T b for the coexact part, u the projection of b onto im(A_c); A_c^T A_c
 h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
 = Delta_k b for the laplacian image. g and h are LSQR's limits, the least-norm
-minimizers. A_e and A_c act as products with the cached d_j and the weights,
-except on an edge flow: A_e's d_0 is complexes._d0, and over a dense triangle
-level (64 c_3 >= n^3) with no triangle weights A_c A_c^T applies d_1^T d_1 as one
-product of n x n matrices (operators._curl_gram); d_1 is built for the prepotential.
+minimizers. A_e and A_c act through _products: once (a right-hand side, A_e g)
+from the face array, and in CG steps by the cached CSR d_j, assembled only when CG
+takes one; d_0 is always complexes._d0. On a dense triangle level (64 c_3 >= n^3)
+with no triangle weights A_c A_c^T is operators._curl_gram's n x n product.
 CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
@@ -37,13 +37,14 @@ in-house loop cg().
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
 from .complexes import _d0
-from .operators import _abs_products, _abs_row_sums, _curl_gram, _edge_triangles, coboundary, hodge_laplacian
+from .operators import (_abs_products, _abs_row_sums, _curl_gram, _edge_triangles, _face_products, coboundary,
+                        hodge_laplacian)
 
 SOLVER_RTOL = 1e-10
 METHODS = ("two-solve", "laplacian-residual")
@@ -102,16 +103,16 @@ def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray):
     """(A_c A_c^T, bound >= |A_c A_c^T|_2) for A_c = W_k^{-1/2} D^T, D = W_{k+1} d_k.
 
     Where _dense_curl holds, A_c A_c^T is operators._curl_gram's one n x n product, fed the triangle count of each
-    edge that the bound reads too, and d_1 is not assembled; otherwise it is two CSR products with D."""
+    edge that the bound reads too, and d_1 is not assembled; otherwise it is D's two CG products."""
     up = _up_weights(cx, k, w)
     bound, cols = _coexact_bound(cx, k, up, sqrt_w)
     if _dense_curl(cx, k, up):
         gram = _curl_gram(cx, cols)  # cols = |d_1|^T 1: triangles per edge
     else:
-        d = _up_coboundary(cx, k, up)
+        d, dt = _products(cx, k, up, step=True)
 
         def gram(y):
-            return d.T @ (d @ y)
+            return dt(d(y))
 
     return lambda x: gram(x / sqrt_w) / sqrt_w, bound
 
@@ -137,14 +138,26 @@ def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> tuple[float, np.ndarra
     return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0)), cols
 
 
-def _up_coboundary(cx, k: int, up):
-    """D = diag(up) d_k as CSR: the cached d_k itself when up is 1.0."""
-    d = coboundary(cx, k).matrix
+def _products(cx, j: int, up, step: bool = False):
+    """(D, D^T) as functions, D = diag(up) d_j, up 1.0 or a vector, bit for bit alike: complexes._d0 at j = 0; else
+    CSR products for CG steps (step), and _face_products off the face array for a product used once, building no CSR."""
+    if j == 0:
+        return _d0(cx.graph, up)
+    if not step:
+        products = partial(_face_products, cx._faces(j + 2), cx.n_cliques(j + 1), scale=up)
+        return (lambda x: products(x, None)[0]), (lambda y: products(None, y)[1])
+    d = coboundary(cx, j).matrix
     if np.ndim(up):
         import scipy.sparse as sp
         d = sp.diags(up) @ d
         d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
-    return d
+    return d.dot, lambda y: d.T @ y
+
+
+def _on_step(matvec, build):
+    """x -> matvec(x, *build()), build run at the first call, which CG from zero makes only when it takes a step."""
+    built = cache(build)
+    return lambda x: matvec(x, *built())
 
 
 def _mean_zero_gauge(values: np.ndarray, cx) -> np.ndarray:
@@ -181,9 +194,9 @@ class HodgeSplit:
         sqrt_w = np.sqrt(w_here)
         up = _up_weights(cx, k, self.weights)
         bound, _ = _coexact_bound(cx, k, up, sqrt_w)
-        d = _up_coboundary(cx, k, up)
         atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |A_c|_2 |b|
-        h = _cg(lambda x: d @ ((d.T @ x) / w_here), d @ self.input.values, atol, "the prepotential")
+        gram = _on_step(lambda x, d, dt: d(dt(x) / w_here), lambda: _products(cx, k, up, step=True))
+        h = _cg(gram, _products(cx, k, up)[0](self.input.values), atol, "the prepotential")
         return Cochain(k + 1, cx, h)
 
     def to_json_dict(self) -> dict:
@@ -236,12 +249,12 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         """min_g |d_{k-1} g - target|_w; returns (exact coords, potential, residual)."""
         if k == 0 or cx.n_cliques(k) == 0:
             return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
-        matrix = coboundary(cx, k - 1).matrix if k > 1 else None  # an edge flow's d_0 builds no CSR
-        d, dt = (matrix.dot, matrix.T.dot) if k > 1 else _d0(cx.graph)
+        d, dt = _products(cx, k - 1, 1.0)
         rows, cols = _abs_products(cx._faces(k + 1), cx.n_cliques(k), np.ones(cx.n_cliques(k)), sqrt_w)
         bound = np.max(cols, initial=0.0) * np.max(sqrt_w * rows, initial=0.0)  # |A_e|_inf |A_e|_1
         atol = SOLVER_RTOL * np.sqrt(bound) * scale  # |rhs| <= |A_e|_2 |b|
-        g = _cg(lambda x: dt(w_here * d(x)), dt(w_here * target), atol, "the potential")
+        steps = (lambda: (d, dt)) if k == 1 else (lambda: _products(cx, k - 1, 1.0, step=True))  # k = 1: _d0 for both
+        g = _cg(_on_step(lambda x, d, dt: dt(w_here * d(x)), steps), dt(w_here * target), atol, "the potential")
         if k - 1 == 0:
             g = _mean_zero_gauge(g, cx)
         exact = d(g)
@@ -252,8 +265,15 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         exact_vals, g, residuals["exact_solve"] = solve_exact(c.values)
         coexact_vals = np.zeros_like(c.values)
         if has_up:
-            gram, bound = _coexact_operator(cx, k, w, sqrt_w)
-            coexact_vals = _cg(gram, gram(b), SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
+            up = _up_weights(cx, k, w)
+            if _dense_curl(cx, k, up):
+                gram, bound = _coexact_operator(cx, k, w, sqrt_w)
+                rhs = gram(b)
+            else:  # rhs from the face array; D is assembled only when CG steps, which it does not at a round-off rhs
+                d, dt = _products(cx, k, up)
+                bound, rhs = _coexact_bound(cx, k, up, sqrt_w)[0], dt(d(b / sqrt_w)) / sqrt_w
+                gram = _on_step(lambda x, gram, _bound: gram(x), lambda: _coexact_operator(cx, k, w, sqrt_w))
+            coexact_vals = _cg(gram, rhs, SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
         residuals["coexact_solve"] = float(np.linalg.norm(sqrt_w * (c.values - coexact_vals)))
         harmonic_vals = c.values - exact_vals - coexact_vals
     else:

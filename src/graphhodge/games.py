@@ -28,7 +28,7 @@ import numpy as np
 from .cochains import Cochain, WeightScheme
 from .complexes import CliqueComplex, Graph, enumerate_cliques
 from .decompose import hodge_decompose
-from .operators import apply_operator, coboundary
+from .operators import _face_products
 
 PREDICATE_TOL = 1e-10
 
@@ -197,8 +197,8 @@ def decompose_game_flow(x: Cochain, curl_tol: float = 1e-8) -> GameFlowSplit:
     or if the decomposition produces a non-negligible curl-adjoint component.
     """
     scale = max(1.0, float(np.max(np.abs(x.values), initial=0.0)))
-    curl = apply_operator(coboundary(x.complex, 1), x)
-    curl_size = float(np.max(np.abs(curl.values), initial=0.0))
+    curl = _face_products(x.complex._faces(3), len(x.values), x.values, None)[0]  # d_1 x, from the face array
+    curl_size = float(np.max(np.abs(curl), initial=0.0))
     if curl_size > curl_tol * scale:
         raise ValueError(f"input is not curl-free: max curl {curl_size:.3e}")
     split = hodge_decompose(x, WeightScheme.unit(), method="two-solve")

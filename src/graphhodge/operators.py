@@ -18,20 +18,21 @@ B_k^T B_k + B_{k-1} B_{k-1}^T = W^{1/2} L W^{-1/2}, which HodgeLaplacian stores
 table, and B_j is d_j itself when neither of its levels has one.
 
 _coboundary_entries reads B_j's entries off the recorded faces, their one home:
-coboundary() assembles d_k from them as CSR once per graph, for CG and the sparse
-sums of every Hodge Laplacian, and spectral's dense Grams and the operator command
-read them with no sparse matrix, and so do decompose's CG stop bounds
-(_abs_products). On a dense triangle level, decompose's CG applies d_1^T d_1 with
-no d_1 at all: _curl_gram's one product with the dense adjacency matrix, kept
-once per graph. Only harmonic_basis turns a Laplacian dense; an edge flow's
-potential, borda_divergence and nonlinear apply d_0 from the edge array, by
-complexes._d0. scipy.sparse is imported by the functions that build sparse matrices.
+coboundary() assembles d_k from them as CSR once per graph, for the sparse sums of
+every Hodge Laplacian and for CG steps, and spectral's dense Grams and the operator
+command read them with no sparse matrix. A product used once (a right-hand side, a
+CG stop bound, the game's curl check) reads the faces by _face_products, bit for bit
+CSR's; d_k is assembled only when CG takes a step. On a dense triangle level, CG
+applies d_1^T d_1 as _curl_gram's one product with the dense adjacency matrix; a
+product with d_0 outside a Laplacian runs on the edge array (complexes._d0). Only harmonic_basis
+turns a Laplacian dense. scipy.sparse is imported by the functions that build sparse matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,31 +84,37 @@ def _coboundary_entries(cx: CliqueComplex, j: int, w: WeightScheme) -> tuple[np.
     return faces, (np.sqrt(w.vector(cx, j + 1))[:, None] * sign) * (1.0 / np.sqrt(w.vector(cx, j)))[faces]
 
 
-_BLOCK = 1 << 13  # rows per block of _abs_products: an intp copy of its faces stays in cache
+_BLOCK = 1 << 13  # rows per block of _face_products: an intp copy of its faces stays in cache
 
 
-def _abs_products(faces: np.ndarray, n_cols: int, x: np.ndarray, y, scale=1.0) -> tuple[np.ndarray, np.ndarray | None]:
-    """(|B| x, |B|^T y), B = diag(scale) d_j, from d_j's faces, summed as scipy's CSR and CSC products sum them; with y
-    None, (|B| x, None). A face's later rows insert a vertex ever later, so hold it at earlier face columns: run those
-    last to first, and each column sum runs down the rows, block after block of _BLOCK rows. A block gathers and
-    scatters through a contiguous intp copy of its face columns, not the strided int32 ones."""
-    rows, cols = np.zeros(len(faces)), None if y is None else np.zeros(n_cols)
+def _face_products(faces: np.ndarray, n_cols: int, x, y, scale=1.0, signed=True) -> tuple:
+    """(B x, B^T y), B = diag(scale) d_j, or |B| when not signed, from d_j's faces, summed as scipy's CSR and CSC
+    products sum them, so bit for bit; None for the product whose x or y is None. A face's later rows insert a vertex
+    ever later, so hold it at earlier face columns: run those last to first, and each column sum runs down the rows,
+    block after block of _BLOCK rows. A block gathers and scatters through a contiguous intp copy of its face
+    columns, not the strided int32 ones. Column i's coefficient is d_j's (-1)^(j+1-i), or 1 when not signed."""
+    rows, cols = (None if x is None else np.zeros(len(faces))), (None if y is None else np.zeros(n_cols))
     weights = None if y is None else scale * y
+    signs = (-1.0) ** np.arange(faces.shape[1] - 1, -1, -1) if signed else np.ones(faces.shape[1])
 
     def part(values, block):
         return values[block] if np.ndim(values) else values
 
     for start in range(0, len(faces), _BLOCK):
         block = slice(start, start + _BLOCK)
-        columns, out = faces[block].T.astype(np.intp, order="C"), rows[block]
-        for column in columns:
-            term = x[column]
-            term *= part(scale, block)
-            out += term
+        columns = faces[block].T.astype(np.intp, order="C")
+        if rows is not None:
+            for column, sign in zip(columns, signs):
+                term = x[column]
+                term *= part(scale, block) * sign  # scale * sign is B's entry, exactly
+                rows[block] += term
         if cols is not None:
-            for column in columns[::-1]:
-                np.add.at(cols, column, part(weights, block))
+            for column, sign in zip(columns[::-1], signs[::-1]):
+                np.add.at(cols, column, part(weights, block) * sign)
     return rows, cols
+
+
+_abs_products = partial(_face_products, signed=False)  # (|B| x, |B|^T y)
 
 
 def _abs_row_sums(m: sp.csr_matrix) -> np.ndarray:

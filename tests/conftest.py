@@ -366,6 +366,27 @@ def csr_edge_potential(c, w) -> tuple[np.ndarray, np.ndarray]:
     return d @ g, g
 
 
+def csr_vertex_coexact(c, w) -> tuple[np.ndarray, np.ndarray]:
+    """(coexact part, prepotential) of a 0-cochain c by decompose's CG with products with the CSR D = W_1 d_0,
+    sp.diags(W_1) @ coboundary(cx, 0) sorted, the solves the edge-array D replaced: same stops."""
+    from graphhodge.decompose import SOLVER_RTOL, _cg
+
+    cx = c.complex
+    d, w_here = coboundary(cx, 0).matrix, w.vector(cx, 0)
+    if 2 in w.tables:
+        d = sp.diags(w.vector(cx, 1)) @ d
+        d.sort_indices()
+    sqrt_w = np.sqrt(w_here)
+    bound, b = coexact_bound(cx, 0, w, sqrt_w), sqrt_w * c.values
+
+    def gram(x):
+        return (d.T @ (d @ (x / sqrt_w))) / sqrt_w
+
+    coexact = _cg(gram, gram(b), SOLVER_RTOL * bound * np.linalg.norm(b), "the coexact part") / sqrt_w
+    atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(b)
+    return coexact, _cg(lambda x: d @ ((d.T @ x) / w_here), d @ c.values, atol, "the prepotential")
+
+
 # A 5-clique among 70,000 declared vertices: keys made of base-(n+1) digits of
 # every vertex overflow int64 from order 4 on, since 70001**4 > 2**63.
 BIG_FIVE_CLIQUE = Graph.from_edges(70_000, combinations((3, 17, 40_000, 69_999, 70_000), 2))

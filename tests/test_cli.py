@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from graphhodge.cli import emit_plot_data, main
-from graphhodge import ComparisonData, GameForm, aggregate, game_flow, rank, read_matrix
+from graphhodge import ComparisonData, GameForm, aggregate, coboundary, game_flow, rank, read_matrix
 
 from conftest import (
     loop_game_outputs,
@@ -975,6 +975,29 @@ class TestStartup:
         # potential's d_0 is the edge array's
         seen = self.probe(tmp_path, [["rank", "--input", str(DATA / "ratings_small.csv")]])
         assert seen["rank"] == []
+
+    def test_game_loads_no_scipy(self, tmp_path):
+        seen = self.probe(tmp_path, [["game", "--input", str(DATA / "road_sharing.json")]])
+        assert seen["game"] == []
+
+    def test_game_with_a_round_off_curl_loads_no_scipy(self, tmp_path):
+        # 27 profiles, 81 edges, 27 triangles: a sparse triangle level, and Gaussian utilities whose flow has a curl
+        # of round-off size, so the coexact right-hand side is round-off too and CG takes no step
+        rng = np.random.default_rng(0)
+        strategies = [["a", "b", "c"], ["p", "q", "r"], ["x", "y", "z"]]
+        utilities = [{",".join(p): float(rng.normal()) for p in product(*strategies)} for _ in strategies]
+        form = GameForm.from_tables(strategies, utilities)
+        flow = game_flow(form)
+        assert flow.complex.n_cliques(3) == 27
+        assert np.any(coboundary(flow.complex, 1).matrix @ flow.values)
+        game = write(tmp_path, "g.json", json.dumps({"strategies": strategies, "utilities": utilities}))
+        seen = self.probe(tmp_path, [["game", "--input", game]])
+        assert seen["game"] == []
+
+    def test_two_solve_decompose_of_a_vertex_function_loads_no_scipy(self, tmp_path):
+        f = write(tmp_path, "f.tsv", "1 0.5\n2 -1\n3 2\n4 0.25\n")
+        seen = self.probe(tmp_path, [["decompose", "--input", str(DATA / "c4.txt"), "--cochain", f]])
+        assert seen["decompose"] == []
 
     def test_no_command_loads_the_sparse_solvers(self, tmp_path):
         c4 = str(DATA / "c4.txt")

@@ -275,6 +275,23 @@ class TestEdgeArrayD0:
     def test_one_vertex_edgeless_isolated_and_complete(self, graph, rng):
         self.assert_matches_csr(graph, rng)
 
+    @given(pair_lists(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_products_equal_the_diags_ones(self, case, seed):
+        """With an edge vector w, the products are those of sp.diags(w) @ d_0, sorted as decompose sorts it."""
+        import scipy.sparse as sp
+
+        n, raw = case
+        rng, graph = np.random.default_rng(seed), Graph.from_edges(n, raw)
+        w = 10 ** rng.uniform(-2, 2, len(graph.pairs))
+        d = sp.diags(w) @ coboundary(enumerate_cliques(graph, 2), 0).matrix
+        d.sort_indices()
+        d0, d0t = complexes._d0(graph, w)
+        x, y = special_floats(rng, graph.n_vertices), special_floats(rng, len(graph.pairs))
+        grad, div = d0(x), d0t(y)
+        assert np.array_equal(grad, d @ x) and div.tobytes() == (d.T @ y).tobytes()
+        assert grad.dtype == div.dtype == np.float64
+
 
 class TestEnumerateCliques:
     def test_c4_has_no_triangles(self, c4_complex):

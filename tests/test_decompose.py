@@ -37,6 +37,7 @@ from conftest import (
     coexact_bound,
     complete_graph,
     csr_edge_potential,
+    csr_vertex_coexact,
     cycle_graph,
     pinv_split,
     potential_bound,
@@ -507,6 +508,74 @@ class TestEdgeArrayPotential:
                 compared += 1
                 del cx.graph._memo["coboundary", 2]
         assert compared == 60
+
+
+class TestEdgeArrayCoexact:
+    """A 0-cochain's coexact part and prepotential by complexes._d0 scaled by W_1, against conftest's CG with the CSR
+    D = W_1 d_0: the same bits, and no CSR d_0 built."""
+
+    def test_two_solve_matches_the_csr_solves(self, rng):
+        compared = 0
+        for graph in TestEdgeArrayPotential.graphs(rng):
+            cx = enumerate_cliques(graph, 2)
+            spread = WeightScheme.from_table({c: 10 ** rng.uniform(-2, 2) for o in (1, 2) for c in cx.cliques(o)})
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx, [1]), random_table_weights(rng, cx), spread):
+                c = Cochain(0, cx, rng.normal(size=graph.n_vertices) * 10 ** rng.uniform(-3, 3))
+                split = hodge_decompose(c, w, method="two-solve")
+                coexact, h = split.coexact.values, split.prepotential
+                assert ("coboundary", 2) not in cx.graph._memo
+                ref_coexact, ref_h = csr_vertex_coexact(c, w)
+                assert coexact.tobytes() == ref_coexact.tobytes(), graph
+                assert (h is None) == (not len(graph.pairs))
+                assert h is None or h.values.tobytes() == ref_h.tobytes(), graph
+                compared += h is not None
+                cx.graph._memo.pop(("coboundary", 2), None)
+        assert compared >= 50
+
+
+class TestOneOffProducts:
+    """A right-hand side and exact = d g read the face array, and D is assembled only when CG steps: every part,
+    potential and prepotential bit for bit those of the same solves with every product taken by CSR."""
+
+    @staticmethod
+    def all_csr(monkeypatch):
+        products = decompose._products
+        monkeypatch.setattr(decompose, "_products", lambda cx, j, up, step=False: products(cx, j, up, step=True))
+
+    def test_bit_equal_to_csr_products(self, monkeypatch):
+        compared = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, int(rng.integers(6, 16)), 0.5), 5)
+            schemes = (WeightScheme.unit(), random_table_weights(rng, cx, [2, 3]), random_table_weights(rng, cx))
+            for w, k in ((w, k) for w in schemes for k in (1, 2)):
+                if not cx.n_cliques(k + 2) or decompose._dense_curl(cx, k, decompose._up_weights(cx, k, w)):
+                    continue
+                c = Cochain(k, cx, rng.normal(size=cx.n_cliques(k + 1)))
+                got = hodge_decompose(c, w)
+                with monkeypatch.context() as patch:
+                    self.all_csr(patch)
+                    ref = hodge_decompose(c, w)
+                    ref_h = ref.prepotential.values
+                for part in ("exact", "harmonic", "coexact", "potential"):
+                    assert getattr(got, part).values.tobytes() == getattr(ref, part).values.tobytes(), (seed, k)
+                assert got.prepotential.values.tobytes() == ref_h.tobytes(), (seed, k)
+                compared += 1
+        assert compared >= 15
+
+    def test_a_round_off_coexact_rhs_assembles_no_d(self):
+        """A gradient flow on a sparse triangle level has a round-off curl: CG takes no step, so no d_1 is built."""
+        steps = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 30, 0.2), 3)
+            assert cx.n_cliques(3) and not decompose._dense_curl(cx, 1, 1.0)
+            flow = Cochain(1, cx, coboundary(cx, 0).matrix @ rng.normal(size=30))
+            split = hodge_decompose(flow)
+            assert ("coboundary", 3) not in cx.graph._memo and not split.coexact.values.any()
+            curl = Cochain(1, cx, flow.values + coboundary(cx, 1).matrix.T @ rng.normal(size=cx.n_cliques(3)))
+            steps += hodge_decompose(curl).coexact.values.any() and ("coboundary", 3) in cx.graph._memo
+        assert steps == 6
 
 
 class TestStopBoundOracle:
