@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure (the
 diagnostic report is still emitted). All structured output is JSON with sorted
-keys and 12-significant-digit floats; bulk numeric tables are TSV.
+keys and 12-significant-digit floats; bulk numeric tables are TSV. The
+application layers (hodgerank, games, nonlinear) are imported by the commands
+that use them.
 """
 
 from __future__ import annotations
@@ -16,21 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv, write_cochain_tsv
+from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv
 from .complexes import CliqueComplex, Graph, InputFormatError, _data_lines, enumerate_cliques, parse_graph
 from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
-from .games import (
-    GameForm,
-    _profile_key,
-    decompose_game_flow,
-    game_flow,
-    is_harmonic_game,
-    is_potential_game,
-    pure_nash,
-    strategy_graph,
-)
-from .hodgerank import ComparisonData, RankingResult, aggregate, rank
-from .nonlinear import apply_p_laplacian, cheeger_check
 from .operators import _coboundary_entries, _write_coordinates, hodge_laplacian, write_matrix
 from .spectral import (
     Spectrum,
@@ -56,6 +46,8 @@ def emit_plot_data(obj) -> str:
         parts = (obj.input, obj.exact, obj.harmonic, obj.coexact)
         level = obj.input.complex.level(obj.input.degree + 1)
         return id_value_lines(level, *(part.values + 0.0 for part in parts), sep="\t")
+    from .hodgerank import RankingResult
+
     if isinstance(obj, RankingResult):
         ids = np.column_stack((np.arange(1, len(obj.order) + 1), np.array(obj.order, dtype=object)))  # not <U
         return id_value_lines(ids, np.array([obj.scores[item] for item in obj.order]) + 0.0, sep="\t")
@@ -176,6 +168,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .hodgerank import ComparisonData, aggregate, rank
+
     data = ComparisonData.from_csv(_read_text(args.input))
     cf = aggregate(data, model=args.model)
     result = rank(cf)
@@ -190,6 +184,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    from .games import (GameForm, _profile_key, decompose_game_flow, game_flow, is_harmonic_game, is_potential_game,
+                        pure_nash, strategy_graph)
+
     try:
         doc = json.loads(_read_text(args.input))
     except json.JSONDecodeError as exc:
@@ -218,12 +215,16 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_cheeger(args) -> int:
+    from .nonlinear import cheeger_check
+
     report = cheeger_check(_load_graph(args.input))
     _write(args, json_dumps(report.to_json_dict()) + "\n")
     return 0
 
 
 def _cmd_plap(args) -> int:
+    from .nonlinear import apply_p_laplacian
+
     graph = _load_graph(args.input)
     values = read_cochain_tsv(_read_text(args.f), enumerate_cliques(graph, 1), 0).values
     out = apply_p_laplacian(graph, values, args.p, mode=args.mode)

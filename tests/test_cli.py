@@ -1010,3 +1010,112 @@ class TestStartup:
         seen = self.probe(tmp_path, runs)
         assert "scipy.sparse" in seen["decompose"]  # the probe sees what the solves load
         assert not any("scipy.sparse.linalg" in modules for modules in seen.values())
+
+
+LAYER_PROBE = """
+import json, sys
+code, argv = json.loads(sys.argv[1])
+exec(code)
+if argv:
+    from graphhodge.cli import main
+    assert main(argv) == 0, argv
+print(json.dumps({"layers": sorted(m for m in sys.modules if m.startswith("graphhodge.")),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+PUBLIC_NAMES = {
+    "Certificate", "CheegerReport", "CliqueComplex", "CoboundaryOperator", "Cochain", "ComparisonData",
+    "ComparisonFlow", "ConvergenceError", "Cut", "GameFlowSplit", "GameForm", "Graph", "HodgeLaplacian", "HodgeSplit",
+    "InputFormatError", "OperatorPairReport", "RankingResult", "Spectrum", "StrategyGraph", "WeightScheme", "adjoint",
+    "aggregate", "apply_operator", "apply_p_laplacian", "betti", "borda_divergence", "cheeger_check",
+    "cheeger_constant", "coboundary", "compare_fingerprints", "decompose_game_flow", "divergence_matrix",
+    "enumerate_cliques", "game_flow", "harmonic_basis", "harmonic_project", "hodge_decompose", "hodge_laplacian",
+    "inner_product", "is_harmonic_game", "is_potential_game", "isospectral_fingerprint", "norm", "parse_graph",
+    "pure_nash", "rank", "read_cochain_tsv", "read_matrix", "read_weights_tsv", "spectrum", "strategy_graph",
+    "verify_operator_pair", "write_cochain_tsv", "write_matrix",
+}
+
+
+class TestLazyLayers:
+    """Which graphhodge layer modules a fresh interpreter holds after importing the package, using one name, or
+    running one command."""
+
+    @staticmethod
+    def probe(tmp_path, code: str, argv=()) -> dict:
+        argv = [*argv, "--output", str(tmp_path / "out")] if argv else []
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(DATA.parent / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, json.dumps([code, argv])], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_import_loads_no_layer_module_and_no_numpy(self, tmp_path):
+        assert self.probe(tmp_path, "import graphhodge") == {"layers": [], "numpy": False}
+
+    def test_parse_graph_loads_only_complexes(self, tmp_path):
+        seen = self.probe(tmp_path, "import graphhodge; graphhodge.parse_graph('1 2\\n')")
+        assert seen["layers"] == ["graphhodge.complexes"]
+
+    def test_layer_module_resolves_after_a_bare_import(self, tmp_path):
+        seen = self.probe(tmp_path, "import graphhodge; assert graphhodge.spectral.__name__ == 'graphhodge.spectral'")
+        assert "graphhodge.spectral" in seen["layers"]
+
+    @pytest.mark.parametrize("case", [
+        (["cheeger", "--input", "c4.txt"], "nonlinear", ("games", "hodgerank")),
+        (["plap", "--input", "c4.txt", "--f", "F", "--p", "3"], "nonlinear", ("games", "hodgerank")),
+        (["spectrum", "--input", "c4.txt", "--k", "1"], "spectral", ("games", "hodgerank", "nonlinear")),
+        (["decompose", "--input", "c4.txt", "--cochain", "c4_cyclic_flow.tsv"], "decompose",
+         ("games", "hodgerank", "nonlinear")),
+        (["isospectral", "iso_pair_a1.txt", "iso_pair_a2.txt"], "spectral", ("games", "hodgerank", "nonlinear")),
+        (["rank", "--input", "ratings_small.csv"], "hodgerank", ("games", "nonlinear")),
+        (["game", "--input", "road_sharing.json"], "games", ("hodgerank", "nonlinear")),
+    ], ids=lambda case: case[0][0])
+    def test_command_loads_only_the_layers_it_uses(self, tmp_path, case):
+        argv, used, unused = case
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
+        argv = [f if a == "F" else str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+        layers = self.probe(tmp_path, "", argv)["layers"]
+        assert f"graphhodge.{used}" in layers  # the probe sees what the command loads
+        assert not {f"graphhodge.{name}" for name in unused} & set(layers), layers
+
+
+class TestNamespace:
+    """The package's public names, each the defining module's object, resolved on use."""
+
+    def test_public_names(self):
+        import graphhodge
+
+        assert set(graphhodge.__all__) == PUBLIC_NAMES
+        assert len(graphhodge.__all__) == 54
+        assert PUBLIC_NAMES <= set(dir(graphhodge))
+
+    def test_each_name_is_the_defining_modules_object(self):
+        import graphhodge
+
+        for name in PUBLIC_NAMES:
+            obj = getattr(graphhodge, name)
+            assert obj.__module__.startswith("graphhodge."), name
+            assert obj is getattr(sys.modules[obj.__module__], name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from graphhodge import *", namespace)
+        assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+
+    def test_unknown_name_raises_attribute_error_naming_it(self):
+        import graphhodge
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            graphhodge.no_such_name
+        assert not hasattr(graphhodge, "no_such_name")
+
+    def test_a_replacement_on_the_defining_module_is_seen_through_the_package(self, monkeypatch):
+        import graphhodge
+        from graphhodge import operators
+
+        original = operators.coboundary
+        monkeypatch.setattr(operators, "coboundary", "replaced")
+        assert graphhodge.coboundary == "replaced"
+        monkeypatch.undo()
+        assert graphhodge.coboundary is original

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -576,6 +576,21 @@ class TestOneOffProducts:
             curl = Cochain(1, cx, flow.values + coboundary(cx, 1).matrix.T @ rng.normal(size=cx.n_cliques(3)))
             steps += hodge_decompose(curl).coexact.values.any() and ("coboundary", 3) in cx.graph._memo
         assert steps == 6
+
+    def test_a_split_reads_the_coexact_bound_once(self, monkeypatch):
+        """The stop bound and the Gram share one _coexact_bound, on sparse and dense triangle levels alike."""
+        bound, calls = decompose._coexact_bound, []
+        monkeypatch.setattr(decompose, "_coexact_bound", lambda *args: calls.append(1) or bound(*args))
+        dense = set()
+        for seed, p in product(range(4), (0.2, 0.9)):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 12, p), 3)
+            dense.add(decompose._dense_curl(cx, 1, 1.0))
+            curl = Cochain(1, cx, coboundary(cx, 1).matrix.T @ rng.normal(size=cx.n_cliques(3)))
+            calls.clear()
+            assert hodge_decompose(curl).coexact.values.any()  # CG steps, so the Gram is built
+            assert len(calls) == 1, (seed, p)
+        assert dense == {True, False}
 
 
 class TestStopBoundOracle:
