@@ -41,7 +41,9 @@ float64, a cochain that fits at
 1e150, and a cochain line of 2,000 ids follow, then a seeded G(40, 0.7), whose triangles fill a
 dense level, through cliques --max-order 4, and an edge flow on it through
 two-solve decompose with no weight table and with one on its triangles, rank on two disjoint
-complete comparison graphs of 8 items each, whose triangles fill a dense level too, and game on a
+complete comparison graphs of 8 items each, whose triangles fill a dense level too, rank on a
+complete comparison graph of 60 items with uneven vote counts and on a triangle-poor K_{20,20}
+with 3 edges inside one side, which enumerate no triangle before the split, and game on a
 seeded 3 x 3 x 3 game with Gaussian float utilities, whose flow has a round-off curl (the games
 above have integer utilities, whose curl is exactly 0). It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
@@ -280,6 +282,7 @@ def cases(root: Path, small: bool):
         yield from overflowing_solves(root)
         yield from dense_graph(root)
         yield from dense_comparisons(root)
+        yield from lazy_comparisons(root)
         yield from round_off_game(root)
     yield from must_exit_one(root, f4, small)
 
@@ -410,6 +413,24 @@ def dense_comparisons(root: Path):
     votes.write_text("".join(f"v{(i + j) % 3},{group}{i},{group}{j},{((3 * i + 5 * j + 7 * g) % 11 - 5) / 2}\n"
                              for g, group in enumerate("ab") for i, j in combinations(range(8), 2)))
     yield ["rank", "--input", votes], "--plot"
+
+
+def lazy_comparisons(root: Path):
+    """rank on two fixed pairwise vote sets that enumerate no triangle before the split. On 60 items compared all
+    pairwise, a pair of opposite parity has one vote and any other pair 2-8, so no triangle holds three one-vote
+    pairs and the faceless row maximum scans its edges in more than one batch. On K_{20,20} with 3 disjoint edges
+    inside one side (60 triangles), the adjacency matrix is built to count the triangles and dropped, and the
+    coexact solve runs on the enumerated faces."""
+    uneven, poor = root / "uneven_votes.csv", root / "triangle_poor.csv"
+    uneven.write_text("".join(f"v{k},i{i:02d},i{j:02d},{((3 * i + 5 * j + 7 * k) % 11 - 5) / 2}\n"
+                              for i, j in combinations(range(60), 2)
+                              for k in range(1 if (i + j) % 2 else 2 + (i * j) % 7)))
+    sides = [(f"x{i:02d}", f"y{j:02d}") for i in range(20) for j in range(20)]
+    poor.write_text("".join(f"v{(3 * i + j) % 4},{a},{b},{(7 * i + 3 * j) % 9 - 4}\n"
+                            for i, (a, b) in enumerate(sides + [("x00", "x01"), ("x02", "x03"), ("x04", "x05")])
+                            for j in range(2)))
+    for votes in (uneven, poor):
+        yield ["rank", "--input", votes], "--plot"
 
 
 def round_off_game(root: Path):

@@ -1,17 +1,18 @@
 """Undirected simple graphs and their clique complexes.
 
 Vertices are 1-indexed externally; array positions are 0-indexed. The k-cliques
-of a complex are ordered lexicographically, each one ascending. That ordering
-is the canonical basis used by every operator matrix in this package, so it
-must be reproducible bit for bit. A level of order k >= 2 is its face array:
-enumeration records, once per graph, where each clique's faces sit in the
-level below, and d_k, the counts and the keys read only that. Enumeration
-finds a candidate's faces by their keys, which cannot overflow: by one gather
-from a direct-address table when the keys' range is no larger than the number
-of queries, else by binary search. It refuses an order whose candidates would
-not fit in physical memory before laying them out; _check_fits is the one such
-check, which spectral's dense paths use too. locate() finds cochain and weight
-table rows by binary search on the same keys.
+of a complex are ordered lexicographically, each one ascending. That ordering is
+the canonical basis used by every operator matrix in this package, so it must be
+reproducible bit for bit. A level of order k >= 2 is its face array: enumeration
+records, once per graph, where each clique's faces sit in the level below, and
+d_k, the counts and the keys read only that. A level is enumerated on its first
+read (CliqueComplex._faces, the one path into _extend); enumerate_cliques reads
+its top level at once. Enumeration finds a candidate's faces by their keys,
+which cannot overflow: by one gather from a direct-address table when the keys'
+range is no larger than the number of queries, else by binary search. It refuses
+an order whose candidates would not fit in physical memory before laying them
+out; _check_fits is the one such check, which spectral's dense paths use too.
+locate() finds cochain and weight table rows by binary search on the same keys.
 level(k) builds the (N, k) vertex rows of an order k >= 3 from the faces on
 first read, for output; cliques(k) is a tuple view of it that no computation
 reads. A Graph stores its edges once, as the order-2 level itself: producers
@@ -214,7 +215,7 @@ def _key(prefix_position, last, n: int):
 class CliqueComplex:
     """All k-cliques of a graph for k = 1..max_order, in lexicographic order.
 
-    A level of order k >= 2 is its face array (see _faces), kept once per graph.
+    A level of order k >= 2 is its face array (see _faces), enumerated on first read, kept once per graph.
     Orders beyond max_order are served only when provably empty, i.e. when some
     level up to max_order is empty; otherwise asking for them is an error.
     """
@@ -287,17 +288,20 @@ class CliqueComplex:
     def _faces(self, order: int) -> np.ndarray:
         """Positions in level order-1 of each clique's faces, ascending: column i drops vertex order-1-i.
 
-        Read-only, int32 while every position fits; empty past the first empty level.
+        Read-only, int32 while every position fits; empty past the first empty level. An order up to max_order
+        that the graph has not recorded is enumerated, with the levels below it, on this first read.
         """
         self._cover(order)
+        if order <= self.max_order and _top(self.graph) < order and self.clique_number() is None:
+            _extend(self, order)
         faces = self.graph._memo.get(("faces", order))
         return _frozen(np.empty((0, order), dtype=np.int32)) if faces is None else faces
 
     def _cover(self, order: int) -> None:
-        """Raise unless the order was enumerated or is provably empty."""
+        """Raise unless the order is at most max_order or provably empty: past an empty level up to max_order."""
         if order < 1:
             raise ValueError(f"clique order must be >= 1, got {order}")
-        if order > self.max_order and self.clique_number() is None:
+        if order > self.max_order and self.n_cliques(self.max_order):
             raise ValueError(f"cliques of order {order} were not enumerated (max_order={self.max_order}) "
                              "and cannot be proven empty; re-enumerate with a larger max_order")
 
@@ -321,14 +325,13 @@ class CliqueComplex:
 
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
-    """All cliques of order 1..max_order, extending the enumeration already kept on the graph."""
+    """All cliques of order 1..max_order, extending the enumeration already kept on the graph, enumerated now."""
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     if graph.n_vertices > MAX_VERTICES:  # checked before any per-vertex array is laid out
         raise ValueError(f"vertex count {graph.n_vertices} is above {MAX_VERTICES}: clique keys would pass int64")
     cx = CliqueComplex(graph, max_order)
-    if _top(graph) < max_order and cx.clique_number() is None:
-        _extend(cx)
+    cx._faces(max_order)  # its first read enumerates it
     return cx
 
 
@@ -337,8 +340,8 @@ def _top(graph: Graph) -> int:
     return max((order for kind, order in graph._memo if kind == "faces"), default=1)
 
 
-def _extend(cx: CliqueComplex) -> None:
-    """Record the faces of every level above the graph's top up to cx.max_order, stopping after an empty one.
+def _extend(cx: CliqueComplex, target: int) -> None:
+    """Record the faces of every level above the graph's top up to order target, stopping after an empty one.
 
     Each k-clique Q is extended by the larger neighbours w of its last vertex, in
     ascending order, so the levels come out sorted. The face of (Q, w) without q_j
@@ -357,7 +360,7 @@ def _extend(cx: CliqueComplex) -> None:
         order = 3
     # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
-    while order <= cx.max_order and cx.n_cliques(order - 1):
+    while order <= target and cx.n_cliques(order - 1):
         faces, keys = cx._faces(order - 1), cx._keys(order - 1)
         last = keys % (n + 1)
         start = first[last - 1]

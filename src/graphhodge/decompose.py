@@ -22,14 +22,16 @@ h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
 minimizers. A_e and A_c act through _products: once (a right-hand side, A_e g)
 from the face array, and in CG steps by the cached CSR d_j, assembled only when CG
 takes one; d_0 is always complexes._d0. On a dense triangle level (64 c_3 >= n^3)
-with no triangle weights A_c A_c^T is operators._curl_gram's n x n product.
+with no triangle weights A_c A_c^T is operators._curl_gram's n x n product and no
+triangle is enumerated: c_3 is counted from the adjacency matrix A (see _n_up).
 CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
 |M|_2 |b| for the coexact part and the laplacian image, and |A_e|_2 |b| and
 |A_c|_2 |b| for the potentials, so that the stop scales with the weights as the
 answer does, and never relative to the right-hand side alone, which can be
 round-off (the exact part of a harmonic cochain). The bounds for A_e and A_c are
 1- times inf-norms read off d_j's faces; on the n x n path the column sums of
-|d_1| are the triangles on each edge, counted from the adjacency matrix. The
+|d_1| are the triangles on each edge, (A A)_ij, and the row maximum is scanned
+from dense rows of A (operators._curl_row_max). The
 residuals |b - A_e g| and |b - u| come from the returned parts. CG is the
 in-house loop cg().
 """
@@ -43,8 +45,8 @@ import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
 from .complexes import _d0
-from .operators import (_abs_products, _abs_row_sums, _curl_gram, _edge_triangles, _face_products, coboundary,
-                        hodge_laplacian)
+from .operators import (_abs_products, _abs_row_sums, _curl_gram, _curl_row_max, _edge_triangles, _face_products,
+                        coboundary, hodge_laplacian)
 
 SOLVER_RTOL = 1e-10
 METHODS = ("two-solve", "laplacian-residual")
@@ -104,12 +106,12 @@ def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray, bounded=N
     (bound, cols), which _split always passes. bounded=None computes it here; only the tests that take this
     function as a reference call it so, and the parameter can become required once they pass it.
 
-    Where _dense_curl holds, A_c A_c^T is operators._curl_gram's one n x n product, fed the triangle count of each
-    edge that the bound reads too, and d_1 is not assembled; otherwise it is D's two CG products."""
+    Where _dense_curl holds, A_c A_c^T is operators._curl_gram's one n x n product, and d_1 is not assembled;
+    otherwise it is D's two CG products."""
     up = _up_weights(cx, k, w)
-    bound, cols = bounded or _coexact_bound(cx, k, up, sqrt_w)
+    bound = (bounded or _coexact_bound(cx, k, up, sqrt_w))[0]
     if _dense_curl(cx, k, up):
-        gram = _curl_gram(cx, cols)  # cols = |d_1|^T 1: triangles per edge
+        gram = _curl_gram(cx)
     else:
         d, dt = _products(cx, k, up, step=True)
 
@@ -124,19 +126,28 @@ def _up_weights(cx, k: int, w: WeightScheme):
     return w.vector(cx, k + 1) if k + 2 in w.tables else 1.0
 
 
+def _n_up(cx, k: int) -> int:
+    """c_{k+2}; for triangles not enumerated, sum_ij (A A)_ij / 3, exact in float64, unless c_3 <= (sqrt 2 / 3) m^{3/2}
+    rules a dense level out, 9 n^6 > 8192 m^3: then, as at k != 1, the level is enumerated on this read."""
+    n, m = cx.graph.n_vertices, len(cx.graph.pairs)
+    if k != 1 or ("faces", 3) in cx.graph._memo or 9 * n**6 > 8192 * m**3:
+        return cx.n_cliques(k + 2)
+    return int(_edge_triangles(cx).sum()) // 3
+
+
 def _dense_curl(cx, k: int, up) -> bool:
     """Whether A_c A_c^T is _curl_gram's n x n product: an edge flow whose triangles have no weight table and fill a
     dense level, 64 c_3 >= n^3."""
-    return k == 1 and np.ndim(up) == 0 and 64 * cx.n_cliques(3) >= cx.graph.n_vertices ** 3
+    return k == 1 and np.ndim(up) == 0 and 64 * _n_up(cx, k) >= cx.graph.n_vertices ** 3
 
 
 def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> tuple[float, np.ndarray]:
     """(|A_c|_1 |A_c|_inf, |D|^T 1) for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces; where
-    _dense_curl holds, |D|^T 1 is the triangles on each edge, counted from the adjacency matrix instead."""
+    _dense_curl holds, |D|^T 1 is the triangles on each edge, counted from the adjacency matrix, and the row
+    maximum is _curl_row_max's, with no face read."""
     right = 1.0 / sqrt_w
-    dense = _dense_curl(cx, k, up)
-    rows, cols = _abs_products(cx._faces(k + 2), len(right), right, None if dense else 1.0, up)
-    cols = _edge_triangles(cx) if dense else cols
+    rows, cols = ((_curl_row_max(cx, right), _edge_triangles(cx)) if _dense_curl(cx, k, up)
+                  else _abs_products(cx._faces(k + 2), len(right), right, 1.0, up))
     return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0)), cols
 
 
@@ -190,7 +201,7 @@ class HodgeSplit:
         """h with A_c^T A_c h = A_c^T b, the least-norm minimizer of |d_k* h - c|_w, solved from the input;
         two-solve only, None without (k+2)-cliques, and solved on first read."""
         cx, k = self.input.complex, self.input.degree
-        if self.method != "two-solve" or cx.n_cliques(k + 2) == 0:
+        if self.method != "two-solve" or _n_up(cx, k) == 0:
             return None
         w_here = self.weights.vector(cx, k)
         sqrt_w = np.sqrt(w_here)
@@ -216,9 +227,9 @@ def hodge_decompose(
 ) -> HodgeSplit:
     """Split a cochain into exact, harmonic, and coexact parts by least squares.
 
-    Requires the complex to be enumerated through level k+2 so d_k exists
-    (possibly with an empty target). Empty adjacent levels reduce cleanly: the
-    corresponding component is identically zero. Raises ValueError when a solve
+    Requires the complex to cover level k+2 so d_k exists (possibly with an
+    empty target). Empty adjacent levels reduce cleanly: the corresponding
+    component is identically zero. Raises ValueError when a solve
     overflows float64, naming the cochain's largest |value|, and the range of the
     weights of degrees k-1..k+1 when one lies outside [1e-77, 1e77]; ConvergenceError
     when a CG solve does not converge.
@@ -241,7 +252,7 @@ def hodge_decompose(
 def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
     """hodge_decompose, with the weight scheme given and the method checked."""
     cx, k = c.complex, c.degree
-    has_up = cx.n_cliques(k + 2) > 0  # raises when level k+2 was never enumerated
+    has_up = _n_up(cx, k) > 0  # raises when the complex does not cover level k+2
     w_here = w.vector(cx, k)
     sqrt_w = np.sqrt(w_here)
     b = sqrt_w * c.values

@@ -12,6 +12,8 @@ Aggregation models (the exact formulas are package conventions):
 
 Edge weights are vote counts, w_ij = number of voters who compared i and j (one table: the edge
 array and the counts), which keeps thinly compared pairs from dominating heavily compared ones.
+
+aggregate enumerates nothing above the edges; the split on a dense comparison graph enumerates no triangle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, InputFormatError, _d0, enumerate_cliques
+from .complexes import CliqueComplex, Graph, InputFormatError, _d0
 from .decompose import hodge_decompose
 
 MODELS = ("mean", "logodds")
@@ -162,7 +164,7 @@ def aggregate(data: ComparisonData, model: str = "mean") -> ComparisonFlow:
         raise ValueError("no comparable pair in the data")
     vid = np.cumsum(used)  # vertex id of each compared name, ascending with the name
     graph = Graph(len(compared), vid[pairs])  # ascending, in lexicographic order: the graph's edge order
-    cx = enumerate_cliques(graph, max_order=3)
+    cx = CliqueComplex(graph, 3)  # a level is enumerated on its first read
     x = np.empty(len(pairs))
     offsets = np.cumsum(counts) - counts
     for c in np.unique(counts):

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, InputFormatError
+from .complexes import CliqueComplex, InputFormatError, _frozen
 from .textio import id_value_lines
 
 if TYPE_CHECKING:
@@ -123,16 +123,16 @@ def _abs_row_sums(m: sp.csr_matrix) -> np.ndarray:
     return sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape) @ np.ones(m.shape[1])
 
 
-def _curl_gram(cx: CliqueComplex, counts: np.ndarray):
+def _curl_gram(cx: CliqueComplex):
     """y -> d_1^T d_1 y for flows y on cx's edges, as one product of n x n matrices and no d_1.
 
     Every triangle on the edge (i, j) is a common neighbour k, so with Y the skew matrix of y, A the adjacency
-    matrix and counts the triangles on each edge, (d_1^T d_1 y)(i, j) = sum_k Y_ij + Y_jk + Y_ki = counts_ij Y_ij
-    + (Y A)_ji - (Y A)_ij: the local inconsistency operator of HodgeRank (Jiang, Lim, Yao and Ye, Math. Program.
-    2011). Each entry of Y A sums over the common neighbours alone, as d_1's products do, in another order.
-    A is kept once per graph; Y and Y A are the returned function's own buffers, and Y is zero off the edges.
+    matrix and counts the triangles on each edge (_edge_triangles), (d_1^T d_1 y)(i, j) = sum_k Y_ij + Y_jk + Y_ki
+    = counts_ij Y_ij + (Y A)_ji - (Y A)_ij: the local inconsistency operator of HodgeRank (Jiang, Lim, Yao and Ye,
+    Math. Program. 2011). Each entry of Y A sums over the common neighbours alone, as d_1's products do, in another
+    order. A is kept once per graph; Y and Y A are the returned function's own buffers, and Y is zero off the edges.
     """
-    n, adjacency, ends = cx.graph.n_vertices, _adjacency(cx), cx.graph.pairs - 1
+    n, adjacency, ends, counts = cx.graph.n_vertices, _adjacency(cx), cx.graph.pairs - 1, _edge_triangles(cx)
     ij, ji = ends @ (n, 1), ends @ (1, n)
     flow, product = np.zeros((n, n)), np.empty((n, n))
     flat_flow, flat_product = flow.reshape(-1), product.reshape(-1)
@@ -147,22 +147,45 @@ def _curl_gram(cx: CliqueComplex, counts: np.ndarray):
 
 
 def _edge_triangles(cx: CliqueComplex) -> np.ndarray:
-    """|d_1|^T 1, the triangles on each edge (i, j), bit for bit: (A A)_ij counts their common neighbours exactly."""
-    adjacency, ends = _adjacency(cx), cx.graph.pairs - 1
-    return (adjacency @ adjacency)[ends[:, 0], ends[:, 1]]
+    """|d_1|^T 1, the triangles on each edge (i, j), bit for bit: (A A)_ij counts their common neighbours exactly.
+    Kept once per graph next to A, from an A of its own: the dense path's readers alone keep one."""
+
+    def build() -> np.ndarray:
+        adjacency, ends = _adjacency(cx, kept=False), cx.graph.pairs - 1
+        return _frozen((adjacency @ adjacency)[ends[:, 0], ends[:, 1]])
+
+    return cx._memo("edge triangles", 3, build)
 
 
-def _adjacency(cx: CliqueComplex) -> np.ndarray:
-    """The read-only dense n x n adjacency matrix of cx's graph, as floats, kept once per graph."""
+def _curl_row_max(cx: CliqueComplex, right: np.ndarray) -> float:
+    """max |d_1| right, bit for bit _abs_products' row maximum, read from n x n rows with no face: row (a, b, c) is
+    (r_ab + r_ac) + r_bc, r = right. Addition is monotone, so u_bc = (top_b + top_c) + r_bc bounds every row whose
+    last face is (b, c), top_v the largest r on an edge at v on a triangle. Edges are scanned by decreasing u, ~8192
+    entries at a time, over their common neighbours a < b, until the next u is at most the largest row found."""
+    n, on = cx.graph.n_vertices, _edge_triangles(cx) > 0
+    (b, c), r, rs = cx.graph.pairs[on].T - 1, right[on], np.zeros((n, n))
+    rs[b, c] = rs[c, b] = r
+    top, adjacency, best = rs.max(axis=1), _adjacency(cx), 0.0
+    u = (top[b] + top[c]) + r
+    order, step = np.argsort(-u, kind="stable"), max(1, 8192 // n)
+    for e in (order[at:at + step] for at in range(0, len(order), step)):
+        if u[e[0]] <= best:
+            break
+        common = np.logical_and(adjacency[b[e]], adjacency[c[e]]) & (np.arange(n) < b[e, None])
+        best = max(best, float(np.max((rs[b[e]] + rs[c[e]]) + r[e, None], where=common, initial=0.0)))
+    return best
+
+
+def _adjacency(cx: CliqueComplex, kept: bool = True) -> np.ndarray:
+    """The read-only dense n x n adjacency matrix of cx's graph, as floats, kept once per graph unless not kept."""
 
     def build() -> np.ndarray:
         n, ends = cx.graph.n_vertices, cx.graph.pairs - 1
         adjacency = np.zeros((n, n))
         adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = 1.0
-        adjacency.setflags(write=False)
-        return adjacency
+        return _frozen(adjacency)
 
-    return cx._memo("adjacency", 2, build)
+    return cx._memo("adjacency", 2, build) if kept else build()
 
 
 def _assemble_coboundary(cx: CliqueComplex, k: int, w: WeightScheme | None = None) -> sp.csr_matrix:

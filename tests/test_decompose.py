@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator, cg, lsqr
 
 from graphhodge import (
+    CliqueComplex,
     Cochain,
     ComparisonData,
     Graph,
@@ -794,6 +795,52 @@ class TestDenseCoexactBound:
             faces = cx._faces(order)
             rows, cols = operators._abs_products(faces, len(x), x, None)
             assert cols is None and rows.tobytes() == operators._abs_products(faces, len(x), x, 1.0)[0].tobytes()
+
+
+class TestFacelessRowMaximum:
+    """_curl_row_max reads no face and is bit for bit the row maximum of |d_1| right off the faces, on graphs on both
+    sides of the size rule (9 n^6 > 8192 m^3) and of 64 c_3 >= n^3, with isolated vertices and pendant edges."""
+
+    GRAPHS = [(40, 0.08), (30, 0.3), (25, 0.45), (12, 0.9), (16, 0.7), (9, 1.0)]  # (n, p) of G(n, p)
+
+    @staticmethod
+    def with_extras(graph, isolated):
+        """graph, a pendant edge (1, n+1) on no triangle, and `isolated` isolated vertices after it."""
+        n = graph.n_vertices
+        return Graph(n + 1 + isolated, np.vstack([graph.pairs, [(1, n + 1)]]))
+
+    def test_hex_equal_to_the_face_row_maximum(self):
+        sides = set()
+        for seed, (n, p) in enumerate(self.GRAPHS):
+            rng = np.random.default_rng(seed)
+            for isolated in (0, 3, 2000):  # 2000 shrinks the scan's batches to 4 edges
+                cx = enumerate_cliques(self.with_extras(random_graph(rng, n, p), isolated), 3)
+                size, m = cx.graph.n_vertices, cx.n_cliques(2)
+                sides.add((9 * size**6 > 8192 * m**3, is_dense(cx)))
+                for w in (np.ones(m), rng.integers(1, 30, m).astype(float), 10 ** rng.uniform(-2, 2, m)):
+                    right = 1.0 / np.sqrt(w)
+                    rows, _ = operators._abs_products(cx._faces(3), m, right, None)
+                    expected = float(np.max(rows, initial=0.0))
+                    assert operators._curl_row_max(cx, right).hex() == expected.hex(), (seed, isolated)
+        assert sides == {(True, False), (False, False), (False, True)}, sides
+
+    def test_a_lazily_built_complex_splits_as_the_enumerated_one(self):
+        sides = set()
+        for seed, (n, p) in enumerate(self.GRAPHS):
+            rng = np.random.default_rng(seed)
+            graph = self.with_extras(random_graph(rng, n, p), 2)
+            eager = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), 3)
+            x = rng.normal(size=eager.n_cliques(2))
+            counts = WeightScheme({2: (graph.pairs, rng.integers(1, 30, len(x)).astype(float))})
+            sides.add((9 * graph.n_vertices**6 > 8192 * len(x)**3, is_dense(eager)))
+            for w in (WeightScheme.unit(), counts, random_table_weights(rng, eager, [1, 2])):
+                lazy = CliqueComplex(Graph(graph.n_vertices, graph.pairs), 3)
+                got, ref = (hodge_decompose(Cochain(1, cx, x), w) for cx in (lazy, eager))
+                assert (("faces", 3) in lazy.graph._memo) != is_dense(eager), seed
+                for part in ("exact", "harmonic", "coexact", "potential", "prepotential"):
+                    assert getattr(got, part).values.tobytes() == getattr(ref, part).values.tobytes(), (seed, part)
+                assert got.norms == ref.norms and got.residuals == ref.residuals
+        assert sides == {(True, False), (False, False), (False, True)}, sides
 
 
 def old_abs_products(faces, n_cols, x, y, scale=1.0):

@@ -240,6 +240,91 @@ def test_rank_path_builds_no_triangle_tuples(rng, monkeypatch):
     assert result.certificate.norm_input > 0
 
 
+def eager_rank(cf):
+    """rank of the same flow and weights on a fresh copy of the graph, enumerated through order 3 at once."""
+    graph = Graph(cf.graph.n_vertices, cf.graph.pairs)
+    flow = Cochain(1, enumerate_cliques(graph, 3), cf.flow.values)
+    return rank(dataclasses.replace(cf, flow=flow, graph=graph))
+
+
+def votes_on(graph, rng):
+    """Pairwise records on the edges of graph, each pair compared by 1-4 voters."""
+    return pairwise([(f"v{k}", f"i{u:03d}", f"i{v:03d}", float(rng.integers(-5, 6)))
+                     for u, v in graph.pairs.tolist() for k in range(int(rng.integers(1, 5)))])
+
+
+class TestLazyTriangles:
+    """aggregate enumerates nothing above the edges. rank on a dense comparison graph (64 c_3 >= n^3) reads no
+    triangle; elsewhere the triangles are enumerated on first read. Either way the result is the eager one's."""
+
+    def test_dense_comparisons_record_no_triangle(self):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6))) for v in range(40)
+                       for i in rng.choice(14 + seed, 8, replace=False)]
+            cf = aggregate(ratings(records))
+            assert not any(order > 2 for _, order in cf.graph._memo)
+            result = rank(cf)
+            memo = cf.graph._memo
+            assert ("faces", 3) not in memo and ("level", 3) not in memo and ("adjacency", 2) in memo
+            assert result.to_json_dict() == eager_rank(cf).to_json_dict()
+            n, c3 = cf.graph.n_vertices, cf.complex.n_cliques(3)  # enumerated on this read
+            assert 64 * c3 >= n**3 and c3 == enumerate_cliques(Graph(n, cf.graph.pairs), 3).n_cliques(3)
+
+    def test_other_comparison_graphs_enumerate_on_first_read(self, rng):
+        k20 = [(u, v) for u in range(1, 21) for v in range(21, 41)]
+        cases = [  # (graph, whether 9 n^6 > 8192 m^3 rules a dense level out)
+            (random_graph(rng, 40, 0.12), True),
+            (Graph(40, k20 + [(1, 2), (3, 4), (5, 6)]), False),  # 60 triangles: counted from A, which is dropped
+            (Graph(40, k20), False),  # no triangle: has_up is read off the counts, and nothing is enumerated
+        ]
+        for graph, size_rule in cases:
+            cf = aggregate(votes_on(graph, rng))
+            n, m = cf.graph.n_vertices, len(cf.graph.pairs)
+            assert (9 * n**6 > 8192 * m**3) == size_rule
+            result = rank(cf)
+            memo = cf.graph._memo
+            assert ("adjacency", 2) not in memo and (("edge triangles", 3) in memo) != size_rule
+            assert (("faces", 3) in memo) == (len(graph.pairs) != 400)
+            assert result.to_json_dict() == eager_rank(cf).to_json_dict()
+            assert 64 * cf.complex.n_cliques(3) < n**3
+        assert cf.complex.n_cliques(5) == 0  # past max_order, proven empty by reading level 3, as when enumerated
+
+
+class TestRankSizeGuard:
+    """rank under a physical memory that refuses order-3 enumeration: a dense comparison graph never asks for it,
+    a sparse one exits 1 naming the order and its candidates, and a refusal read lazily is not cached away."""
+
+    LIMIT = 35 * 490_000 - 1  # refuses K_150's 551,300 candidates and the star's 700 x 700
+
+    def test_dense_ranks_and_sparse_exits_one(self, monkeypatch, tmp_path, capsys):
+        from test_complexes import TestEnumerationSizeGuard
+
+        from graphhodge.cli import main
+
+        k150 = "".join(f"v{(u + v) % 3},i{u:03d},i{v:03d},{(3 * u + 5 * v) % 11 - 5}\n"
+                       for u in range(150) for v in range(u + 1, 150))
+        star = "".join(f"v,i{leaf:04d},i0700,{leaf % 7 - 3}\n" for leaf in range(1401) if leaf != 700)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("k150", "star")}
+        for name, text in (("k150", k150), ("star", star)):
+            paths[name].write_text(text)
+        TestEnumerationSizeGuard.probe(monkeypatch, self.LIMIT)
+        assert main(["rank", "--input", str(paths["k150"]), "--output", str(tmp_path / "k150.json")]) == 0
+        assert main(["rank", "--input", str(paths["star"])]) == 1
+        assert capsys.readouterr().err == ("graphhodge: error: clique enumeration at order 3 has 490000 candidates: "
+                                           f"it needs 17150000 bytes, more than the {self.LIMIT} bytes of physical "
+                                           "memory\n")
+        dense, sparse = (aggregate(ComparisonData.from_csv(text)) for text in (k150, star))
+        rank(dense)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="order 3 has 551300 candidates"):
+                dense.complex.n_cliques(3)
+            with pytest.raises(ValueError, match="order 3 has 490000 candidates"):
+                rank(sparse)
+        TestEnumerationSizeGuard.probe(monkeypatch, 35 * 551_300)
+        assert dense.complex.n_cliques(3) == 551_300 and rank(sparse).certificate.norm_locally_inconsistent == 0
+
+
 class TestRank:
     def test_edge_weights_are_vote_counts_in_edge_order(self, rng):
         records = [(f"v{v}", f"i{i}", int(rng.integers(1, 6)))
