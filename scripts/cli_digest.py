@@ -22,7 +22,8 @@ where each file is shown by the first 16 hex digits of its sha256, or "-"
 when the run wrote none. A run that raises instead of exiting shows the
 exception's type as its exit code. The corpus covers every subcommand, k =
 0..3, both decompose methods, plap at p = 1 (both modes), 1.5 and 3,
-cheeger on random graphs of 10, 21 and 22 vertices, K_22 and the 24-cycle,
+cheeger on random graphs of 10, 21, 22, 23 and 24 vertices, K_22, the 24-cycle,
+two K_12 joined by an edge and K_{12,12},
 isospectral at --max-k 1..3, and cochains holding -0.0 (an edge listed
 against its orientation with value 0, explicit -0 values) through decompose
 and plap, which pin the sign of zero each format prints, with one edge whose
@@ -201,6 +202,9 @@ def application_inputs(root: Path, small: bool) -> dict:
              for n in (21, 22)}
     large["k22"] = (22, list(combinations(range(1, 23), 2)))
     large["c24"] = (24, [(i, i + 1) for i in range(1, 24)] + [(1, 24)])
+    large |= {f"cheeger{n}": (n, [(i, i + 1) for i in range(1, n)] + random_edges(cut_rng, n, 0.25)) for n in (23, 24)}
+    large["barbell24"] = (24, [*combinations(range(1, 13), 2), (12, 13), *combinations(range(13, 25), 2)])
+    large["k12_12"] = (24, list(product(range(1, 13), range(13, 25))))
     for name, (n, edges) in large.items():
         files["cheeger"].append(root / f"{name}.txt")
         files["cheeger"][-1].write_text(graph_text(n, sorted(set(edges))))

@@ -90,31 +90,42 @@ class Graph:
     def connected_components(self) -> list[list[int]]:
         """Vertex lists of the connected components, each ascending, ordered by minimum vertex.
 
-        Root hooking on the edge array (Shiloach and Vishkin, J. Algorithms 1982): a round hooks
-        every root under the least root it shares an edge with, then pointer jumping flattens the
-        trees to stars. Roots only move down, so each root is its tree's least vertex.
+        Computed once per graph (_components) and kept in its memo as read-only arrays; each call returns new lists.
         """
-        ends = self.pairs.T - 1
-        root = np.arange(self.n_vertices)
-        while True:
-            hooked = root.copy()
-            np.minimum.at(hooked, root[ends], root[ends[::-1]])
-            if np.array_equal(hooked, root):
-                break
-            while not np.array_equal(hooked[hooked], hooked):
-                hooked = hooked[hooked]
-            root = hooked
-        order = np.argsort(root, kind="stable")
-        cuts = np.flatnonzero(np.diff(root[order])) + 1
-        return [comp.tolist() for comp in np.split(order + 1, cuts)]
+        memo = self._memo
+        if ("components", 2) not in memo:
+            memo["components", 2] = _components(self)
+        vertices, cuts = memo["components", 2]
+        return [comp.tolist() for comp in np.split(vertices, cuts)]
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) == 1
 
     @cached_property
     def _memo(self) -> dict:
-        """The faces _extend recorded and what CliqueComplex._memo built from them, keyed by (kind, order)."""
+        """The faces _extend recorded, what CliqueComplex._memo built from them and the components, keyed by
+        (kind, order)."""
         return {}
+
+
+def _components(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Graph.connected_components as (vertices, cuts), read-only: the vertices grouped by component, and where each
+    group after the first starts. Root hooking on the edge array (Shiloach and Vishkin, J. Algorithms 1982): a round
+    hooks every root under the least root it shares an edge with, then pointer jumping flattens the trees to stars.
+    Roots only move down, so each root is its tree's least vertex."""
+    ends = graph.pairs.T - 1
+    root = np.arange(graph.n_vertices)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[ends], root[ends[::-1]])
+        if np.array_equal(hooked, root):
+            break
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        root = hooked
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return _frozen(order + 1), _frozen(cuts)
 
 
 def _d0(graph: Graph, scale=1.0):

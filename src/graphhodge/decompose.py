@@ -242,8 +242,12 @@ def hodge_decompose(
             return _split(c, w, method)
     except FloatingPointError:  # an overflow, or the inf or nan it leaves: an input error
         message = f"the solves overflow float64 (the cochain's largest |value| is {np.max(np.abs(c.values)):.12g}"
-        low, high = max(c.degree - 1, 0), c.degree + 1  # the degrees d_{k-1} and d_k join
-        used = np.concatenate([w.vector(c.complex, j) for j in range(low, high + 1)])
+        cx, k = c.complex, c.degree
+        low, high = max(k - 1, 0), k + 1  # the degrees d_{k-1} and d_k join
+        # an untabled degree weighs 1 where it has a clique: its size is read (_n_up's, above k), no level enumerated
+        used = np.concatenate([w.vector(cx, j) if j + 1 in w.tables else
+                               np.ones(min(1, _n_up(cx, k) if j > k else cx.n_cliques(j + 1)))
+                               for j in range(low, high + 1)])
         if used.min() < 1e-77 or used.max() > 1e77:  # past these, a ratio of two weights can square past float64
             message += f"; the weights of degrees {low}..{high} span {used.min():.12g} to {used.max():.12g}"
         raise ValueError(message + ")") from None

@@ -19,10 +19,11 @@ The Cheeger constant of a connected graph,
 
 with Vol the sum of degrees, is computed exactly over every subset containing
 vertex 1 (complement symmetry halves the work). The vertices are split in two
-halves; each half's cut counts are tabulated once, and a block of cuts is one
-small matrix product over the adjacency block between the halves. All counts
-are integers, held exactly in float64; ties are settled exactly, by
-cross-multiplication and then the lexicographically smallest subset.
+halves; each half's cut counts are tabulated once, and a block of cuts is
+scored in buffers allocated once: its boundary sizes are one small matrix
+product of the halves' augmented tables, its volumes one broadcast sum. All
+counts are integers or half-integers, held exactly in float32; ties are settled
+exactly, by cross-multiplication and then the lexicographically smallest subset.
 
 The classical two-sided eigenvalue bound lambda_2/2 <= h <= sqrt(2 lambda_2)
 is reported for both the plain and the degree-normalized Laplacian; only the
@@ -99,15 +100,25 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
         b_H = vol_H - x_H A_HH x_H^T,
 
     with C the L-by-R block of the adjacency matrix A. Each half is tabulated
-    once, and a block of L rows against every R row is one matrix product.
-    Every count is an integer below 2^53, so float64 holds it exactly.
+    once. A block of L rows against every R row fills buffers allocated once:
+    the boundary as one product of augmented tables,
 
-    Rounding keeps order, and two distinct ratios b/m with b, m <= |E| differ
-    by a relative 1/|E|^3 or more, far above float64 rounding, so a block's
-    smallest float ratio b*/m* is an exact minimum. The cuts tied with it are
-    found exactly by cross-multiplication, b m* = b* m. Among the tied cuts
-    the lexicographically smallest subset wins. Limited to 24 vertices;
-    larger graphs need heuristics that are out of scope here.
+        [x_L | b_L | 1] . [-2 C x_R^T ; 1 ; b_R],
+
+    and the centred volume Vol(S) - T/2 = (vol_L - T/2) + vol_R, T the total
+    volume, as one broadcast sum, whence min(Vol(S), Vol(V\\S)) =
+    T/2 - |Vol(S) - T/2| in place. The cell S = V, the last of the last block,
+    gets boundary inf and volume 1, so it is no cut. Entries and partial sums
+    are integers or half-integers of magnitude at most 4|E|, cross-multiplied
+    counts at most |E|^2, all below 2^17 (|E| <= 276 at 24 vertices): float32
+    holds them exactly, and BLAS in any summation order.
+
+    Rounding keeps order, and two distinct ratios b/m, b'/m' with b, m, b', m'
+    <= |E| differ by a relative |b m' - b' m| / (b m') >= 1/|E|^2 > 2^-17, far
+    above float32 rounding, so a block's smallest float ratio b*/m* is an exact
+    minimum. The cuts tied with it are found exactly by cross-multiplication in
+    place, b m* = b* m, and the lexicographically smallest of them wins.
+    Limited to 24 vertices; larger graphs need heuristics out of scope here.
     """
     n = graph.n_vertices
     if n > MAX_EXHAUSTIVE_VERTICES:
@@ -120,9 +131,9 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
     if not graph.is_connected():
         raise ValueError("Cheeger constant is defined for connected graphs only")
 
-    degrees = np.array(graph.degrees, dtype=float)
+    degrees = np.array(graph.degrees, dtype=np.float32)
     total_volume = degrees.sum()
-    adjacency = np.zeros((n, n))
+    adjacency = np.zeros((n, n), np.float32)
     u, v = (graph.pairs - 1).T
     adjacency[u, v] = adjacency[v, u] = 1.0
 
@@ -133,25 +144,29 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
     vol_left, vol_right = x_left @ degrees[:a], x_right @ degrees[a:]
     b_left = vol_left - np.einsum("ij,jk,ik->i", x_left, adjacency[:a, :a], x_left)
     b_right = vol_right - np.einsum("ij,jk,ik->i", x_right, adjacency[a:, a:], x_right)
-    cross = adjacency[:a, a:] @ x_right.T
+    left_cut = np.column_stack([x_left, b_left, np.ones(len(left_masks), np.float32)])
+    right_cut = np.vstack([-2.0 * adjacency[:a, a:] @ x_right.T, np.ones(len(right_masks), np.float32), b_right])
+    half = total_volume / 2
+    centred_left = vol_left - half
 
+    step = min(_CHUNK // len(right_masks), len(left_masks))
+    boundary, small, ratio = (np.empty((step, len(right_masks)), np.float32) for _ in range(3))
     best_b, best_m, best_mask = 1, 0, None  # the smallest ratio so far, 1/0 before any cut
-    step = _CHUNK // len(right_masks)
     for start in range(0, len(left_masks), step):
-        rows = slice(start, start + step)
-        boundary = x_left[rows] @ cross
-        boundary *= -2.0
-        boundary += b_left[rows, None]
-        boundary += b_right
-        vol = vol_left[rows, None] + vol_right
-        small = np.minimum(vol, total_volume - vol)  # 0 only for S = V
-        ratio = np.divide(boundary, small, out=np.full_like(boundary, np.inf), where=small > 0)
+        np.matmul(left_cut[start:start + step], right_cut, out=boundary)
+        np.add(centred_left[start:start + step, None], vol_right, out=small)
+        np.abs(small, out=small)
+        np.subtract(half, small, out=small)
+        if start + step == len(left_masks):
+            boundary[-1, -1], small[-1, -1] = np.inf, 1.0  # S = V
+        np.divide(boundary, small, out=ratio)
         k = int(np.argmin(ratio))
         b, m = int(boundary.flat[k]), int(small.flat[k])
         if b * best_m > best_b * m:
             continue
-        tied = np.flatnonzero((boundary * m == b * small) & (small > 0))
-        i, j = np.divmod(tied, len(right_masks))
+        boundary *= m
+        small *= b
+        i, j = np.divmod(np.flatnonzero(boundary == small), len(right_masks))
         mask = _lexicographic_min(left_masks[start + i] | (right_masks[j] << a))
         if b * best_m == best_b * m:
             mask = _lexicographic_min(np.array([best_mask, mask]))
@@ -168,8 +183,8 @@ def cheeger_constant(graph: Graph) -> tuple[Fraction, Cut]:
 
 
 def _bit_rows(masks: np.ndarray, width: int) -> np.ndarray:
-    """0/1 float rows: column b holds bit b of each mask."""
-    return ((masks[:, None] >> np.arange(width)) & 1).astype(float)
+    """0/1 float32 rows: column b holds bit b of each mask."""
+    return ((masks[:, None] >> np.arange(width)) & 1).astype(np.float32)
 
 
 def _lexicographic_min(masks: np.ndarray) -> int:

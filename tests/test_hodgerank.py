@@ -14,8 +14,10 @@ from graphhodge import (
     borda_divergence,
     divergence_matrix,
     enumerate_cliques,
+    hodge_decompose,
     rank,
 )
+import graphhodge.complexes as complexes
 from graphhodge.hodgerank import _pair_statistics
 
 from conftest import assert_is_tuple_graph, kendall_tau_distance, random_graph
@@ -323,6 +325,52 @@ class TestRankSizeGuard:
                 rank(sparse)
         TestEnumerationSizeGuard.probe(monkeypatch, 35 * 551_300)
         assert dense.complex.n_cliques(3) == 551_300 and rank(sparse).certificate.norm_locally_inconsistent == 0
+
+
+def test_rank_computes_the_components_once(rng, monkeypatch):
+    """The potential's gauge and the result read the components of one computation, kept on the graph; each read
+    gets new lists."""
+    compute, seen = complexes._components, []
+    monkeypatch.setattr(complexes, "_components", lambda graph: seen.append(graph) or compute(graph))
+    records = [(f"v{group}{v}", f"{group}{i}", int(rng.integers(1, 6)))
+               for group in "ab" for v in range(10) for i in rng.choice(8, 4, replace=False)]
+    cf = aggregate(ratings(records))
+    result = rank(cf)
+    assert len(seen) == 1 and len(result.components) == 2
+    cf.graph.connected_components()[0].append(0)
+    assert rank(cf).to_json_dict() == result.to_json_dict() and len(seen) == 1
+
+
+def rank_ratings(seed):
+    """300 items, 200 voters rating 20 each, drawn as the rank-ratings benchmark draws them: ~25k compared pairs, a
+    dense comparison graph of ~0.9M triangles."""
+    rng = np.random.default_rng([seed, 0, 1])
+    chosen = np.sort(np.array([rng.choice(300, 20, replace=False) for _ in range(200)]), axis=1)
+    scores = rng.integers(1, 6, size=(200, 20))
+    return ratings((f"v{v:03d}", f"i{item:03d}", int(score))
+                   for v in range(200) for item, score in zip(chosen[v], scores[v]))
+
+
+class TestOverflowReadsNoTriangle:
+    """An overflowing split reads the weights of the degrees that have a table only, so on a lazily built comparison
+    complex its message enumerates no triangle."""
+
+    def test_overflowing_split_records_no_triangle(self):
+        cf = aggregate(rank_ratings(0))
+        with pytest.raises(ValueError, match=r"^the solves overflow float64"):
+            hodge_decompose(Cochain(1, cf.complex, cf.flow.values * 1e307), cf.weights)
+        assert ("faces", 3) not in cf.graph._memo
+
+    def test_refused_enumeration_leaves_the_overflow_message(self, monkeypatch):
+        from test_complexes import TestEnumerationSizeGuard
+
+        k150 = "".join(f"v,i{u:03d},i{v:03d},{(-1) ** (u + v) * 1.5e308}\n"
+                       for u in range(150) for v in range(u + 1, 150))
+        cf = aggregate(ComparisonData.from_csv(k150))
+        TestEnumerationSizeGuard.probe(monkeypatch, TestRankSizeGuard.LIMIT)
+        with pytest.raises(ValueError) as info:
+            rank(cf)
+        assert str(info.value) == "the solves overflow float64 (the cochain's largest |value| is 1.5e+308)"
 
 
 class TestRank:

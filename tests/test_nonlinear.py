@@ -390,6 +390,13 @@ class TestCheegerScanOracle:
         for g in graphs:
             assert cheeger_constant(g) == scan_cheeger_constant(g), g
 
+    def test_past_eight_blocks(self):
+        # n = 23 is 16 blocks and n = 24 is 32; the cycle's tied arcs lie in different blocks, the winning one
+        # in the last, next to the cell S = V
+        graphs = [random_connected_graph(np.random.default_rng(23), 23), cycle_graph(24), barbell_graph(24)]
+        for g in graphs:
+            assert cheeger_constant(g) == scan_cheeger_constant(g), g
+
 
 class TestCheegerInequality:
     def test_square_report(self):
