@@ -46,7 +46,10 @@ complete comparison graphs of 8 items each, whose triangles fill a dense level t
 complete comparison graph of 60 items with uneven vote counts and on a triangle-poor K_{20,20}
 with 3 edges inside one side, which enumerate no triangle before the split, and game on a
 seeded 3 x 3 x 3 game with Gaussian float utilities, whose flow has a round-off curl (the games
-above have integer utilities, whose curl is exactly 0). It ends with runs
+above have integer utilities, whose curl is exactly 0), then text for the readers: an
+edge list with comments, tabs, CRLF, a late header and repeated edges, edge lists whose
+line 7 is the first bad one, a cochain naming a pair twice in opposite order, and plap at
+p = 1 on a graph with isolated vertices. It ends with runs
 that must exit 1 (--max-order on a degree-k subcommand, p < 1, non-finite
 inputs, overflowing results, a negative kernel tolerance, overflowing
 comparison flows, ambiguous game profile keys, and without --small an
@@ -288,6 +291,7 @@ def cases(root: Path, small: bool):
         yield from dense_comparisons(root)
         yield from lazy_comparisons(root)
         yield from round_off_game(root)
+        yield from parser_edges(root)
     yield from must_exit_one(root, f4, small)
 
 
@@ -474,6 +478,31 @@ def overflowing_solves(root: Path):
     game = root / "overflow.game.json"
     game.write_text(json.dumps({"strategies": [["a", "b"]], "utilities": [{"a": 1e200, "b": -1e308}]}))
     yield ["game", "--input", game], "--flow-out"
+
+
+def parser_edges(root: Path):
+    """Text that the readers' array paths must take as the line-by-line readers did: an edge list with comments,
+    tabs, CRLF line ends, blank lines, a header after the edges and repeated edges; edge lists whose line 7 holds
+    three tokens, a self-loop, id 0 or an id of 2^63, and line 9 a self-loop (an id past int64 is no line error,
+    so that run names line 9); a cochain naming a pair twice in opposite order; and plap at p = 1 on a graph with
+    flat edges and isolated vertices."""
+    messy = root / "parser.messy.txt"
+    messy.write_bytes(b"# tabs and CRLF\r\n1\t2\r\n2 3 # an edge\r\n\r\n2\t1\r\n3  4\t# again\r\n"
+                      b"1 3\r\np 7 5\r\n1\t2\r\n")
+    yield ["cliques", "--input", messy], None
+    yield ["operator", "--input", messy, "--k", "0"], None
+    for name, line in (("tokens", "1 2 3"), ("self_loop", "5 5"), ("zero", "0 5"), ("past_int64", f"5 {2**63}")):
+        path = root / f"parser.line7.{name}.txt"
+        path.write_text(f"# line 7 is the first bad one\n1 2\n2 3\n3 4\n4 5\n1 3\n{line}\n5 6\n6 6\n")
+        yield ["cliques", "--input", path], None
+    twice = root / "parser.twice.x1.tsv"
+    twice.write_text("1 2 0.5\n3 4 1\n2 1 -0.5\n")
+    yield ["decompose", "--input", DATA / "c4.txt", "--cochain", twice], "--plot"
+    flat, f = root / "parser.flat.txt", root / "parser.flat.f.tsv"
+    flat.write_text("p 7 4\n1 2\n2 3\n3 4\n4 1\n")  # 5, 6 and 7 isolated
+    f.write_text("1 -0\n2 0\n3 -0\n4 1.5\n5 -0\n6 0\n7 -2\n")
+    for mode in ("interval", "selection"):
+        yield ["plap", "--input", flat, "--f", f, "--p", "1", "--mode", mode], None
 
 
 def must_exit_one(root: Path, f4: Path, small: bool):

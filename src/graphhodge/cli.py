@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure (the
 diagnostic report is still emitted). All structured output is JSON with sorted
-keys and 12-significant-digit floats; bulk numeric tables are TSV. The
-application layers (hodgerank, games, nonlinear) are imported by the commands
-that use them.
+keys and 12-significant-digit floats; bulk numeric tables are TSV. The layers
+past cochains (operators, spectral, decompose, hodgerank, games, nonlinear) are
+imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv
-from .complexes import CliqueComplex, Graph, InputFormatError, _data_lines, enumerate_cliques, parse_graph
-from .decompose import ConvergenceError, HodgeSplit, hodge_decompose
-from .operators import _coboundary_entries, _write_coordinates, hodge_laplacian, write_matrix
-from .spectral import (
-    Spectrum,
-    _check_tolerance,
-    _hodge_spectrum,
-    compare_fingerprints,
-    isospectral_fingerprint,
-)
+from .complexes import CliqueComplex, Graph, InputFormatError, _data_rows, enumerate_cliques, parse_graph
 from .textio import _Rows, id_value_lines, json_dumps
 
 
@@ -40,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 def emit_plot_data(obj) -> str:
     """Flatten a Spectrum, HodgeSplit, or RankingResult into plotting TSV."""
+    from .decompose import HodgeSplit
+    from .spectral import Spectrum
+
     if isinstance(obj, Spectrum):
         return id_value_lines(np.arange(1, len(obj.eigenvalues) + 1)[:, None], obj.eigenvalues + 0.0, sep="\t")
     if isinstance(obj, HodgeSplit):
@@ -103,7 +97,9 @@ def _complex(graph: Graph, k: int) -> CliqueComplex:
     return enumerate_cliques(graph, k + 2 if k >= 0 else 3)
 
 
-def _spectrum(args) -> Spectrum:
+def _spectrum(args):
+    from .spectral import _check_tolerance, _hodge_spectrum
+
     if args.tolerance is not None:
         _check_tolerance(args.tolerance)  # before any eigensolve
     cx = _complex(_load_graph(args.input), args.k)
@@ -126,6 +122,8 @@ def _cmd_cliques(args) -> int:
 
 
 def _cmd_operator(args) -> int:
+    from .operators import _coboundary_entries, _write_coordinates
+
     cx = _complex(_load_graph(args.input), args.k)
     faces, signs = _coboundary_entries(cx, args.k, WeightScheme.unit())
     shape = (len(faces), cx.n_cliques(args.k + 1))
@@ -134,6 +132,8 @@ def _cmd_operator(args) -> int:
 
 
 def _cmd_laplacian(args) -> int:
+    from .operators import hodge_laplacian, write_matrix
+
     lap = hodge_laplacian(_complex(_load_graph(args.input), args.k), args.k, _load_weights(args))
     _write(args, write_matrix(lap.matrix))
     return 0
@@ -154,12 +154,14 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import hodge_decompose
+
     graph = _load_graph(args.input)
     text = _read_text(args.cochain)
-    first = next((tokens for _, tokens in _data_lines(text)), None)
-    if first is None:
+    rows = _data_rows(text)[1]
+    if not rows:
         raise InputFormatError("cochain document has no data lines")
-    degree = len(first) - 2
+    degree = len(rows[0]) - 2
     c = read_cochain_tsv(text, _complex(graph, degree), degree)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
     plot = emit_plot_data(split) if args.plot else None
@@ -236,6 +238,8 @@ def _cmd_plap(args) -> int:
 
 
 def _cmd_isospectral(args) -> int:
+    from .spectral import compare_fingerprints, isospectral_fingerprint
+
     fa = isospectral_fingerprint(_load_graph(args.graphs[0]), args.max_k)
     fb = isospectral_fingerprint(_load_graph(args.graphs[1]), args.max_k)
     distinguished, level = compare_fingerprints(fa, fb)
@@ -320,7 +324,8 @@ def main(argv=None) -> int:
     try:
         try:
             return args.func(args)
-        except ConvergenceError as exc:
+        # only decompose raises ConvergenceError: a command that has not loaded it cannot have raised one
+        except getattr(sys.modules.get(f"{__package__}.decompose"), "ConvergenceError", ()) as exc:
             residual = exc.residual if math.isfinite(exc.residual) else None  # JSON has no nan/inf
             diagnostic = {"error": str(exc), "residual": residual, "iterations": exc.iterations}
             _write(args, json_dumps(diagnostic) + "\n")  # an unwritable --output still exits 1

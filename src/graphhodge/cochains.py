@@ -1,9 +1,9 @@
 """Alternating k-cochains on a clique complex and weighted inner products.
 
 A k-cochain stores one float per (k+1)-clique, in the complex's lexicographic clique order, in the canonical
-orientation "ascending vertex order". Only the constructors put a key into it: `Cochain.from_dict` and `eval` by
-`_ascending`'s sort and sign, and the weight scheme's `from_table` and `weight` by a sort. A weight scheme keeps,
-per order, an array of cliques and an array of their weights, and this module is the only one that reads them.
+orientation "ascending vertex order". Only the constructors put a key into it: `Cochain._from_keys` (of `from_dict`
+and of the TSV reader's arrays) and `eval` by `_ascending`'s sort and sign, and the weight scheme's tables by a sort.
+A weight scheme keeps, per order, an array of cliques and an array of their weights, read only in this module.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CliqueComplex, InputFormatError, _data_lines
+from .complexes import CliqueComplex, InputFormatError, _data_rows, _table
 from .textio import id_value_lines
 
 
@@ -90,7 +90,7 @@ def _vertex_rows(keys, order: int) -> np.ndarray:
     naming the first clique that holds one as given, at a non-integral id."""
     rows = np.asarray(keys)
     rows = rows.reshape(-1 if rows.size else len(rows), order)  # an empty key too
-    if rows.dtype.kind in "fO":  # float or object ids, checked as exact Python numbers
+    if rows.dtype.kind in "fuO":  # float, unsigned or object ids, checked as exact Python numbers
         ids = rows.astype(object)
         with np.errstate(invalid="ignore"):
             odd = (ids % 1 != 0).any(axis=1)  # nan and inf too: their remainder is nan
@@ -133,10 +133,14 @@ class Cochain:
         vertex or is not a clique of order degree+1. A clique named twice keeps
         its last value.
         """
+        return cls._from_keys(cx, degree, list(entries), list(entries.values()))
+
+    @classmethod
+    def _from_keys(cls, cx: CliqueComplex, degree: int, keys, values) -> "Cochain":
+        """from_dict of keys (vertex tuples or id array rows) and values: the one locate-and-sign path."""
         order = degree + 1
-        keys = list(entries)
         sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
-        rows, sign = _ascending(_vertex_rows([key for key, ok in zip(keys, sized) if ok], order))
+        rows, sign = _ascending(_vertex_rows(keys if sized.all() else [k for k, ok in zip(keys, sized) if ok], order))
         pos = np.full(len(keys), -1)
         pos[sized] = cx.locate(rows)  # a repeated vertex is never found
         if (pos < 0).any():  # decided on the key: rows hold an id past int64 as 0
@@ -145,7 +149,7 @@ class Cochain:
             if len(set(map(int, key))) < len(key):
                 raise ValueError(f"repeated vertex in {_key_text(key)}")
             raise ValueError(f"{_key_text(tuple(sorted(map(int, key))))} is not a clique of order {order}")
-        signed = sign * np.array(list(entries.values()), dtype=float)
+        signed = sign * np.asarray(values, dtype=float)
         last = len(pos) - 1 - np.unique(pos[::-1], return_index=True)[1]
         vals = np.zeros(cx.n_cliques(order))
         vals[pos[last]] = signed[last]
@@ -207,45 +211,53 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(max(float(np.dot(w * values, values)), 0.0)))
 
 
-def _clique_lines(text: str, what: str):
-    """(line number, ids as written, value) of each line `ids... value`; InputFormatError, naming the line,
-    at one without ids, a non-numeric token, a repeated vertex or a clique given twice, in any order."""
-    seen = set()
-    for lineno, tokens in _data_lines(text):
-        if len(tokens) < 2:
-            raise InputFormatError(f"line {lineno}: expected vertex ids and a {what}")
-        try:
-            verts, value = tuple(int(t) for t in tokens[:-1]), float(tokens[-1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-numeric token") from None
-        clique = frozenset(verts)
-        if len(clique) < len(verts):
-            raise InputFormatError(f"line {lineno}: repeated vertex in {_key_text(verts)}")
-        if clique in seen:
-            raise InputFormatError(f"line {lineno}: duplicate {what} for {_key_text(tuple(sorted(verts)))}")
-        seen.add(clique)
-        yield lineno, verts, value
+def _clique_rows(text: str, what: str, order: int | None = None) -> tuple[dict, int | None]:
+    """{order: (ids, values)} of the lines `ids... value`, converted at once per order (ids as written, int64 or
+    Python ints where one is past int64), and a cochain's order (what is "value"): the given one, else the first
+    line's. InputFormatError at the first line with a fault, in the order the lines were checked one by one."""
+    numbers, rows = _data_rows(text)
+    cochain = what == "value"
+    order = len(rows[0]) - 1 if cochain and order is None and rows else order
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    tables, found = {}, []  # found: (line, message) of the first fault of each size
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        block = rows if len(at) == len(rows) else [rows[i] for i in at.tolist()]
+        if size < 2:
+            found.append((numbers[at[0]], f"expected vertex ids and a {what}"))
+            continue
+        ids, fault = _table([row[:-1] for row in block], size - 1)
+        values, rejected = _table([row[-1:] for row in block], 1, float)
+        values, cliques = values.ravel(), np.sort(ids, axis=1)
+        ranked = np.lexsort(cliques.T[::-1])  # stable: of the lines naming one clique, the first comes first
+        twice = np.isin(np.arange(len(at)), ranked[1:][(cliques[ranked[1:]] == cliques[ranked[:-1]]).all(axis=1)])
+        valid = np.isfinite(values) if cochain else (values > 0) & (values < math.inf)
+        code = np.select([(fault | rejected) > 0, (cliques[:, 1:] == cliques[:, :-1]).any(axis=1), twice, ~valid,
+                          np.full(len(at), cochain and size - 1 != order)], [2, 3, 4, 5, 6])
+        if code.any():
+            i = np.argmax(code > 0)
+            key, clique = (_key_text(tuple(a[i].tolist())) for a in (ids, cliques))
+            rule = "finite" if cochain else "positive and finite"
+            found.append((numbers[at[i]], ("non-numeric token", f"repeated vertex in {key}", f"duplicate {what} for "
+                          f"{clique}", f"{what} must be {rule}, got {values[i].item()}",
+                          f"expected {order} vertex ids, got {size - 1}")[code[i] - 2]))
+        tables[size - 1] = ids, values
+    if found:
+        raise InputFormatError("line {}: {}".format(*min(found)))
+    return tables, order
 
 
 def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) -> Cochain:
     """Parse cochain TSV: lines of vertex ids followed by a value.
 
-    The degree is inferred from the first data line unless given, and `Cochain.from_dict` signs each value by
-    the order of its ids. Omitted cliques default to 0; naming a clique twice, in any order, is an error.
+    The degree is inferred from the first data line unless given, and each value takes the sign of its ids' sort.
+    Omitted cliques default to 0; naming a clique twice, in any order, is an error.
     """
-    entries: dict[tuple[int, ...], float] = {}
-    for lineno, key, value in _clique_lines(text, "value"):
-        if not math.isfinite(value):
-            raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
-        if degree is None:
-            degree = len(key) - 1
-        if len(key) != degree + 1:
-            raise InputFormatError(f"line {lineno}: expected {degree + 1} vertex ids, got {len(key)}")
-        entries[key] = value
-    if degree is None:
+    tables, order = _clique_rows(text, "value", None if degree is None else degree + 1)
+    if order is None:
         raise InputFormatError("empty cochain document and no degree given")
     try:
-        return Cochain.from_dict(cx, degree, entries)
+        return Cochain._from_keys(cx, order - 1, *tables.get(order, ([], [])))
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 
@@ -257,9 +269,5 @@ def write_cochain_tsv(c: Cochain) -> str:
 
 def read_weights_tsv(text: str) -> WeightScheme:
     """Parse weight TSV: vertex ids then a positive finite weight; omitted cliques weigh 1."""
-    entries: dict[tuple[int, ...], float] = {}
-    for lineno, key, value in _clique_lines(text, "weight"):
-        if not 0 < value < math.inf:
-            raise InputFormatError(f"line {lineno}: weight must be positive and finite, got {value}")
-        entries[key] = value
-    return WeightScheme.from_table(entries)
+    tables, _ = _clique_rows(text, "weight")
+    return WeightScheme({order: (np.sort(ids, axis=1), values) for order, (ids, values) in tables.items()})

@@ -17,7 +17,8 @@ level(k) builds the (N, k) vertex rows of an order k >= 3 from the faces on
 first read, for output; cliques(k) is a tuple view of it that no computation
 reads. A Graph stores its edges once, as the order-2 level itself: producers
 pass it pair arrays, degrees and components are computed from it, and
-sorted_edges is a view built from it on first read.
+sorted_edges is a view built from it on first read. Text tables are read by
+whole arrays: one tokenizer (_data_rows), one conversion per block (_table).
 """
 
 from __future__ import annotations
@@ -63,8 +64,10 @@ class Graph:
             u, v = pairs[np.argmax(bad)].tolist()
             raise ValueError(f"self-loop at vertex {u}" if u == v else
                              f"edge ({u},{v}) not ascending or out of 1..{n}")
-        pairs = pairs[np.lexsort(pairs.T[::-1])]
-        pairs = pairs[(np.diff(pairs, axis=0, prepend=0) != 0).any(axis=1)]  # ids are >= 1: row 0 stays
+        u, v = pairs.T
+        if not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():  # not yet ascending, without repeats
+            pairs = pairs[np.lexsort(pairs.T[::-1])]
+            pairs = pairs[(np.diff(pairs, axis=0, prepend=0) != 0).any(axis=1)]  # ids are >= 1: row 0 stays
         object.__setattr__(self, "pairs", _frozen(pairs))
 
     @classmethod
@@ -164,12 +167,32 @@ def _pair_array(pairs) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def _data_lines(text: str):
-    """(line number, tokens) of each line that holds any once its `#` comment is cut off."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield lineno, tokens
+def _data_rows(text: str) -> tuple[range | list[int], list[list[str]]]:
+    """The line numbers and tokens of the lines that hold any once `#` comments are cut (only when the text holds a
+    `#`): one splitlines, one str.split per line. Only the error messages read the numbers."""
+    lines = text.splitlines()
+    rows = list(map(str.split, [line.partition("#")[0] for line in lines] if "#" in text else lines))
+    kept = list(filter(None, rows))
+    return range(1, len(rows) + 1) if len(kept) == len(rows) else [i for i, row in enumerate(rows, 1) if row], kept
+
+
+def _table(rows: list[list[str]], width: int, number=int) -> tuple[np.ndarray, np.ndarray]:
+    """Token rows as an (N, width) array by the rules of number, int (int64) or float, in one conversion, and each
+    row's fault: 0, 1 where it does not hold width tokens, 2 where number rejects a token. When that conversion fails
+    (a fault, or an int past int64) the rows are read one by one, ints as Python ints (object), faulty rows as 1s."""
+    try:
+        return np.array(rows, np.int64 if number is int else float).reshape(len(rows), width), np.zeros(len(rows), int)
+    except (ValueError, OverflowError):
+        pass
+
+    def read(row: list[str]) -> tuple[list, int]:
+        try:
+            return ([number(token) for token in row], 0) if len(row) == width else ([1] * width, 1)
+        except ValueError:
+            return [1] * width, 2
+
+    table, fault = zip(*map(read, rows))
+    return np.array(table, dtype=object if number is int else float), np.array(fault)
 
 
 def parse_graph(text: str) -> Graph:
@@ -180,35 +203,27 @@ def parse_graph(text: str) -> Graph:
     integers. Duplicate edge lines collapse to one edge; the vertex count is
     the larger of the header value and the maximum vertex id seen.
     """
-    n_declared = 0
-    edges: list[tuple[int, int]] = []
-    for lineno, tokens in _data_lines(text):
-        if tokens[0] == "p":
-            if len(tokens) != 3:
-                raise InputFormatError(f"line {lineno}: header must be 'p <n> <m>'")
-            try:
-                n_declared, _ = (int(t) for t in tokens[1:])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: non-integer token in header") from None
-            if not 1 <= n_declared < 2**63:
-                raise InputFormatError(f"line {lineno}: header vertex count " + (
-                    f"{n_declared} is past int64" if n_declared >= 2**63 else "must be positive"))
-            continue
-        if len(tokens) != 2:
-            raise InputFormatError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise InputFormatError(f"line {lineno}: non-integer token") from None
-        if u == v:
-            raise InputFormatError(f"line {lineno}: self-loop {u} {v}")
-        if u < 1 or v < 1:
-            raise InputFormatError(f"line {lineno}: vertex ids must be positive")
-        edges.append((u, v))
-    n = max(n_declared, max((max(e) for e in edges), default=0))
+    numbers, rows = _data_rows(text)
+    heads = [i for i, row in enumerate(rows) if row[0] == "p"]
+    for i in heads:
+        rows[i] = rows[i][1:]  # p n m as n m
+    pairs, fault = _table(rows, 2)
+    head, (u, v) = np.isin(np.arange(len(rows)), heads), pairs.T
+    fault = np.select([fault > 0, head & ((u < 1) | (u >= 2**63)), ~head & (u == v), ~head & ((u < 1) | (v < 1))],
+                      [fault, 3, 3, 4])
+    if fault.any():
+        i = np.argmax(fault > 0)
+        u, v = pairs[i].tolist()
+        rules = ("header must be 'p <n> <m>'", "non-integer token in header", "header vertex count " + (
+            f"{u} is past int64" if u >= 2**63 else "must be positive")) if head[i] else (
+            f"expected two vertex ids, got {len(rows[i])} tokens", "non-integer token", f"self-loop {u} {v}",
+            "vertex ids must be positive")
+        raise InputFormatError(f"line {numbers[i]}: {rules[fault[i] - 1]}")
+    edges = pairs[~head] if heads else pairs
+    n = max(pairs[heads[-1], 0] if heads else 0, edges.max(initial=0))
     if n == 0:
         raise InputFormatError("document declares no vertices (no edges and no header)")
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(int(n), edges)
 
 
 def _key(prefix_position, last, n: int):

@@ -1,9 +1,10 @@
 """Deterministic text output, the package's only number-to-text path.
 
 Identical inputs must produce byte-identical documents, so floats are always
-rendered with FLOAT_FMT (12 significant digits), arrays and tables by columns
-with one finiteness check, and mapping keys are sorted. A negative zero prints
-as 0 in JSON, plot TSV and flow TSV, and as -0 in cochain TSV and MatrixMarket.
+rendered with FLOAT_FMT (12 significant digits) and mapping keys are sorted.
+Every float array and table is formatted by one template filled by one %, after
+one finiteness check (_filled). A negative zero prints as 0 in JSON, plot TSV
+and flow TSV, and as -0 in cochain TSV and MatrixMarket.
 """
 
 from __future__ import annotations
@@ -31,33 +32,38 @@ def fmt_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def _fmt_floats(values: np.ndarray) -> list[str]:
-    """Each entry of a 1-D float array in FLOAT_FMT, sign of zero kept; ValueError at the first nan or inf."""
-    bad = ~np.isfinite(values)
+def _filled(template: str, shape: tuple[int, ...], *cells) -> str:
+    """template, a %-template, repeated to shape as nested JSON lists (as it is for shape ()) and filled by one %
+    with the cells row by row: the package's one float formatter. cells are a table's label columns, if any, then
+    its float array, whose first nan or inf in row order is named (ValueError)."""
+    *labels, floats = cells
+    bad = ~np.isfinite(floats)
     if bad.any():
-        raise _non_finite(float(values[np.argmax(bad)]))
-    return [FLOAT_FMT % x for x in values.tolist()]
+        raise _non_finite(float(floats[bad][0]))
+    for size in reversed(shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    if labels:
+        floats = np.concatenate([np.array(labels, dtype=object).T, floats], axis=1)
+    return template % tuple(floats.ravel().tolist())
 
 
-def _table_cells(ids: np.ndarray, columns, quote: bool = False) -> list[list[str]]:
-    """Text columns of a table: the label columns of ids by str (JSON strings if quote, one json.dumps per label),
-    then the float columns, formatted in row order so the first nan or inf is named. String labels come in
-    object arrays, not <U ones, which drop a trailing NUL."""
-    text_of = {label: json.dumps(label) for label in set(ids.ravel().tolist())}.__getitem__ if quote else str
-    cells = [list(map(text_of, col)) for col in ids.T.tolist()]
-    text = _fmt_floats(np.column_stack(columns).ravel()) if columns else []
-    return cells + [text[j :: len(columns)] for j in range(len(columns))]
+def _table_cells(ids: np.ndarray, columns, quote: bool = False) -> list:
+    """The cells of a table for _filled: the label columns of ids, as they are or as JSON strings if quote (one
+    json.dumps per label), then the float columns stacked. Labels come in object arrays: <U drops a trailing NUL."""
+    text_of = {label: json.dumps(label) for label in set(ids.ravel().tolist())}.__getitem__ if quote else None
+    return [list(map(text_of, col)) if quote else col for col in ids.T.tolist()] + [np.column_stack(columns)]
 
 
 def id_value_lines(ids: np.ndarray, *columns: np.ndarray, sep: str = " ") -> str:
     """Per row of the 2-D label array ids, its labels and then its entry of each column; -0.0 prints as -0."""
-    return "".join(sep.join(row) + "\n" for row in zip(*_table_cells(ids, columns), strict=True))
+    row = sep.replace("%", "%%").join(["%s"] * ids.shape[1] + [FLOAT_FMT] * len(columns)) + "\n"
+    return _filled(row * len(ids), (), *_table_cells(ids, columns))
 
 
 @dataclass(frozen=True)
 class _Rows:
-    """JSON table rows (a row of ids, then an entry per float column), formatted by columns when json_dumps
-    reaches them; each row is a list, or with keys (in sorted order) an object."""
+    """JSON table rows (a row of ids, then an entry per float column), formatted with one row template when
+    json_dumps reaches them; each row is a list, or with keys (in sorted order) an object."""
 
     ids: np.ndarray
     columns: tuple[np.ndarray, ...]
@@ -77,8 +83,8 @@ def _encode(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind == "f":
-            return "[" + ", ".join(_fmt_floats(obj + 0.0)) + "]"  # + 0.0: -0.0 prints as 0
+        if obj.dtype.kind == "f":
+            return _filled(FLOAT_FMT, obj.shape, obj + 0.0)  # + 0.0: -0.0 prints as 0
         return _encode(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
@@ -91,9 +97,10 @@ def _encode(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, _Rows):
-        cells = _table_cells(obj.ids, [col + 0.0 for col in obj.columns], quote=True)  # + 0.0: -0.0 prints as 0
-        for j, name in enumerate(f"{json.dumps(key)}: " for key in obj.keys):
-            cells[j] = [name + cell for cell in cells[j]]
+        cells = ["%s"] * obj.ids.shape[1] + [FLOAT_FMT] * len(obj.columns)
+        if obj.keys:
+            cells = [json.dumps(key).replace("%", "%%") + ": " + cell for key, cell in zip(obj.keys, cells)]
         head, tail = "{}" if obj.keys else "[]"
-        return "[" + ", ".join(head + ", ".join(row) + tail for row in zip(*cells, strict=True)) + "]"
+        columns = [col + 0.0 for col in obj.columns]  # + 0.0: -0.0 prints as 0
+        return _filled(head + ", ".join(cells) + tail, (len(obj.ids),), *_table_cells(obj.ids, columns, quote=True))
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

@@ -11,8 +11,10 @@ import pytest
 import scipy.sparse as sp
 
 from graphhodge import (
+    Cochain,
     ComparisonData,
     Graph,
+    WeightScheme,
     aggregate,
     coboundary,
     decompose_game_flow,
@@ -24,7 +26,8 @@ from graphhodge import (
     rank,
     strategy_graph,
 )
-from graphhodge.complexes import _find, _key
+from graphhodge.cochains import _key_text
+from graphhodge.complexes import InputFormatError, _find, _key
 from graphhodge.textio import fmt_float, json_dumps
 
 
@@ -473,8 +476,112 @@ def loop_write_matrix(mat) -> str:
 
 
 def loop_json_array(values: np.ndarray) -> str:
-    """A float array as JSON by one fmt_float call per element, the encoding json_dumps replaced."""
-    return "[" + ", ".join(fmt_float(x) for x in values.tolist()) + "]"
+    """A float array of any shape as JSON nested lists by one fmt_float call per element, the encoding json_dumps
+    replaced."""
+    def encode(x) -> str:
+        return "[" + ", ".join(map(encode, x)) + "]" if isinstance(x, list) else fmt_float(x)
+
+    return encode(values.tolist())
+
+
+def loop_data_lines(text: str):
+    """(line number, tokens) of each line that holds any once its `#` comment is cut off, one line at a time: the
+    tokenizer complexes._data_rows replaced, kept as oracle."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
+def loop_parse_graph(text: str) -> Graph:
+    """parse_graph by the line-by-line loop with per-token int() calls and a list of tuples that the array reader
+    replaced, kept as oracle: it raises at the first bad line, and an id past int64 reaches Graph.from_edges."""
+    n_declared = 0
+    edges: list[tuple[int, int]] = []
+    for lineno, tokens in loop_data_lines(text):
+        if tokens[0] == "p":
+            if len(tokens) != 3:
+                raise InputFormatError(f"line {lineno}: header must be 'p <n> <m>'")
+            try:
+                n_declared, _ = (int(t) for t in tokens[1:])
+            except ValueError:
+                raise InputFormatError(f"line {lineno}: non-integer token in header") from None
+            if not 1 <= n_declared < 2**63:
+                raise InputFormatError(f"line {lineno}: header vertex count " + (
+                    f"{n_declared} is past int64" if n_declared >= 2**63 else "must be positive"))
+            continue
+        if len(tokens) != 2:
+            raise InputFormatError(f"line {lineno}: expected two vertex ids, got {len(tokens)} tokens")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: non-integer token") from None
+        if u == v:
+            raise InputFormatError(f"line {lineno}: self-loop {u} {v}")
+        if u < 1 or v < 1:
+            raise InputFormatError(f"line {lineno}: vertex ids must be positive")
+        edges.append((u, v))
+    n = max(n_declared, max((max(e) for e in edges), default=0))
+    if n == 0:
+        raise InputFormatError("document declares no vertices (no edges and no header)")
+    return Graph.from_edges(n, edges)
+
+
+def loop_clique_lines(text: str, what: str):
+    """(line number, ids as written, value) of each line `ids... value`, checked one line at a time with a set of
+    the cliques seen: the reader cochains._clique_rows replaced, kept as oracle."""
+    seen = set()
+    for lineno, tokens in loop_data_lines(text):
+        if len(tokens) < 2:
+            raise InputFormatError(f"line {lineno}: expected vertex ids and a {what}")
+        try:
+            verts, value = tuple(int(t) for t in tokens[:-1]), float(tokens[-1])
+        except ValueError:
+            raise InputFormatError(f"line {lineno}: non-numeric token") from None
+        clique = frozenset(verts)
+        if len(clique) < len(verts):
+            raise InputFormatError(f"line {lineno}: repeated vertex in {_key_text(verts)}")
+        if clique in seen:
+            raise InputFormatError(f"line {lineno}: duplicate {what} for {_key_text(tuple(sorted(verts)))}")
+        seen.add(clique)
+        yield lineno, verts, value
+
+
+def loop_read_cochain_tsv(text: str, cx, degree: int | None = None) -> Cochain:
+    """read_cochain_tsv by loop_clique_lines and a dict handed to Cochain.from_dict, kept as oracle."""
+    entries: dict[tuple[int, ...], float] = {}
+    for lineno, key, value in loop_clique_lines(text, "value"):
+        if not np.isfinite(value):
+            raise InputFormatError(f"line {lineno}: value must be finite, got {value}")
+        if degree is None:
+            degree = len(key) - 1
+        if len(key) != degree + 1:
+            raise InputFormatError(f"line {lineno}: expected {degree + 1} vertex ids, got {len(key)}")
+        entries[key] = value
+    if degree is None:
+        raise InputFormatError("empty cochain document and no degree given")
+    try:
+        return Cochain.from_dict(cx, degree, entries)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
+
+
+def loop_read_weights_tsv(text: str) -> WeightScheme:
+    """read_weights_tsv by loop_clique_lines and a dict handed to WeightScheme.from_table, kept as oracle."""
+    entries: dict[tuple[int, ...], float] = {}
+    for lineno, key, value in loop_clique_lines(text, "weight"):
+        if not 0 < value < np.inf:
+            raise InputFormatError(f"line {lineno}: weight must be positive and finite, got {value}")
+        entries[key] = value
+    return WeightScheme.from_table(entries)
+
+
+def outcome(read, *args):
+    """What read(*args) gives: ("value", its result) or ("raise", exception type, message)."""
+    try:
+        return "value", read(*args)
+    except Exception as exc:  # the oracle comparison is of any exception, type and message
+        return "raise", type(exc), str(exc)
 
 
 def tsv_lines(rows) -> str:

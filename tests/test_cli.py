@@ -524,14 +524,13 @@ class TestDerivedEnumeration:
             assert expected in capsys.readouterr().err
 
     def test_spectrum_and_betti_build_no_laplacian(self, capsys, tmp_path, golden_file, monkeypatch):
-        import graphhodge.cli as cli
         import graphhodge.operators as operators
         import graphhodge.spectral as spectral
 
         def forbidden(*args, **kwargs):
             raise AssertionError("built a Hodge Laplacian")
 
-        for module in (cli, operators, spectral):
+        for module in (operators, spectral):
             monkeypatch.setattr(module, "hodge_laplacian", forbidden)
         weights = write(tmp_path, "w.tsv", "1 2 2.5\n3 5 0.5\n3 5 6 4\n")
         for k in (0, 1, 2):
@@ -613,12 +612,12 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, tmp_path, tol, monkeypatch):
-        import graphhodge.cli as cli
+        import graphhodge.spectral as spectral
 
         def no_eigensolve(*args):
             pytest.fail("a bad --tolerance must be rejected before any eigensolve")
 
-        monkeypatch.setattr(cli, "_hodge_spectrum", no_eigensolve)
+        monkeypatch.setattr(spectral, "_hodge_spectrum", no_eigensolve)
         graph = write(tmp_path, "g.txt", "1 2\n2 3\n1 3\n3 4\n")
         for name in ("spectrum", "betti"):
             assert main([name, "--k", "0", "--input", graph, "--tolerance", tol]) == 1
@@ -888,13 +887,13 @@ class TestOutputErrors:
             assert good_path.read_text() == "kept\n"
 
     def test_unwritable_output_for_a_numerical_failure_exits_one(self, capsys, tmp_path, c4_file, monkeypatch):
-        import graphhodge.cli as cli
+        import graphhodge.decompose as decompose
         from graphhodge import ConvergenceError
 
         def no_convergence(*args, **kwargs):
             raise ConvergenceError("CG did not converge", 0.5, 9)
 
-        monkeypatch.setattr(cli, "hodge_decompose", no_convergence)
+        monkeypatch.setattr(decompose, "hodge_decompose", no_convergence)
         cochain = write(tmp_path, "x.tsv", "1 2 1\n")
         target = str(tmp_path / "missing" / "out.json")
         assert main(["decompose", "--input", c4_file, "--cochain", cochain, "--output", target]) == 1
@@ -1078,6 +1077,18 @@ class TestLazyLayers:
         layers = self.probe(tmp_path, "", argv)["layers"]
         assert f"graphhodge.{used}" in layers  # the probe sees what the command loads
         assert not {f"graphhodge.{name}" for name in unused} & set(layers), layers
+
+    @pytest.mark.parametrize("argv", [
+        ["cliques", "--input", "c4.txt", "--max-order", "4"],
+        ["cheeger", "--input", "c4.txt"],
+        ["plap", "--input", "c4.txt", "--f", "F", "--p", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_graph_commands_load_no_operator_layers(self, tmp_path, argv):
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
+        argv = [f if a == "F" else str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+        layers = self.probe(tmp_path, "", argv)["layers"]
+        assert "graphhodge.complexes" in layers  # the probe sees what the command loads
+        assert not {"graphhodge.decompose", "graphhodge.operators", "graphhodge.spectral"} & set(layers), layers
 
 
 class TestNamespace:
