@@ -43,3 +43,17 @@ def test_cli_digest_small_corpus():
     assert all(codes[argv] == "1" for argv in must_fail)
     for code, document, _, argv in runs:
         assert (document != "-") == (code == "0"), argv
+
+
+def test_cli_digest_full_corpus_is_the_committed_one():
+    """Every run of the full corpus prints the line tests/cli_digest.txt holds for it: an exit code or an output
+    byte that changes shows here. Regenerate the file with OPENBLAS_NUM_THREADS=1 python scripts/cli_digest.py
+    only for a change meant to alter output."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_digest.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got, expected = proc.stdout.splitlines(), (ROOT / "tests" / "cli_digest.txt").read_text().splitlines()
+    changed = [(new, old) for new, old in zip(got, expected) if new != old]
+    assert got == expected, changed[:5] or (len(got), len(expected))
