@@ -19,9 +19,10 @@ converge to the minimum-norm solution (Kaasschieter, J. Comput. Appl. Math.
 A_c A_c^T b for the coexact part, u the projection of b onto im(A_c); A_c^T A_c
 h = A_c^T b in C^{k+1} for the prepotential h, solved only when read; Delta_k u
 = Delta_k b for the laplacian image. g and h are LSQR's limits, the least-norm
-minimizers. A_e and A_c act through _products: once (a right-hand side, A_e g)
-from the face array, and in CG steps by the cached CSR d_j, assembled only when CG
-takes one; d_0 is always complexes._d0. On a dense triangle level (64 c_3 >= n^3)
+minimizers. A_e and A_c act through _products: D and D^T each read the face array
+on their first call, and every later call applies the CSR D, built then, so a product
+used once (a right-hand side) builds none: CG from zero repeats one only when it steps.
+d_0 is always complexes._d0. On a dense triangle level (64 c_3 >= n^3)
 with no triangle weights A_c A_c^T is operators._curl_gram's n x n product and no
 triangle is enumerated: c_3 is counted from the adjacency matrix A (see _n_up).
 CG stops at a residual of SOLVER_RTOL times a bound on |rhs| in units of |b|:
@@ -101,26 +102,6 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
     return x
 
 
-def _coexact_operator(cx, k: int, w: WeightScheme, sqrt_w: np.ndarray, bounded=None):
-    """(A_c A_c^T, bound >= |A_c A_c^T|_2) for A_c = W_k^{-1/2} D^T, D = W_{k+1} d_k; bounded is _coexact_bound's
-    (bound, cols), which _split always passes. bounded=None computes it here; only the tests that take this
-    function as a reference call it so, and the parameter can become required once they pass it.
-
-    Where _dense_curl holds, A_c A_c^T is operators._curl_gram's one n x n product, and d_1 is not assembled;
-    otherwise it is D's two CG products."""
-    up = _up_weights(cx, k, w)
-    bound = (bounded or _coexact_bound(cx, k, up, sqrt_w))[0]
-    if _dense_curl(cx, k, up):
-        gram = _curl_gram(cx)
-    else:
-        d, dt = _products(cx, k, up, step=True)
-
-        def gram(y):
-            return dt(d(y))
-
-    return lambda x: gram(x / sqrt_w) / sqrt_w, bound
-
-
 def _up_weights(cx, k: int, w: WeightScheme):
     """W_{k+1} as the weight vector of order k+2, or 1.0 when that order has no table."""
     return w.vector(cx, k + 1) if k + 2 in w.tables else 1.0
@@ -141,36 +122,51 @@ def _dense_curl(cx, k: int, up) -> bool:
     return k == 1 and np.ndim(up) == 0 and 64 * _n_up(cx, k) >= cx.graph.n_vertices ** 3
 
 
-def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> tuple[float, np.ndarray]:
-    """(|A_c|_1 |A_c|_inf, |D|^T 1) for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces; where
-    _dense_curl holds, |D|^T 1 is the triangles on each edge, counted from the adjacency matrix, and the row
-    maximum is _curl_row_max's, with no face read."""
+def _coexact_bound(cx, k: int, up, sqrt_w: np.ndarray) -> float:
+    """|A_c|_1 |A_c|_inf for A_c = W_k^{-1/2} D^T, D = diag(up) d_k, read off d_k's faces; where _dense_curl holds,
+    |D|^T 1 is the triangles on each edge, counted from the adjacency matrix, and the row maximum is _curl_row_max's,
+    with no face read."""
     right = 1.0 / sqrt_w
     rows, cols = ((_curl_row_max(cx, right), _edge_triangles(cx)) if _dense_curl(cx, k, up)
                   else _abs_products(cx._faces(k + 2), len(right), right, 1.0, up))
-    return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0)), cols
+    return float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0))
 
 
-def _products(cx, j: int, up, step: bool = False):
-    """(D, D^T) as functions, D = diag(up) d_j, up 1.0 or a vector, bit for bit alike: complexes._d0 at j = 0; else
-    CSR products for CG steps (step), and _face_products off the face array for a product used once, building no CSR."""
+def _coexact_gram(cx, k: int, up, sqrt_w: np.ndarray):
+    """x -> A_c A_c^T x for A_c = W_k^{-1/2} D^T, D = diag(up) d_k: operators._curl_gram's one n x n product where
+    _dense_curl holds, and d_1 is not assembled; otherwise D's products."""
+    if _dense_curl(cx, k, up):
+        gram = _curl_gram(cx)
+        return lambda x: gram(x / sqrt_w) / sqrt_w
+    d, dt = _products(cx, k, up)
+    return lambda x: dt(d(x / sqrt_w)) / sqrt_w
+
+
+def _products(cx, j: int, up):
+    """(D, D^T) as functions, D = diag(up) d_j, up 1.0 or a vector: complexes._d0 at j = 0; else each reads the face
+    array (_face_products) on its first call, and every later call applies the CSR D, built then. Both sum in CSR
+    order, so bit for bit alike, and a product used once builds no CSR: CG from zero repeats one only when it steps."""
     if j == 0:
         return _d0(cx.graph, up)
-    if not step:
-        products = partial(_face_products, cx._faces(j + 2), cx.n_cliques(j + 1), scale=up)
-        return (lambda x: products(x, None)[0]), (lambda y: products(None, y)[1])
-    d = coboundary(cx, j).matrix
-    if np.ndim(up):
-        import scipy.sparse as sp
-        d = sp.diags(up) @ d
-        d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
-    return d.dot, lambda y: d.T @ y
+    faces = partial(_face_products, cx._faces(j + 2), cx.n_cliques(j + 1), scale=up)
+
+    @cache
+    def csr():
+        d = coboundary(cx, j).matrix
+        if np.ndim(up):
+            import scipy.sparse as sp
+            d = sp.diags(up) @ d
+            d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
+        return d
+
+    return (_first_call(lambda x: faces(x, None)[0], lambda x: csr().dot(x)),
+            _first_call(lambda y: faces(None, y)[1], lambda y: csr().T @ y))
 
 
-def _on_step(matvec, build):
-    """x -> matvec(x, *build()), build run at the first call, which CG from zero makes only when it takes a step."""
-    built = cache(build)
-    return lambda x: matvec(x, *built())
+def _first_call(first, later):
+    """x -> first(x) on the first call, later(x) on every other."""
+    calls = iter([first])
+    return lambda x: next(calls, later)(x)
 
 
 def _mean_zero_gauge(values: np.ndarray, cx) -> np.ndarray:
@@ -206,10 +202,10 @@ class HodgeSplit:
         w_here = self.weights.vector(cx, k)
         sqrt_w = np.sqrt(w_here)
         up = _up_weights(cx, k, self.weights)
-        bound, _ = _coexact_bound(cx, k, up, sqrt_w)
+        bound = _coexact_bound(cx, k, up, sqrt_w)
         atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |A_c|_2 |b|
-        gram = _on_step(lambda x, d, dt: d(dt(x) / w_here), lambda: _products(cx, k, up, step=True))
-        h = _cg(gram, _products(cx, k, up)[0](self.input.values), atol, "the prepotential")
+        d, dt = _products(cx, k, up)
+        h = _cg(lambda x: d(dt(x) / w_here), d(self.input.values), atol, "the prepotential")
         return Cochain(k + 1, cx, h)
 
     def to_json_dict(self) -> dict:
@@ -270,8 +266,7 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         rows, cols = _abs_products(cx._faces(k + 1), cx.n_cliques(k), np.ones(cx.n_cliques(k)), sqrt_w)
         bound = np.max(cols, initial=0.0) * np.max(sqrt_w * rows, initial=0.0)  # |A_e|_inf |A_e|_1
         atol = SOLVER_RTOL * np.sqrt(bound) * scale  # |rhs| <= |A_e|_2 |b|
-        steps = (lambda: (d, dt)) if k == 1 else (lambda: _products(cx, k - 1, 1.0, step=True))  # k = 1: _d0 for both
-        g = _cg(_on_step(lambda x, d, dt: dt(w_here * d(x)), steps), dt(w_here * target), atol, "the potential")
+        g = _cg(lambda x: dt(w_here * d(x)), dt(w_here * target), atol, "the potential")
         if k - 1 == 0:
             g = _mean_zero_gauge(g, cx)
         exact = d(g)
@@ -283,16 +278,9 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         coexact_vals = np.zeros_like(c.values)
         if has_up:
             up = _up_weights(cx, k, w)
-            bounded = _coexact_bound(cx, k, up, sqrt_w)
-            bound = bounded[0]
-            if _dense_curl(cx, k, up):
-                gram = _coexact_operator(cx, k, w, sqrt_w, bounded)[0]
-                rhs = gram(b)
-            else:  # rhs from the face array; D is assembled only when CG steps, which it does not at a round-off rhs
-                d, dt = _products(cx, k, up)
-                rhs = dt(d(b / sqrt_w)) / sqrt_w
-                gram = _on_step(lambda x, gram, _bound: gram(x), lambda: _coexact_operator(cx, k, w, sqrt_w, bounded))
-            coexact_vals = _cg(gram, rhs, SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
+            bound = _coexact_bound(cx, k, up, sqrt_w)
+            gram = _coexact_gram(cx, k, up, sqrt_w)  # D is assembled only when CG steps: not at a round-off rhs
+            coexact_vals = _cg(gram, gram(b), SOLVER_RTOL * bound * scale, "the coexact part") / sqrt_w
         residuals["coexact_solve"] = float(np.linalg.norm(sqrt_w * (c.values - coexact_vals)))
         harmonic_vals = c.values - exact_vals - coexact_vals
     else:

@@ -540,8 +540,7 @@ class TestOneOffProducts:
 
     @staticmethod
     def all_csr(monkeypatch):
-        products = decompose._products
-        monkeypatch.setattr(decompose, "_products", lambda cx, j, up, step=False: products(cx, j, up, step=True))
+        monkeypatch.setattr(decompose, "_first_call", lambda first, later: later)
 
     def test_bit_equal_to_csr_products(self, monkeypatch):
         compared = 0
@@ -630,7 +629,8 @@ class TestStopBoundOracle:
                         cases["the potential"] += 1
                     if cx.n_cliques(k + 2):
                         bound = coexact_bound(cx, k, w, sqrt_w)
-                        assert decompose._coexact_operator(cx, k, w, sqrt_w)[1] == bound, (seed, k)
+                        up = decompose._up_weights(cx, k, w)
+                        assert decompose._coexact_bound(cx, k, up, sqrt_w) == bound, (seed, k)
                         assert atols["the coexact part"] == SOLVER_RTOL * bound * scale, (seed, k)
                         assert atols["the prepotential"] == SOLVER_RTOL * np.sqrt(bound) * scale, (seed, k)
                         cases["the coexact part"] += 1
@@ -671,7 +671,8 @@ class TestStopBoundOracle:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            decompose._coexact_operator(cx, 1, w, sqrt_w)
+            decompose._coexact_gram(cx, 1, decompose._up_weights(cx, 1, w), sqrt_w)
+            decompose._coexact_bound(cx, 1, decompose._up_weights(cx, 1, w), sqrt_w)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -698,12 +699,14 @@ class TestDenseCurlGram:
         cx = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), 3)
         w = w_of(cx)
         sqrt_w = np.sqrt(w.vector(cx, 1))
-        gram, _ = decompose._coexact_operator(cx, 1, w, sqrt_w)
+        gram = decompose._coexact_gram(cx, 1, decompose._up_weights(cx, 1, w), sqrt_w)
+        x = rng.normal(size=cx.n_cliques(2))
+        gram(gram(x))  # the second call applies D, the sparse path's CSR, built then
         dense = ("coboundary", 3) not in cx.graph._memo
         assert dense == (is_dense(cx) and 3 not in w.tables)
         assert (("adjacency", 2) in cx.graph._memo) == dense
         ref_gram = csr_coexact_gram(cx, w, sqrt_w)
-        for x in (rng.normal(size=cx.n_cliques(2)), np.zeros(cx.n_cliques(2))):
+        for x in (x, np.zeros(cx.n_cliques(2))):
             got, ref = gram(x), ref_gram(x)
             assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref), initial=0.0))
             assert gram(x).tobytes() == got.tobytes()  # the function's buffers carry nothing between calls
@@ -781,7 +784,7 @@ class TestDenseCoexactBound:
                 right = 1.0 / sqrt_w
                 rows, cols = operators._abs_products(cx._faces(3), len(right), right, 1.0, 1.0)
                 expected = float(np.max(rows, initial=0.0) * np.max(right * cols, initial=0.0))
-                bound, counts = decompose._coexact_bound(cx, 1, 1.0, sqrt_w)
+                bound, counts = decompose._coexact_bound(cx, 1, 1.0, sqrt_w), operators._edge_triangles(cx)
                 assert bound.hex() == expected.hex() and counts.tobytes() == cols.tobytes(), seed
                 dense = decompose._dense_curl(cx, 1, 1.0)
                 assert (("adjacency", 2) in cx.graph._memo) == dense == is_dense(cx)
