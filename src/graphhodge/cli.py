@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cochains import WeightScheme, read_cochain_tsv, read_weights_tsv
-from .complexes import CliqueComplex, Graph, InputFormatError, _data_rows, enumerate_cliques, parse_graph
+from .cochains import WeightScheme, _clique_rows, _cochain, read_cochain_tsv, read_weights_tsv
+from .complexes import CliqueComplex, Graph, InputFormatError, enumerate_cliques, parse_graph
 from .textio import _Rows, id_value_lines, json_dumps
 
 
@@ -157,12 +157,10 @@ def _cmd_decompose(args) -> int:
     from .decompose import hodge_decompose
 
     graph = _load_graph(args.input)
-    text = _read_text(args.cochain)
-    rows = _data_rows(text)[1]
-    if not rows:
+    tables, order = _clique_rows(_read_text(args.cochain), "value")  # the order is the first line's
+    if order is None:
         raise InputFormatError("cochain document has no data lines")
-    degree = len(rows[0]) - 2
-    c = read_cochain_tsv(text, _complex(graph, degree), degree)
+    c = _cochain(_complex(graph, order - 1), order, tables)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
     plot = emit_plot_data(split) if args.plot else None
     _write(args, json_dumps(split.to_json_dict()) + "\n", plot=plot)

@@ -256,6 +256,11 @@ def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) ->
     tables, order = _clique_rows(text, "value", None if degree is None else degree + 1)
     if order is None:
         raise InputFormatError("empty cochain document and no degree given")
+    return _cochain(cx, order, tables)
+
+
+def _cochain(cx: CliqueComplex, order: int, tables: dict) -> Cochain:
+    """The cochain of degree order - 1 on cx that _clique_rows read as tables."""
     try:
         return Cochain._from_keys(cx, order - 1, *tables.get(order, ([], [])))
     except ValueError as exc:

@@ -14,10 +14,14 @@ the flow and the game predicates are computed from the tables directly; only
 game_flow's default builds the strategy graph. Its edges are, for each player,
 the pairs of profile indices taken along that player's axis of the profile
 array, and game_flow reads them back from the graph's order-2 clique level.
+is_potential_game is a common-interest test (all players' gradients coincide),
+stricter than an exact potential game, whose gradients need only come from one
+potential: the prisoner's dilemma is one, with a zero harmonic flow, but reads False.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -138,7 +142,8 @@ def strategy_graph(form: GameForm) -> StrategyGraph:
 
 
 def game_flow(form: GameForm, sg: StrategyGraph | None = None) -> Cochain:
-    """Edge flow X(s,t) = f_i(t) - f_i(s) for the unique player i moving between s and t."""
+    """Edge flow X(s,t) = f_i(t) - f_i(s) for the unique player i moving between s and t; ValueError, naming the
+    first such pair, where a difference overflows float64."""
     sg = sg or strategy_graph(form)
     edges = sg.complex.level(2) - 1
     u, v = edges[:, 0], edges[:, 1]
@@ -151,16 +156,38 @@ def game_flow(form: GameForm, sg: StrategyGraph | None = None) -> Cochain:
         raise ValueError(f"profiles {a} and {b} do not differ in exactly one player")
     flat = np.stack(form.utilities).reshape(form.n_players, -1)
     mover = np.argmax(moved, axis=0)
-    return Cochain(1, sg.complex, flat[mover, v] - flat[mover, u])
+    with np.errstate(over="ignore"):
+        values = flat[mover, v] - flat[mover, u]
+    past = np.flatnonzero(np.isinf(values))
+    if past.size:
+        i = past[0]
+        raise ValueError(f"the game flow overflows float64: player {mover[i]}'s payoff change from profile "
+                         f"{_profile_key(sg.profiles[u[i]])!r} to {_profile_key(sg.profiles[v[i]])!r}")
+    return Cochain(1, sg.complex, values)
+
+
+def _rescaled(form: GameForm, terms: int) -> tuple[np.ndarray, float]:
+    """(the stacked utility tables times s, s), s = 2^-e the power of two that keeps a sum of `terms` entries of
+    the tables below 2^1023 in magnitude: 1 unless an entry is past 2^1023 / terms. Scaling by a power of two is
+    exact (short of subnormals), so a predicate reads the tables' own arithmetic, compared with tol * s."""
+    tables = np.stack(form.utilities)
+    top = int(np.frexp(np.max(np.abs(tables), initial=0.0))[1])  # every |entry| < 2^top
+    e = max(0, top + math.ceil(math.log2(terms)) - 1023)
+    return (np.ldexp(tables, -e), 2.0 ** -e) if e else (tables, 1.0)
 
 
 def is_potential_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
-    """True when all players' utility gradients coincide on the profile graph."""
-    tables = np.stack(form.utilities)
+    """True when all players' utility gradients coincide on the profile graph: a common-interest test.
+
+    Every player then moves up one shared utility, which is stricter than an exact potential game (Monderer and
+    Shapley), where the gradients need only be those of some one potential: the prisoner's dilemma is an exact
+    potential game but reads False here. Utilities of any finite size are compared exactly (_rescaled).
+    """
+    tables, scale = _rescaled(form, 4)  # |grad| <= 2 max|u|, and so is the spread of a gradient's values
     for player, size in enumerate(form.shape):
         lo, hi = np.triu_indices(size, 1)
         grads = np.take(tables, hi, axis=player + 1) - np.take(tables, lo, axis=player + 1)
-        if np.any(grads.max(axis=0) - grads.min(axis=0) > tol):
+        if np.any(grads.max(axis=0) - grads.min(axis=0) > tol * scale):
             return False
     return True
 
@@ -170,15 +197,17 @@ def is_harmonic_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
 
     The profile graph is the Cartesian product of the complete graphs K_{s_p},
     so its Laplacian acts on a table as sum_p (s_p * total - sum along axis p).
+    Utilities of any finite size are evaluated exactly (_rescaled).
     """
+    tables, scale = _rescaled(form, 2 * form.n_players * sum(form.shape))  # |total| <= n_players max|u|
     total = np.zeros(form.shape)
-    for f in form.utilities:
+    for f in tables:
         total = total + f
     values = sum(
         size * total - total.sum(axis=player, keepdims=True)
         for player, size in enumerate(form.shape)
     )
-    return bool(np.max(np.abs(values), initial=0.0) <= tol)
+    return bool(np.max(np.abs(values), initial=0.0) <= tol * scale)
 
 
 @dataclass(frozen=True)

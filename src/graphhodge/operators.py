@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, InputFormatError, _frozen
+from .complexes import CliqueComplex, InputFormatError, _check_fits, _frozen
 from .textio import id_value_lines
 
 if TYPE_CHECKING:
@@ -311,7 +311,8 @@ def read_matrix(text: str) -> sp.csr_matrix:
     """Parse the coordinate format written by write_matrix.
 
     Raises InputFormatError, naming the line, at a malformed size or entry
-    line, an index outside 1..size, a non-finite value or a coordinate given twice.
+    line, a size past int64 or whose row pointer exceeds physical memory, an
+    index outside 1..size, a non-finite value or a coordinate given twice.
     """
     import scipy.sparse as sp
     body = [(lineno, line.split()) for lineno, raw in enumerate(text.splitlines(), start=1)
@@ -325,6 +326,12 @@ def read_matrix(text: str) -> sp.csr_matrix:
         raise InputFormatError(f"line {lineno}: malformed size line") from None
     if min(n_rows, n_cols, nnz) < 0:
         raise InputFormatError(f"line {lineno}: sizes must be >= 0")
+    if max(n_rows, n_cols) >= 2**63:
+        raise InputFormatError(f"line {lineno}: size {max(n_rows, n_cols)} is past int64")
+    try:
+        _check_fits(8 * (n_rows + 1), f"line {lineno}: the row pointer of {n_rows} rows")
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
     if len(entry_lines) != nnz:
         raise InputFormatError(f"expected {nnz} entries, found {len(entry_lines)}")
     entries: dict[tuple[int, int], float] = {}

@@ -132,6 +132,25 @@ class TestDecompose:
         rows = [line.split("\t") for line in plot.read_text().splitlines()]
         assert len(rows) == 4 and len(rows[0]) == 6  # i j x exact harmonic coexact
 
+    @pytest.mark.parametrize("text", ["1 2 2\n2 3 2\n3 4 2\n4 1 2\n", "# vertex values\n1 1.5\n3 -2\n"])
+    def test_the_cochain_is_tokenized_once(self, capsys, tmp_path, c4_file, monkeypatch, text):
+        import graphhodge.cli as cli
+        import graphhodge.cochains as cochains
+        import graphhodge.complexes as complexes
+
+        tokenized, data_rows = [], complexes._data_rows
+        for module in (cli, cochains, complexes):  # each module that holds the tokenizer, or once held it
+            monkeypatch.setattr(module, "_data_rows", lambda t: tokenized.append(t) or data_rows(t), raising=False)
+        cochain = write(tmp_path, "x.tsv", text)
+        assert run(capsys, "decompose", "--input", c4_file, "--cochain", cochain)[0] == 0
+        assert tokenized.count(text) == 1 and len(tokenized) == 2  # the cochain, and the edge list
+
+    @pytest.mark.parametrize("text", ["", "# a comment only\n\n"])
+    def test_a_cochain_with_no_data_lines_exits_one(self, capsys, tmp_path, c4_file, text):
+        cochain = write(tmp_path, "x.tsv", text)
+        assert main(["decompose", "--input", c4_file, "--cochain", cochain]) == 1
+        assert capsys.readouterr().err == "graphhodge: error: cochain document has no data lines\n"
+
 
 class TestRankGame:
     def test_rank_ratings(self, capsys, tmp_path):
@@ -164,6 +183,20 @@ class TestRankGame:
         flows = {(a, b): x for a, b, x in doc["flow"]}
         assert flows[("a,a,a", "b,a,a")] == 4
         assert doc["potential"]["a,a,a"] == 1
+
+    @pytest.mark.parametrize("utilities, players", [
+        ([{"a": 1e308, "b": 1e308}], [["a", "b"]]),  # 2 * 1e308 overflowed the harmonic test
+        ([{"a,c": 9e307, "b,c": 9e307}] * 2, [["a", "b"], ["c"]]),  # so did the summed utilities, 1.8e308
+    ])
+    def test_game_near_the_float64_limit(self, capsys, tmp_path, utilities, players):
+        """Both predicates read true, as the same games at 8.0 do, with no numpy warning."""
+        game = write(tmp_path, "g.json", json.dumps({"strategies": players, "utilities": utilities}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = run(capsys, "game", "--input", game)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["is_harmonic_game"] is True and doc["is_potential_game"] is True
 
     def test_game_flow_out(self, capsys, tmp_path):
         flow_path = tmp_path / "flow.tsv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,38 @@ class TestPredicates:
         )
         assert is_potential_game(form)
         assert is_harmonic_game(form)
+
+    def test_integer_games_scaled_near_the_float64_limit_read_as_unscaled(self):
+        """Scaling integer utilities by 2^1020 changes no predicate, with no numpy warning."""
+        games = [road_sharing_game(), rock_paper_scissors(),
+                 GameForm((("a", "b"), ("p", "q")), (np.full((2, 2), 2.0), np.full((2, 2), 5.0))),
+                 GameForm((("a", "b", "c"),) * 2, (np.arange(9.0).reshape(3, 3),) * 2)]
+        for form in games:
+            scaled = GameForm(form.strategy_sets, tuple(np.ldexp(u, 1020) for u in form.utilities))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = is_potential_game(scaled), is_harmonic_game(scaled)
+            assert got == (is_potential_game(form), is_harmonic_game(form))
+
+    def test_gradients_past_float64_still_compare(self):
+        """Both gradients overflow float64 unscaled, 1.8e308 and 1.85e308, and differ: not a potential game."""
+        form = GameForm((("a", "b"), ("c",)), (np.array([[-9e307], [9e307]]), np.array([[-9.5e307], [9e307]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not is_potential_game(form)
+            assert is_potential_game(GameForm(form.strategy_sets, (form.utilities[0],) * 2))
+
+
+class TestGameFlowOverflow:
+    def test_a_payoff_change_past_float64_names_the_profiles(self):
+        form = GameForm((("a", "b"), ("c",)), (np.zeros((2, 1)), np.array([[-9e307], [9e307]])))
+        assert game_flow(form).values.tolist() == [0.0]  # player 1 never moves
+        form = GameForm(form.strategy_sets, form.utilities[::-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^the game flow overflows float64: player 0's payoff change from "
+                                                 "profile 'a,c' to 'b,c'$"):
+                game_flow(form)
 
 
 class TestDecomposeGameFlow:

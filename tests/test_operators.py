@@ -1,3 +1,4 @@
+import os
 import weakref
 
 import numpy as np
@@ -383,6 +384,19 @@ class TestMatrixExport:
     def test_reader_rejects_bad_documents_naming_the_line(self, text, lineno):
         with pytest.raises(InputFormatError, match=f"^line {lineno}: "):
             read_matrix(text)
+
+    @pytest.mark.parametrize("size_line", ["100000000000000000000 1 0", "1 100000000000000000000 0"])
+    def test_a_size_past_int64_names_the_line(self, size_line):
+        with pytest.raises(InputFormatError, match="^line 2: size 100000000000000000000 is past int64$"):
+            read_matrix(f"% sizes\n{size_line}\n")
+
+    def test_a_row_pointer_past_physical_memory_names_the_line(self):
+        """3e9 rows need a 24 GB row pointer (22.4 GiB); a machine with more memory is given more rows."""
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        rows = max(3 * 10**9, memory // 8)
+        with pytest.raises(InputFormatError, match=f"^line 1: the row pointer of {rows} rows needs {8 * (rows + 1)} "
+                                                   f"bytes, more than the {memory} bytes of physical memory$"):
+            read_matrix(f"{rows} 2 0\n")
 
 
 def dense_scrub_laplacian(cx, k, w):
