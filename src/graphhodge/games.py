@@ -181,7 +181,7 @@ def is_potential_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
 
     Every player then moves up one shared utility, which is stricter than an exact potential game (Monderer and
     Shapley), where the gradients need only be those of some one potential: the prisoner's dilemma is an exact
-    potential game but reads False here. Utilities of any finite size are compared exactly (_rescaled).
+    potential game but reads False here. Any finite utilities are compared without overflow (_rescaled).
     """
     tables, scale = _rescaled(form, 4)  # |grad| <= 2 max|u|, and so is the spread of a gradient's values
     for player, size in enumerate(form.shape):
@@ -197,7 +197,7 @@ def is_harmonic_game(form: GameForm, tol: float = PREDICATE_TOL) -> bool:
 
     The profile graph is the Cartesian product of the complete graphs K_{s_p},
     so its Laplacian acts on a table as sum_p (s_p * total - sum along axis p).
-    Utilities of any finite size are evaluated exactly (_rescaled).
+    Any finite utilities are evaluated without overflow (_rescaled).
     """
     tables, scale = _rescaled(form, 2 * form.n_players * sum(form.shape))  # |total| <= n_players max|u|
     total = np.zeros(form.shape)
