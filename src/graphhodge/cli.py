@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure (the
 diagnostic report is still emitted). All structured output is JSON with sorted
 keys and 12-significant-digit floats; bulk numeric tables are TSV. The layers
 past cochains (operators, spectral, decompose, hodgerank, games, nonlinear) are
-imported by the commands that use them.
+imported by the commands that use them. spectrum, decompose and rank write their
+--plot table, and game its --flow-out table, with textio.id_value_lines where
+they hold the result.
 """
 
 from __future__ import annotations
@@ -27,25 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def emit_plot_data(obj) -> str:
-    """Flatten a Spectrum, HodgeSplit, or RankingResult into plotting TSV."""
-    from .decompose import HodgeSplit
-    from .spectral import Spectrum
-
-    if isinstance(obj, Spectrum):
-        return id_value_lines(np.arange(1, len(obj.eigenvalues) + 1)[:, None], obj.eigenvalues + 0.0, sep="\t")
-    if isinstance(obj, HodgeSplit):
-        parts = (obj.input, obj.exact, obj.harmonic, obj.coexact)
-        level = obj.input.complex.level(obj.input.degree + 1)
-        return id_value_lines(level, *(part.values + 0.0 for part in parts), sep="\t")
-    from .hodgerank import RankingResult
-
-    if isinstance(obj, RankingResult):
-        ids = np.column_stack((np.arange(1, len(obj.order) + 1), np.array(obj.order, dtype=object)))  # not <U
-        return id_value_lines(ids, np.array([obj.scores[item] for item in obj.order]) + 0.0, sep="\t")
-    raise TypeError(f"no plot data emitter for {type(obj).__name__}")
 
 
 def _read_text(path: str) -> str:
@@ -141,7 +124,8 @@ def _cmd_laplacian(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _spectrum(args)
-    plot = emit_plot_data(spec) if args.plot else None
+    index = np.arange(1, len(spec.eigenvalues) + 1)[:, None]  # 1-based, for --plot
+    plot = id_value_lines(index, spec.eigenvalues + 0.0, sep="\t") if args.plot else None
     _write(args, json_dumps(spec.to_json_dict()) + "\n", plot=plot)
     return 0
 
@@ -162,7 +146,10 @@ def _cmd_decompose(args) -> int:
         raise InputFormatError("cochain document has no data lines")
     c = _cochain(_complex(graph, order - 1), order, tables)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
-    plot = emit_plot_data(split) if args.plot else None
+    plot = None
+    if args.plot:  # per clique: the input, then its exact, harmonic and coexact parts
+        parts = (c, split.exact, split.harmonic, split.coexact)
+        plot = id_value_lines(c.complex.level(order), *(part.values + 0.0 for part in parts), sep="\t")
     _write(args, json_dumps(split.to_json_dict()) + "\n", plot=plot)
     return 0
 
@@ -178,7 +165,10 @@ def _cmd_rank(args) -> int:
     ends = np.array(cf.items, dtype=object)[cf.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
     columns = (cf.weights.vector(cf.complex, 1), cf.flow.values)  # vote counts and flow, in edge order
     payload["edges"] = _Rows(ends, columns, ("item_i", "item_j", "weight", "x"))
-    plot = emit_plot_data(result) if args.plot else None
+    plot = None
+    if args.plot:  # rank, item, score
+        ids = np.column_stack((np.arange(1, len(result.order) + 1), np.array(result.order, dtype=object)))  # not <U
+        plot = id_value_lines(ids, np.array([result.scores[item] for item in result.order]) + 0.0, sep="\t")
     _write(args, json_dumps(payload) + "\n", plot=plot)
     return 0
 

@@ -7,7 +7,8 @@ reproducible bit for bit. A level of order k >= 2 is its face array: enumeration
 records, once per graph, where each clique's faces sit in the level below, and
 d_k, the counts and the keys read only that. A level is enumerated on its first
 read (CliqueComplex._faces, the one path into _extend); enumerate_cliques reads
-its top level at once. Enumeration finds a candidate's faces by their keys,
+its top level at once. Every complex, eager or lazy, refuses a vertex count past
+MAX_VERTICES when it is built, before any key is formed. Enumeration finds a candidate's faces by their keys,
 which cannot overflow: by one gather from a direct-address table when the keys'
 range is no larger than the number of queries, else by binary search. It refuses
 an order whose candidates would not fit in physical memory before laying them
@@ -237,25 +238,25 @@ def _key(prefix_position, last, n: int):
     return np.asarray(prefix_position, dtype=np.int64) * (n + 1) + last  # int32 positions would wrap
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CliqueComplex:
     """All k-cliques of a graph for k = 1..max_order, in lexicographic order.
 
     A level of order k >= 2 is its face array (see _faces), enumerated on first read, kept once per graph.
     Orders beyond max_order are served only when provably empty, i.e. when some
     level up to max_order is empty; otherwise asking for them is an error.
+    Building one refuses max_order < 1 and a vertex count past MAX_VERTICES, before any key is formed.
     """
 
     graph: Graph
     max_order: int
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CliqueComplex):
-            return NotImplemented
-        return self.graph == other.graph and self.max_order == other.max_order
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.max_order))
+    def __post_init__(self) -> None:
+        if self.max_order < 1:
+            raise ValueError(f"max_order must be >= 1, got {self.max_order}")
+        if self.graph.n_vertices > MAX_VERTICES:
+            raise ValueError(f"vertex count {self.graph.n_vertices} is above {MAX_VERTICES}: "
+                             "clique keys would pass int64")
 
     @property
     def levels(self) -> tuple[np.ndarray, ...]:
@@ -352,10 +353,6 @@ class CliqueComplex:
 
 def enumerate_cliques(graph: Graph, max_order: int = 3) -> CliqueComplex:
     """All cliques of order 1..max_order, extending the enumeration already kept on the graph, enumerated now."""
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if graph.n_vertices > MAX_VERTICES:  # checked before any per-vertex array is laid out
-        raise ValueError(f"vertex count {graph.n_vertices} is above {MAX_VERTICES}: clique keys would pass int64")
     cx = CliqueComplex(graph, max_order)
     cx._faces(max_order)  # its first read enumerates it
     return cx
@@ -384,9 +381,10 @@ def _extend(cx: CliqueComplex, target: int) -> None:
     if order == 2:
         _keep_faces(graph, 2, [edges[:, 0] - 1, edges[:, 1] - 1], n)
         order = 3
-    # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
-    first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
+    first = None  # the larger neighbours of vertex v are edges[first[v - 1]:first[v], 1]
     while order <= target and cx.n_cliques(order - 1):
+        if first is None:  # n + 1 entries, laid out only when an order >= 3 is enumerated
+            first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
         faces, keys = cx._faces(order - 1), cx._keys(order - 1)
         last = keys % (n + 1)
         start = first[last - 1]

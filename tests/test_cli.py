@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphhodge.cli import emit_plot_data, main
+from graphhodge.cli import main
 from graphhodge import ComparisonData, GameForm, aggregate, coboundary, game_flow, rank, read_matrix
 
 from conftest import (
@@ -379,10 +379,6 @@ class TestContract:
 
 
 class TestPlotEmitters:
-    def test_unsupported_object(self):
-        with pytest.raises(TypeError):
-            emit_plot_data(42)
-
     def test_ranking_plot(self, capsys, tmp_path):
         csv = write(tmp_path, "r.csv", "v1,a,5\nv1,b,3\n")
         plot = tmp_path / "rank.tsv"
@@ -1110,6 +1106,12 @@ class TestLazyLayers:
         layers = self.probe(tmp_path, "", argv)["layers"]
         assert f"graphhodge.{used}" in layers  # the probe sees what the command loads
         assert not {f"graphhodge.{name}" for name in unused} & set(layers), layers
+
+    def test_rank_plot_loads_no_spectral(self, tmp_path):
+        argv = ["rank", "--input", str(DATA / "ratings_small.csv"), "--plot", str(tmp_path / "plot.tsv")]
+        layers = self.probe(tmp_path, "", argv)["layers"]
+        assert "graphhodge.hodgerank" in layers and (tmp_path / "plot.tsv").read_text()
+        assert "graphhodge.spectral" not in layers, layers
 
     @pytest.mark.parametrize("argv", [
         ["cliques", "--input", "c4.txt", "--max-order", "4"],

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphhodge import Graph, InputFormatError, coboundary, enumerate_cliques, parse_graph
+from graphhodge import CliqueComplex, Graph, InputFormatError, coboundary, enumerate_cliques, parse_graph
 from graphhodge import complexes
 from graphhodge.cli import main
 from graphhodge.complexes import MAX_VERTICES, _find, _keep_faces, _key
@@ -549,6 +554,56 @@ class TestVertexCountBound:
             with pytest.raises(ValueError) as info:
                 enumerate_cliques(g, 2)
             assert str(info.value) == f"vertex count {count} is above 3037000499: clique keys would pass int64"
+
+    def test_every_complex_refuses_when_built(self):
+        # a lazily built complex enumerates nothing until a level is read: it refuses before any key is formed
+        with pytest.raises(ValueError) as info:
+            CliqueComplex(Graph(MAX_VERTICES + 1, [(1, 2), (1, 3), (2, 3)]), 3)
+        assert str(info.value) == "vertex count 3037000500 is above 3037000499: clique keys would pass int64"
+        with pytest.raises(ValueError) as info:
+            CliqueComplex(Graph(MAX_VERTICES + 1, [(1, 2)]), 0)  # the order is checked first
+        assert str(info.value) == "max_order must be >= 1, got 0"
+
+    def test_the_edge_level_lays_out_no_per_vertex_array(self):
+        g = Graph(10**7, [(1, 2)])
+        tracemalloc.start()
+        try:
+            cx = enumerate_cliques(g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cx.n_cliques(2) == 1 and cx.clique_number() is None
+        assert peak < 1 << 20, peak  # an int64 array per vertex would take 80 MB
+
+    @staticmethod
+    def bounded_child(code: str, *argv: str) -> subprocess.CompletedProcess:
+        """Run code in a fresh interpreter whose address space is capped at 3 GiB, so an array per vertex at
+        n = 10**9 (7.45 GiB) fails to allocate rather than being laid out."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"),
+                                                          env.get("PYTHONPATH")]))
+        cap = "import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        return subprocess.run([sys.executable, "-c", cap + code, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+    def test_the_d0_export_of_a_billion_vertices_fits_in_3_gib(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("p 1000000000 1\n1 2\n")
+        proc = self.bounded_child("from graphhodge.cli import main\nsys.exit(main(sys.argv[1:]))",
+                                  "operator", "--input", str(path), "--k", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1:] == ["1 1000000000 2", "1 1 -1", "1 2 1"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds allocations on Linux")
+    def test_a_lazy_complex_past_the_bound_is_refused_before_its_keys(self):
+        # at n = 4e9 the key of the edge (n-1, n) is (n-2)(n+1)+n, about 1.6e19 > 2**63: it would wrap
+        code = ("from graphhodge import CliqueComplex, Graph\nn = 4 * 10**9\n"
+                "print(CliqueComplex(Graph(n, [(n - 1, n)]), 2).locate([[n - 1, n]]))")
+        proc = self.bounded_child(code)
+        assert proc.returncode == 1 and not proc.stdout
+        assert proc.stderr.splitlines()[-1] == \
+            "ValueError: vertex count 4000000000 is above 3037000499: clique keys would pass int64"
 
 
 class TestTableLookup:
