@@ -121,6 +121,14 @@ class Cochain:
                 f"degree-{self.degree} cochain needs {expected} values, got shape {vals.shape}"
             )
 
+    def __eq__(self, other) -> bool:
+        """Same degree, complex and values; the generated __eq__ would compare the arrays with ==, which raises.
+        hash() stays a TypeError: the generated __hash__ hashes the array."""
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return self.degree == other.degree and self.complex == other.complex and \
+            np.array_equal(self.values, other.values)
+
     @classmethod
     def zero(cls, cx: CliqueComplex, degree: int) -> "Cochain":
         return cls(degree, cx, np.zeros(cx.n_cliques(degree + 1)))

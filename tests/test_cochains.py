@@ -33,6 +33,17 @@ from conftest import (
 )
 
 
+class TestEquality:
+    def test_equal_values_in_another_array(self, c3_complex):
+        v = np.array([1.0, -2.0, 0.5])
+        c, d = Cochain(1, c3_complex, v), Cochain(1, c3_complex, v.copy())
+        assert c == d and not c != d and c in [d]
+        assert c != Cochain(1, c3_complex, v + 1) and c != Cochain(0, c3_complex, v) and c != 1.0
+        assert c != Cochain(1, enumerate_cliques(c3_complex.graph, 2), v)  # another complex of the same graph
+        with pytest.raises(TypeError):
+            hash(c)
+
+
 def test_eval_edge_antisymmetry(c3_complex):
     x = Cochain.from_dict(c3_complex, 1, {(1, 2): 2.0})
     assert x.eval((1, 2)) == 2.0
