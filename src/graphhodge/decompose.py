@@ -45,7 +45,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .cochains import Cochain, WeightScheme, _weighted_norm, write_cochain_tsv
-from .complexes import _d0
+from .complexes import _check_fits, _d0
 from .operators import (_abs_products, _abs_row_sums, _curl_gram, _curl_row_max, _edge_triangles, _face_products,
                         coboundary, hodge_laplacian)
 
@@ -363,7 +363,8 @@ def verify_operator_pair(A, B, rank_rtol: float = 1e-9, product_tol: float = 1e-
 
     Every clause is a dimension identity evaluated with independent
     rank-revealing SVDs: of A, of B, of A^T A, of the stacked [A; B^T], and of
-    the Hodge Laplacian A^T A + B B^T.
+    the Hodge Laplacian A^T A + B B^T. A pair whose dense n x n arrays would not fit in physical memory is
+    refused (ValueError naming n and the bytes) before any product is formed.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -371,6 +372,9 @@ def verify_operator_pair(A, B, rank_rtol: float = 1e-9, product_tol: float = 1e-
     n2, p = B.shape
     if n != n2:
         raise ValueError(f"inner dimensions differ: A is {A.shape}, B is {B.shape}")
+    # at the peak: A^T A, B B^T and their sum as it is formed, or later the sum, [A; B^T] and the SVD's copy of it
+    _check_fits(8 * n * max(3 * n, n + 2 * (m + p)),
+                f"the Hodge Laplacian A^T A + B B^T has side {n}: with its terms and the stacked [A; B^T] it")
     scale = max(1.0, float(np.linalg.norm(A, 2) * np.linalg.norm(B, 2))) if A.size and B.size else 1.0
     product = A @ B
     if product.size and np.max(np.abs(product)) > product_tol * scale:

@@ -27,10 +27,11 @@ from graphhodge import (
     rank,
     verify_operator_pair,
 )
+import graphhodge.complexes as complexes
 import graphhodge.decompose as decompose
 import graphhodge.operators as operators
 from graphhodge.cli import main
-from graphhodge.decompose import SOLVER_RTOL, _mean_zero_gauge
+from graphhodge.decompose import SOLVER_RTOL, _mean_zero_gauge, matrix_rank
 
 from conftest import (
     LAP_ISO_A,
@@ -967,6 +968,32 @@ class TestOperatorPair:
         report = verify_operator_pair(A, B)
         names = {c.name for c in report.clauses}
         assert len(names) == 10
+
+
+class TestOperatorPairSizeGuard:
+    """verify_operator_pair refuses a pair whose n x n arrays, with [A; B^T] and an SVD's copy, would not fit in
+    physical memory, before it forms any product or SVD."""
+
+    @staticmethod
+    def refused_at(monkeypatch, A, B, need: int) -> None:
+        ranks = []
+        monkeypatch.setattr(decompose, "matrix_rank", lambda M, rtol: ranks.append(M.shape) or matrix_rank(M, rtol))
+        monkeypatch.setattr(complexes.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need - 1}[name])
+        n = A.shape[1]
+        with pytest.raises(ValueError, match=rf"A\^T A \+ B B\^T has side {n}: .* needs {need} bytes, more than the "
+                                             rf"{need - 1} bytes of physical memory"):
+            verify_operator_pair(A, B)
+        assert not ranks
+        monkeypatch.setattr(complexes.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}[name])
+        assert verify_operator_pair(A, B).passed and len(ranks) == 6
+
+    def test_the_laplacian_and_its_terms(self, monkeypatch):
+        A, B = np.ones((1, 5)), np.zeros((5, 1))  # three 5 x 5 arrays
+        self.refused_at(monkeypatch, A, B, 8 * 3 * 5**2)
+
+    def test_the_stacked_pair_and_its_copy(self, monkeypatch):
+        A, B = np.ones((6, 2)), np.zeros((2, 1))  # the 2 x 2 sum, then [A; B^T] and its copy, 7 x 2 each
+        self.refused_at(monkeypatch, A, B, 8 * (2**2 + 2 * 7 * 2))
 
 
 class TestCgOracle:
