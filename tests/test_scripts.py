@@ -1,6 +1,8 @@
-"""Smoke tests: each experiment script runs to completion on a small setting."""
+"""Smoke tests: each experiment script runs to completion on a small setting; the test dependencies are declared."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +59,22 @@ def test_cli_digest_full_corpus_is_the_committed_one():
     got, expected = proc.stdout.splitlines(), (ROOT / "tests" / "cli_digest.txt").read_text().splitlines()
     changed = [(new, old) for new, old in zip(got, expected) if new != old]
     assert got == expected, changed[:5] or (len(got), len(expected))
+
+
+def test_every_third_party_module_the_tests_import_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_") for req in requirements}
+    tests = list((ROOT / "tests").glob("*.py"))
+    local = {path.stem for path in tests} | {"graphhodge"}
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "pytest"} <= third_party  # the walk sees the imports
+    assert third_party <= declared, sorted(third_party - declared)
