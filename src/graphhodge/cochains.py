@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import CliqueComplex, InputFormatError, _data_rows, _table
+from .complexes import CliqueComplex, InputFormatError, _data_rows, _fields_equal, _loadtxt, _table
 from .textio import id_value_lines
 
 
@@ -41,6 +41,8 @@ class WeightScheme:
     """
 
     tables: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         tables = {order: (_vertex_rows(cliques, order), np.asarray(weights, dtype=float))
@@ -121,13 +123,7 @@ class Cochain:
                 f"degree-{self.degree} cochain needs {expected} values, got shape {vals.shape}"
             )
 
-    def __eq__(self, other) -> bool:
-        """Same degree, complex and values; the generated __eq__ would compare the arrays with ==, which raises.
-        hash() stays a TypeError: the generated __hash__ hashes the array."""
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return self.degree == other.degree and self.complex == other.complex and \
-            np.array_equal(self.values, other.values)
+    __eq__ = _fields_equal
 
     @classmethod
     def zero(cls, cx: CliqueComplex, degree: int) -> "Cochain":
@@ -147,7 +143,10 @@ class Cochain:
     def _from_keys(cls, cx: CliqueComplex, degree: int, keys, values) -> "Cochain":
         """from_dict of keys (vertex tuples or id array rows) and values: the one locate-and-sign path."""
         order = degree + 1
-        sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
+        if isinstance(keys, np.ndarray):  # rows of one width: no Python loop over them
+            sized = np.full(len(keys), keys.shape[1] == order)
+        else:
+            sized = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) == order
         rows, sign = _ascending(_vertex_rows(keys if sized.all() else [k for k, ok in zip(keys, sized) if ok], order))
         pos = np.full(len(keys), -1)
         pos[sized] = cx.locate(rows)  # a repeated vertex is never found
@@ -222,10 +221,19 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
 def _clique_rows(text: str, what: str, order: int | None = None) -> tuple[dict, int | None]:
     """{order: (ids, values)} of the lines `ids... value`, converted at once per order (ids as written, int64 or
     Python ints where one is past int64), and a cochain's order (what is "value"): the given one, else the first
-    line's. InputFormatError at the first line with a fault, in the order the lines were checked one by one."""
+    line's. An ASCII document whose lines all have the first line's width is read by _loadtxt; any other, or one with
+    a fault, by _data_rows and _table. InputFormatError at the first line with a fault, in the order the lines were
+    checked one by one."""
+    lines, cochain = text.splitlines(), what == "value"
+    first = next(filter(None, (line.partition("#")[0].split() for line in lines)), [])
+    order = len(first) - 1 if cochain and order is None and first else order
+    if text.isascii() and len(first) > 1:
+        table = _loadtxt(lines, [("ids", np.int64, (len(first) - 1,)), ("value", float)])
+        if table is not None:
+            ids, values = table["ids"][:, 0], table["value"][:, 0]
+            if not _faults(ids, values, np.zeros(len(ids), int), cochain, order)[0].any():
+                return {len(first) - 1: (ids, values)}, order
     numbers, rows = _data_rows(text)
-    cochain = what == "value"
-    order = len(rows[0]) - 1 if cochain and order is None and rows else order
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     tables, found = {}, []  # found: (line, message) of the first fault of each size
     for size in np.unique(sizes).tolist():
@@ -236,12 +244,8 @@ def _clique_rows(text: str, what: str, order: int | None = None) -> tuple[dict, 
             continue
         ids, fault = _table([row[:-1] for row in block], size - 1)
         values, rejected = _table([row[-1:] for row in block], 1, float)
-        values, cliques = values.ravel(), np.sort(ids, axis=1)
-        ranked = np.lexsort(cliques.T[::-1])  # stable: of the lines naming one clique, the first comes first
-        twice = np.isin(np.arange(len(at)), ranked[1:][(cliques[ranked[1:]] == cliques[ranked[:-1]]).all(axis=1)])
-        valid = np.isfinite(values) if cochain else (values > 0) & (values < math.inf)
-        code = np.select([(fault | rejected) > 0, (cliques[:, 1:] == cliques[:, :-1]).any(axis=1), twice, ~valid,
-                          np.full(len(at), cochain and size - 1 != order)], [2, 3, 4, 5, 6])
+        values = values.ravel()
+        code, cliques = _faults(ids, values, fault | rejected, cochain, order)
         if code.any():
             i = np.argmax(code > 0)
             key, clique = (_key_text(tuple(a[i].tolist())) for a in (ids, cliques))
@@ -253,6 +257,18 @@ def _clique_rows(text: str, what: str, order: int | None = None) -> tuple[dict, 
     if found:
         raise InputFormatError("line {}: {}".format(*min(found)))
     return tables, order
+
+
+def _faults(ids: np.ndarray, values: np.ndarray, fault: np.ndarray, cochain: bool, order: int | None):
+    """Each line's first fault in a block of lines of one width, 0 where it has none: 2 a token not read (fault > 0),
+    3 a repeated vertex, 4 a clique an earlier line names, 5 a value out of range, 6 a cochain line without order ids;
+    and the lines' cliques, ids sorted."""
+    cliques = np.sort(ids, axis=1)
+    ranked = np.lexsort(cliques.T[::-1])  # stable: of the lines naming one clique, the first comes first
+    twice = np.isin(np.arange(len(ids)), ranked[1:][(cliques[ranked[1:]] == cliques[ranked[:-1]]).all(axis=1)])
+    valid = np.isfinite(values) if cochain else (values > 0) & (values < math.inf)
+    return np.select([fault > 0, (cliques[:, 1:] == cliques[:, :-1]).any(axis=1), twice, ~valid,
+                      np.full(len(ids), cochain and ids.shape[1] != order)], [2, 3, 4, 5, 6]), cliques
 
 
 def read_cochain_tsv(text: str, cx: CliqueComplex, degree: int | None = None) -> Cochain:

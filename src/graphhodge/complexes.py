@@ -19,13 +19,18 @@ first read, for output; cliques(k) is a tuple view of it that no computation
 reads. A Graph stores its edges once, as the order-2 level itself: producers
 pass it pair arrays, degrees and components are computed from it, and
 sorted_edges is a view built from it on first read. Text tables are read by
-whole arrays: one tokenizer (_data_rows), one conversion per block (_table).
+whole arrays: numpy's C text reader (_loadtxt) reads a well-formed ASCII table
+in one pass; where it refuses, or the table breaks a rule, one tokenizer
+(_data_rows) and one conversion per block (_table) read it again, and the error
+names the line of the first fault.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import sys
+import warnings
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import isub
 
@@ -41,6 +46,32 @@ _CHECKED_FROM = 1 << 24
 
 class InputFormatError(ValueError):
     """A text input (edge list, cochain table, CSV record) is malformed."""
+
+
+def _equal(a, b) -> bool:
+    """a == b, where arrays compare by np.array_equal and sparse matrices by shape and no entry of a != b, also inside
+    tuples and dicts; the same object is equal to itself, as in Python's own containers."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    sparse = sys.modules.get("scipy.sparse")  # not loaded: no sparse matrix exists
+    if sparse is not None and sparse.issparse(a):
+        return sparse.issparse(b) and a.shape == b.shape and (a != b).nnz == 0
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict):
+        return type(a) is type(b) and a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _fields_equal(self, other) -> bool:
+    """__eq__ of every record that holds an array or a sparse matrix: the dataclass's own rule, same class and equal
+    compared fields, by _equal, where the generated __eq__ would ask an array's == for one truth value and raise.
+    hash() stays a TypeError where the generated __hash__ hashes an array."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,9 +107,7 @@ class Graph:
         """Build a graph from (u, v) pairs in either orientation, as an array or any collection."""
         return cls(n_vertices, np.sort(_pair_array(edges), axis=1))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n_vertices == other.n_vertices and \
-            np.array_equal(self.pairs, other.pairs)
+    __eq__ = _fields_equal
 
     def __hash__(self) -> int:
         return hash((self.n_vertices, self.pairs.tobytes()))
@@ -168,6 +197,21 @@ def _pair_array(pairs) -> np.ndarray:
     return raw.astype(np.int64)
 
 
+def _loadtxt(lines: list[str], dtype) -> np.ndarray | None:
+    """lines by numpy's C text reader: whitespace-separated columns, `#` comments and blank lines skipped, as an (N,
+    columns) array, (N, 1) for a structured dtype. None where it refuses, at any ValueError or warning: a token dtype
+    does not read (a sign and ASCII digits for an int), a line of another width, or no data line. Callers pass the
+    splitlines() of ASCII text only, where its splitting and number rules are str.split's, int()'s and float()'s less
+    underscores, and read the text again by _data_rows wherever it refuses. (numpy 2.4.6 crashed with SIGSEGV, under
+    some hash seeds, reading 10^5 lines in turn that each held another non-ASCII character.)"""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, dtype, comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+
+
 def _data_rows(text: str) -> tuple[range | list[int], list[list[str]]]:
     """The line numbers and tokens of the lines that hold any once `#` comments are cut (only when the text holds a
     `#`): one splitlines, one str.split per line. Only the error messages read the numbers."""
@@ -204,6 +248,13 @@ def parse_graph(text: str) -> Graph:
     integers. Duplicate edge lines collapse to one edge; the vertex count is
     the larger of the header value and the maximum vertex id seen.
     """
+    lines = text.splitlines()
+    head = lines[0].partition("#")[0].split() if lines else []
+    header = head[1:] if head[:1] == ["p"] else None
+    if text.isascii() and text.count("p") == (header is not None):  # the header, if any, is the first line
+        graph = _read_graph(lines, header)
+        if graph is not None:
+            return graph
     numbers, rows = _data_rows(text)
     heads = [i for i, row in enumerate(rows) if row[0] == "p"]
     for i in heads:
@@ -225,6 +276,23 @@ def parse_graph(text: str) -> Graph:
     if n == 0:
         raise InputFormatError("document declares no vertices (no edges and no header)")
     return Graph.from_edges(int(n), edges)
+
+
+def _read_graph(lines: list[str], header: list[str] | None) -> Graph | None:
+    """parse_graph of a document whose only header, if any, is its first line (header: that line's tokens after the
+    p), by _loadtxt, None where it refuses or a line breaks a rule parse_graph names."""
+    n = 0
+    if header is not None:
+        try:
+            n, _ = map(int, header)
+        except ValueError:  # not two tokens, or not integers
+            return None
+        if not 1 <= n < 2**63:
+            return None
+    pairs = _loadtxt(lines[header is not None:], np.int64)
+    if pairs is None or pairs.shape[1] != 2 or ((pairs[:, 0] == pairs[:, 1]) | (pairs < 1).any(axis=1)).any():
+        return None
+    return Graph.from_edges(max(n, int(pairs.max())), pairs)
 
 
 def _key(prefix_position, last, n: int):

@@ -144,8 +144,9 @@ def _coexact_gram(cx, k: int, up, sqrt_w: np.ndarray):
 
 def _products(cx, j: int, up):
     """(D, D^T) as functions, D = diag(up) d_j, up 1.0 or a vector: complexes._d0 at j = 0; else each reads the face
-    array (_face_products) on its first call, and every later call applies the CSR D, built then. Both sum in CSR
-    order, so bit for bit alike, and a product used once builds no CSR: CG from zero repeats one only when it steps."""
+    array (_face_products) on its first call, and every later call applies the CSR D or its transpose, both built
+    then, once. Both sum in CSR order, so bit for bit alike, and a product used once builds no CSR: CG from zero
+    repeats one only when it steps."""
     if j == 0:
         return _d0(cx.graph, up)
     faces = partial(_face_products, cx._faces(j + 2), cx.n_cliques(j + 1), scale=up)
@@ -157,10 +158,10 @@ def _products(cx, j: int, up):
             import scipy.sparse as sp
             d = sp.diags(up) @ d
             d.sort_indices()  # the product stores each row last face first; the solves sum it in face order
-        return d
+        return d, d.T
 
-    return (_first_call(lambda x: faces(x, None)[0], lambda x: csr().dot(x)),
-            _first_call(lambda y: faces(None, y)[1], lambda y: csr().T @ y))
+    return (_first_call(lambda x: faces(x, None)[0], lambda x: csr()[0].dot(x)),
+            _first_call(lambda y: faces(None, y)[1], lambda y: csr()[1] @ y))
 
 
 def _first_call(first, later):

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, enumerate_cliques
+from .complexes import CliqueComplex, Graph, _fields_equal, enumerate_cliques
 from .decompose import hodge_decompose
 from .operators import _face_products
 
@@ -48,6 +48,8 @@ class GameForm:
 
     strategy_sets: tuple[tuple[str, ...], ...]
     utilities: tuple[np.ndarray, ...]
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         if not self.strategy_sets:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, InputFormatError, _check_fits, _frozen
+from .complexes import CliqueComplex, InputFormatError, _check_fits, _fields_equal, _frozen
 from .textio import id_value_lines
 
 if TYPE_CHECKING:
@@ -52,6 +52,8 @@ class CoboundaryOperator:
     degree: int
     complex: CliqueComplex
     matrix: sp.csr_matrix = field(repr=False)
+
+    __eq__ = _fields_equal
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -227,6 +229,8 @@ class HodgeLaplacian:
     complex: CliqueComplex
     weights: WeightScheme
     matrix: sp.csr_matrix = field(repr=False)
+
+    __eq__ = _fields_equal
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, _check_fits, enumerate_cliques
+from .complexes import CliqueComplex, Graph, _check_fits, _fields_equal, enumerate_cliques
 from .operators import HodgeLaplacian, _coboundary_entries, _laplacian_dim, _unscaled, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
@@ -56,6 +56,8 @@ class Spectrum:
     eigenvalues: np.ndarray
     kernel_dim: int
     tolerance: float
+
+    __eq__ = _fields_equal
 
     def to_json_dict(self) -> dict:
         return {

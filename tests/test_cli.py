@@ -138,12 +138,13 @@ class TestDecompose:
         import graphhodge.cochains as cochains
         import graphhodge.complexes as complexes
 
-        tokenized, data_rows = [], complexes._data_rows
-        for module in (cli, cochains, complexes):  # each module that holds the tokenizer, or once held it
-            monkeypatch.setattr(module, "_data_rows", lambda t: tokenized.append(t) or data_rows(t), raising=False)
+        tokenized, loadtxt = [], complexes._loadtxt
+        for module in (cli, cochains, complexes):  # each module that holds the reader, or may hold it
+            monkeypatch.setattr(module, "_loadtxt", lambda lines, dtype: tokenized.append(lines) or loadtxt(lines, dtype),
+                                raising=False)
         cochain = write(tmp_path, "x.tsv", text)
         assert run(capsys, "decompose", "--input", c4_file, "--cochain", cochain)[0] == 0
-        assert tokenized.count(text) == 1 and len(tokenized) == 2  # the cochain, and the edge list
+        assert tokenized.count(text.splitlines()) == 1 and len(tokenized) == 2  # the cochain, and the edge list
 
     @pytest.mark.parametrize("text", ["", "# a comment only\n\n"])
     def test_a_cochain_with_no_data_lines_exits_one(self, capsys, tmp_path, c4_file, text):

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from graphhodge import (
     Cochain,
+    GameForm,
     Graph,
     InputFormatError,
     WeightScheme,
+    coboundary,
     enumerate_cliques,
+    hodge_decompose,
+    hodge_laplacian,
     inner_product,
     norm,
     read_cochain_tsv,
     read_weights_tsv,
+    spectrum,
     write_cochain_tsv,
 )
 from graphhodge.cochains import _ascending, _key_text
@@ -42,6 +47,26 @@ class TestEquality:
         assert c != Cochain(1, enumerate_cliques(c3_complex.graph, 2), v)  # another complex of the same graph
         with pytest.raises(TypeError):
             hash(c)
+
+    @staticmethod
+    def records(extra: bool) -> dict:
+        """Each record that holds an array or a sparse matrix, built from new inputs on every call: the same ones, or
+        with an edge, a weight, a utility and a value changed where extra."""
+        edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)] + [(2, 4)] * extra
+        cx = enumerate_cliques(Graph.from_edges(5, edges), 3)
+        w = WeightScheme.from_table({(1, 2): 2.0 + extra, (1, 2, 3): 3.0})
+        x = Cochain.from_dict(cx, 1, {(1, 2): 1.0, (3, 4): -2.0 - extra})
+        return {"spectrum": spectrum(hodge_laplacian(cx, 1, w)), "weights": w, "laplacian": hodge_laplacian(cx, 1, w),
+                "coboundary": coboundary(cx, 1), "split": hodge_decompose(x, w),
+                "game": GameForm((("a", "b"), ("c", "d")), (np.eye(2) + extra, np.ones((2, 2))))}
+
+    @pytest.mark.parametrize("name", ["spectrum", "weights", "laplacian", "coboundary", "split", "game"])
+    def test_records_holding_arrays_compare_by_value(self, name):
+        one, copy, other = self.records(False)[name], self.records(False)[name], self.records(True)[name]
+        assert one == copy and not one != copy and one in [copy]
+        assert one != other and not one == other and one not in [other] and one != 1.0
+        with pytest.raises(TypeError):
+            hash(one)
 
 
 def test_eval_edge_antisymmetry(c3_complex):

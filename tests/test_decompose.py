@@ -578,6 +578,38 @@ class TestOneOffProducts:
             steps += hodge_decompose(curl).coexact.values.any() and ("coboundary", 3) in cx.graph._memo
         assert steps == 6
 
+    def test_later_products_are_bit_equal_to_a_fresh_transpose(self):
+        """Every call after the first applies the CSR D, or D^T transposed once: bit for bit D.dot(x) and a transpose
+        taken anew for each product, as every D^T product once was."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 14, 0.5), 4)
+            for w, k in product((WeightScheme.unit(), random_table_weights(rng, cx)), (1, 2)):
+                up = decompose._up_weights(cx, k, w)
+                d = coboundary(cx, k).matrix
+                if np.ndim(up):
+                    d = sp.diags(up) @ d
+                    d.sort_indices()
+                apply_d, apply_dt = decompose._products(cx, k, up)
+                apply_d(np.zeros(d.shape[1])), apply_dt(np.zeros(d.shape[0]))  # the first calls read the faces
+                for _ in range(3):
+                    x, y = rng.normal(size=d.shape[1]), rng.normal(size=d.shape[0])
+                    assert apply_d(x).tobytes() == d.dot(x).tobytes()
+                    assert apply_dt(y).tobytes() == (d.T @ y).tobytes()
+
+    def test_d_is_transposed_at_most_once_per_products(self, monkeypatch):
+        transposes, products = [], []
+        transpose, make = sp.csr_matrix.transpose, decompose._products
+        monkeypatch.setattr(sp.csr_matrix, "transpose", lambda *a, **kw: transposes.append(1) or transpose(*a, **kw))
+        monkeypatch.setattr(decompose, "_products", lambda *args: products.append(1) or make(*args))
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 14, 0.5), 4)
+            for w in (WeightScheme.unit(), random_table_weights(rng, cx)):
+                split = hodge_decompose(Cochain(1, cx, rng.normal(size=cx.n_cliques(2))), w)
+                assert split.coexact.values.any() and split.prepotential is not None  # the solves take CG steps
+        assert products and len(transposes) <= len(products)
+
     def test_a_split_reads_the_coexact_bound_once(self, monkeypatch):
         """The stop bound and the Gram share one _coexact_bound, on sparse and dense triangle levels alike."""
         bound, calls = decompose._coexact_bound, []

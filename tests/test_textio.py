@@ -36,7 +36,8 @@ def test_first_non_finite_is_named_as_before(shape, dtype, bad):
     rng = np.random.default_rng(20261023)
     size = int(np.prod(shape))
     for at in sorted({0, size // 2, size - 1}):
-        values = special_floats(rng, size).astype(dtype)
+        with np.errstate(over="ignore"):  # float32 holds the largest of the test's own floats as inf
+            values = special_floats(rng, size).astype(dtype)
         values[at] = bad
         values[(at + 1):] = np.where(rng.random(size - at - 1) < 0.5, -bad, values[(at + 1):])  # later ones too
         values = values.reshape(shape)
