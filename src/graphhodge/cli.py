@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure (the
 diagnostic report is still emitted). All structured output is JSON with sorted
 keys and 12-significant-digit floats; bulk numeric tables are TSV. The layers
 past cochains (operators, spectral, decompose, hodgerank, games, nonlinear) are
-imported by the commands that use them. spectrum, decompose and rank write their
---plot table, and game its --flow-out table, with textio.id_value_lines where
-they hold the result.
+imported by the commands that use them. Each command returns its documents and
+writes nothing: its main document (a JSON payload, or the MatrixMarket text of
+operator and laplacian) and a mapping from side option (plot, flow_out) to that
+option's table, the id array and the float columns, chosen where the command
+holds the result. main is the one writer: it formats each side table asked for
+with textio.id_value_lines, then the main document, and writes them all or none.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _load_weights(args) -> WeightScheme:
     return WeightScheme.unit()
 
 
-def _write(args, text: str, **side: str | None) -> None:
+def _write(args, text: str, **side: str) -> None:
     """Write the main document to --output (stdout when not given) and each side document to
     the path of the option it is named after, all or none.
 
@@ -57,7 +60,7 @@ def _write(args, text: str, **side: str | None) -> None:
     opened, the files this call created are removed again.
     """
     files = [(args.output, text)] if args.output else []
-    files += [(getattr(args, option), doc) for option, doc in side.items() if doc is not None]
+    files += [(getattr(args, option), doc) for option, doc in side.items()]
     created = []
     try:
         for target, _ in files:
@@ -90,54 +93,46 @@ def _spectrum(args):
     return spec if args.tolerance is None else spec.with_tolerance(args.tolerance)
 
 
-def _cmd_cliques(args) -> int:
+def _cmd_cliques(args):
     graph = _load_graph(args.input)
     cx = enumerate_cliques(graph, args.max_order)
-    payload = {
+    return {
         "n_vertices": graph.n_vertices,
         "max_order": cx.max_order,
         "cliques": {str(k): cx.level(k) for k in range(1, cx.max_order + 1)},
         "counts": {str(k): cx.n_cliques(k) for k in range(1, cx.max_order + 1)},
         "clique_number": cx.clique_number(),
-    }
-    _write(args, json_dumps(payload) + "\n")
-    return 0
+    }, {}
 
 
-def _cmd_operator(args) -> int:
+def _cmd_operator(args):
     from .operators import _coboundary_entries, _write_coordinates
 
     cx = _complex(_load_graph(args.input), args.k)
     faces, signs = _coboundary_entries(cx, args.k, WeightScheme.unit())
     shape = (len(faces), cx.n_cliques(args.k + 1))
-    _write(args, _write_coordinates(shape, np.arange(shape[0]).repeat(faces.shape[1]), faces.ravel(), signs.ravel()))
-    return 0
+    return _write_coordinates(shape, np.arange(shape[0]).repeat(faces.shape[1]), faces.ravel(), signs.ravel()), {}
 
 
-def _cmd_laplacian(args) -> int:
+def _cmd_laplacian(args):
     from .operators import hodge_laplacian, write_matrix
 
     lap = hodge_laplacian(_complex(_load_graph(args.input), args.k), args.k, _load_weights(args))
-    _write(args, write_matrix(lap.matrix))
-    return 0
+    return write_matrix(lap.matrix), {}
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     spec = _spectrum(args)
-    index = np.arange(1, len(spec.eigenvalues) + 1)[:, None]  # 1-based, for --plot
-    plot = id_value_lines(index, spec.eigenvalues + 0.0, sep="\t") if args.plot else None
-    _write(args, json_dumps(spec.to_json_dict()) + "\n", plot=plot)
-    return 0
+    index = np.arange(1, len(spec.eigenvalues) + 1)[:, None]  # 1-based
+    return spec.to_json_dict(), {"plot": (index, (spec.eigenvalues,))}
 
 
-def _cmd_betti(args) -> int:
+def _cmd_betti(args):
     spec = _spectrum(args)
-    payload = {"betti": spec.kernel_dim, "k": args.k, "tolerance": spec.tolerance}
-    _write(args, json_dumps(payload) + "\n")
-    return 0
+    return {"betti": spec.kernel_dim, "k": args.k, "tolerance": spec.tolerance}, {}
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args):
     from .decompose import hodge_decompose
 
     graph = _load_graph(args.input)
@@ -146,15 +141,11 @@ def _cmd_decompose(args) -> int:
         raise InputFormatError("cochain document has no data lines")
     c = _cochain(_complex(graph, order - 1), order, tables)
     split = hodge_decompose(c, _load_weights(args), method=args.method)
-    plot = None
-    if args.plot:  # per clique: the input, then its exact, harmonic and coexact parts
-        parts = (c, split.exact, split.harmonic, split.coexact)
-        plot = id_value_lines(c.complex.level(order), *(part.values + 0.0 for part in parts), sep="\t")
-    _write(args, json_dumps(split.to_json_dict()) + "\n", plot=plot)
-    return 0
+    parts = (c, split.exact, split.harmonic, split.coexact)  # per clique: the input, then its three parts
+    return split.to_json_dict(), {"plot": (c.complex.level(order), tuple(part.values for part in parts))}
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     from .hodgerank import ComparisonData, aggregate, rank
 
     data = ComparisonData.from_csv(_read_text(args.input))
@@ -165,15 +156,12 @@ def _cmd_rank(args) -> int:
     ends = np.array(cf.items, dtype=object)[cf.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
     columns = (cf.weights.vector(cf.complex, 1), cf.flow.values)  # vote counts and flow, in edge order
     payload["edges"] = _Rows(ends, columns, ("item_i", "item_j", "weight", "x"))
-    plot = None
-    if args.plot:  # rank, item, score
-        ids = np.column_stack((np.arange(1, len(result.order) + 1), np.array(result.order, dtype=object)))  # not <U
-        plot = id_value_lines(ids, np.array([result.scores[item] for item in result.order]) + 0.0, sep="\t")
-    _write(args, json_dumps(payload) + "\n", plot=plot)
-    return 0
+    ids = np.column_stack((np.arange(1, len(result.order) + 1), np.array(result.order, dtype=object)))  # not <U
+    scores = np.array([result.scores[item] for item in result.order])
+    return payload, {"plot": (ids, (scores,))}  # rank, item, score
 
 
-def _cmd_game(args) -> int:
+def _cmd_game(args):
     from .games import (GameForm, _profile_key, decompose_game_flow, game_flow, is_harmonic_game, is_potential_game,
                         pure_nash, strategy_graph)
 
@@ -189,7 +177,7 @@ def _cmd_game(args) -> int:
     split = decompose_game_flow(flow)
     names = [_profile_key(p) for p in sg.profiles]
     ends = np.array(names, dtype=object)[sg.complex.level(2) - 1]  # object, not <U: keeps a trailing NUL
-    payload = {
+    return {
         "profiles": names,
         "flow": _Rows(ends, (flow.values,)),
         "potential_flow": _Rows(ends, (split.potential_flow.values,)),
@@ -198,21 +186,16 @@ def _cmd_game(args) -> int:
         "is_potential_game": is_potential_game(form),
         "is_harmonic_game": is_harmonic_game(form),
         "pure_nash": [_profile_key(p) for p in pure_nash(form)],
-    }
-    flow_out = id_value_lines(ends, flow.values + 0.0, sep="\t") if args.flow_out else None
-    _write(args, json_dumps(payload) + "\n", flow_out=flow_out)
-    return 0
+    }, {"flow_out": (ends, (flow.values,))}
 
 
-def _cmd_cheeger(args) -> int:
+def _cmd_cheeger(args):
     from .nonlinear import cheeger_check
 
-    report = cheeger_check(_load_graph(args.input))
-    _write(args, json_dumps(report.to_json_dict()) + "\n")
-    return 0
+    return cheeger_check(_load_graph(args.input)).to_json_dict(), {}
 
 
-def _cmd_plap(args) -> int:
+def _cmd_plap(args):
     from .nonlinear import apply_p_laplacian
 
     graph = _load_graph(args.input)
@@ -221,24 +204,21 @@ def _cmd_plap(args) -> int:
     payload = {"p": args.p, "intervals" if out.ndim == 2 else "values": out}
     if args.p == 1:
         payload["mode"] = args.mode
-    _write(args, json_dumps(payload) + "\n")
-    return 0
+    return payload, {}
 
 
-def _cmd_isospectral(args) -> int:
+def _cmd_isospectral(args):
     from .spectral import compare_fingerprints, isospectral_fingerprint
 
     fa = isospectral_fingerprint(_load_graph(args.graphs[0]), args.max_k)
     fb = isospectral_fingerprint(_load_graph(args.graphs[1]), args.max_k)
     distinguished, level = compare_fingerprints(fa, fb)
-    payload = {
+    return {
         "distinguished": distinguished,
         "first_differing_k": level,
         "fingerprint_a": [s.to_json_dict() for s in fa],
         "fingerprint_b": [s.to_json_dict() for s in fb],
-    }
-    _write(args, json_dumps(payload) + "\n")
-    return 0
+    }, {}
 
 
 def build_parser() -> _Parser:
@@ -311,13 +291,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         try:
-            return args.func(args)
+            doc, side, code = *args.func(args), 0
         # only decompose raises ConvergenceError: a command that has not loaded it cannot have raised one
         except getattr(sys.modules.get(f"{__package__}.decompose"), "ConvergenceError", ()) as exc:
             residual = exc.residual if math.isfinite(exc.residual) else None  # JSON has no nan/inf
-            diagnostic = {"error": str(exc), "residual": residual, "iterations": exc.iterations}
-            _write(args, json_dumps(diagnostic) + "\n")  # an unwritable --output still exits 1
-            return 2
+            doc, side, code = {"error": str(exc), "residual": residual, "iterations": exc.iterations}, {}, 2
+        # each side table asked for, then the main document, formatted before any file is opened; -0 prints as 0
+        tables = {option: id_value_lines(ids, *(column + 0.0 for column in columns), sep="\t")
+                  for option, (ids, columns) in side.items() if getattr(args, option)}
+        _write(args, doc if isinstance(doc, str) else json_dumps(doc) + "\n", **tables)  # an unwritable path exits 1
+        return code
     except (InputFormatError, ValueError) as exc:
         sys.stderr.write(f"graphhodge: error: {exc}\n")
         return 1

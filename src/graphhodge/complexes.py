@@ -162,9 +162,11 @@ def _components(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _d0(graph: Graph, scale=1.0):
-    """(D, D^T) on the edge array, D = diag(scale) d_0 for scale 1.0 or an edge vector, bit for bit sp.diags(scale) @
-    the CSR d_0: x[head] - x[tail] subtracted into the gather (scale * x[head] - scale * x[tail]), and one bincount
-    adding -z_e, +z_e, z = scale * y, into each edge's tail and head in edge order, as CSC's product does."""
+    """(D, D^T) on the edge array, D = diag(scale) d_0 for scale 1.0 or an edge vector: x[head] - x[tail] subtracted
+    into the gather (scale * x[head] - scale * x[tail]), and one bincount adding -z_e, +z_e, z = scale * y, into each
+    edge's tail and head in edge order, as CSC's product does. Both are bit for bit sp.diags(scale) @ the CSR d_0, save
+    one case of D: where scale * x[head] is -0.0 and scale * x[tail] is +0.0, D gives -0.0 and CSR's 0.0 + -0.0 + -0.0
+    gives 0.0."""
     n, ends = graph.n_vertices, graph.pairs.ravel() - 1
     tail, head, signed = ends[::2].copy(), ends[1::2].copy(), np.empty(len(ends))
 

@@ -102,6 +102,13 @@ def _cg(matvec, rhs: np.ndarray, atol: float, what: str) -> np.ndarray:
     return x
 
 
+def _shift(b: np.ndarray) -> int:
+    """s with max |b| 2^s in [1/2, 1) when max |b| < 2^-256, else 0. Below that a norm or a CG inner product of b can
+    underflow, and every stop tolerance with it; in the normal range a split commutes bit for bit with 2^s."""
+    top = np.max(np.abs(b), initial=0.0)
+    return -int(np.frexp(top)[1]) if top < 2.0**-256 else 0
+
+
 def _up_weights(cx, k: int, w: WeightScheme):
     """W_{k+1} as the weight vector of order k+2, or 1.0 when that order has no table."""
     return w.vector(cx, k + 1) if k + 2 in w.tables else 1.0
@@ -202,12 +209,14 @@ class HodgeSplit:
             return None
         w_here = self.weights.vector(cx, k)
         sqrt_w = np.sqrt(w_here)
+        shift = _shift(sqrt_w * self.input.values)
+        values = np.ldexp(self.input.values, shift)  # the input as _split solved it
         up = _up_weights(cx, k, self.weights)
         bound = _coexact_bound(cx, k, up, sqrt_w)
-        atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * self.input.values)  # |rhs| <= |A_c|_2 |b|
+        atol = SOLVER_RTOL * np.sqrt(bound) * np.linalg.norm(sqrt_w * values)  # |rhs| <= |A_c|_2 |b|
         d, dt = _products(cx, k, up)
-        h = _cg(lambda x: d(dt(x) / w_here), d(self.input.values), atol, "the prepotential")
-        return Cochain(k + 1, cx, h)
+        h = _cg(lambda x: d(dt(x) / w_here), d(values), atol, "the prepotential")
+        return Cochain(k + 1, cx, np.ldexp(h, -shift))
 
     def to_json_dict(self) -> dict:
         out = {"k": self.input.degree, "method": self.method, "norms": self.norms,
@@ -257,6 +266,12 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
     w_here = w.vector(cx, k)
     sqrt_w = np.sqrt(w_here)
     b = sqrt_w * c.values
+    shift = _shift(b)
+    if shift:  # a tiny cochain: split c 2^shift, then scale every result back by 2^-shift
+        s, back = _split(Cochain(k, cx, np.ldexp(c.values, shift)), w, method), 2.0**-shift
+        potential = None if s.potential is None else s.potential * back
+        norms, residuals = ({name: v * back for name, v in d.items()} for d in (s.norms, s.residuals))
+        return HodgeSplit(c, s.exact * back, s.harmonic * back, s.coexact * back, potential, norms, residuals, method, w)
     scale = np.linalg.norm(b)
 
     def solve_exact(target: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, float]:
@@ -264,8 +279,9 @@ def _split(c: Cochain, w: WeightScheme, method: str) -> HodgeSplit:
         if k == 0 or cx.n_cliques(k) == 0:
             return np.zeros_like(target), None, float(np.linalg.norm(sqrt_w * target))
         d, dt = _products(cx, k - 1, 1.0)
-        rows, cols = _abs_products(cx._faces(k + 1), cx.n_cliques(k), np.ones(cx.n_cliques(k)), sqrt_w)
-        bound = np.max(cols, initial=0.0) * np.max(sqrt_w * rows, initial=0.0)  # |A_e|_inf |A_e|_1
+        cols = _abs_products(cx._faces(k + 1), cx.n_cliques(k), None, sqrt_w)[1]
+        # |A_e|_inf |A_e|_1: each row of |d_{k-1}| sums to k + 1, the faces of a (k+1)-clique
+        bound = np.max(cols, initial=0.0) * ((k + 1) * np.max(sqrt_w, initial=0.0))
         atol = SOLVER_RTOL * np.sqrt(bound) * scale  # |rhs| <= |A_e|_2 |b|
         g = _cg(lambda x: dt(w_here * d(x)), dt(w_here * target), atol, "the potential")
         if k - 1 == 0:

@@ -757,16 +757,6 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def lap_iso_pair():
-    return LAP_ISO_A, LAP_ISO_B
-
-
-@pytest.fixture
-def full_iso_pair():
-    return FULL_ISO_A, FULL_ISO_B
-
-
-@pytest.fixture
 def c3_complex():
     return enumerate_cliques(cycle_graph(3), 3)
 

@@ -930,6 +930,44 @@ class TestOutputErrors:
         assert capsys.readouterr().err.startswith(f"graphhodge: error: cannot write {target}: ")
 
 
+class TestCommandsReturnDocuments:
+    """Each command returns its main document and its side tables and writes nothing; main formats and writes them."""
+
+    @pytest.mark.parametrize("argv, side", [
+        (["cliques", "--input", "c4.txt", "--max-order", "4"], None),
+        (["operator", "--input", "c3.txt", "--k", "1"], None),
+        (["laplacian", "--input", "c3.txt", "--k", "0"], None),
+        (["spectrum", "--input", "c4.txt", "--k", "1"], "--plot"),
+        (["betti", "--input", "c4.txt", "--k", "1"], None),
+        (["decompose", "--input", "c4.txt", "--cochain", "c4_cyclic_flow.tsv"], "--plot"),
+        (["rank", "--input", "ratings_small.csv"], "--plot"),
+        (["game", "--input", "road_sharing.json"], "--flow-out"),
+        (["cheeger", "--input", "c4.txt"], None),
+        (["plap", "--input", "c4.txt", "--f", "F", "--p", "3"], None),
+        (["isospectral", "iso_pair_a1.txt", "iso_pair_a2.txt"], None),
+    ], ids=lambda case: case[0] if isinstance(case, list) else None)
+    def test_command_returns_its_documents_and_writes_nothing(self, capsys, tmp_path, argv, side):
+        from graphhodge.cli import build_parser
+        from graphhodge.textio import json_dumps
+
+        f = write(tmp_path, "f.tsv", "1 0\n2 1\n3 0\n4 2\n")
+        argv = [f if a == "F" else str(DATA / a) if (DATA / a).is_file() else a for a in argv]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv += ["--output", str(out / "main")] + ([side, str(out / "side")] if side else [])
+        args = build_parser().parse_args(argv)
+        doc, tables = args.func(args)
+        assert list(out.iterdir()) == [] and capsys.readouterr() == ("", "")
+        assert isinstance(doc, str if argv[0] in ("operator", "laplacian") else dict)
+        if side:
+            ids, columns = tables[side[2:].replace("-", "_")]
+            assert all(len(column) == len(ids) and column.dtype.kind == "f" for column in columns)
+        assert main(argv) == 0 and capsys.readouterr() == ("", "")
+        assert (out / "main").read_text() == (doc if isinstance(doc, str) else json_dumps(doc) + "\n")
+        if side:
+            assert (out / "side").read_text().count("\n") == len(ids)
+
+
 class TestMalformedGame:
     @pytest.mark.parametrize("doc, field", [
         (5, "'strategies' and 'utilities'"),

@@ -297,6 +297,30 @@ class TestEdgeArrayD0:
         assert np.array_equal(grad, d @ x) and div.tobytes() == (d.T @ y).tobytes()
         assert grad.dtype == div.dtype == np.float64
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_signed_zeros_match_bit_for_bit_but_one_case(self, weighted):
+        """D x is CSR's 0.0 + (-a) + b bit for bit, a = scale x[tail] and b = scale x[head], save where b is -0.0 and a
+        is +0.0: there b - a is -0.0, and CSR's sum 0.0."""
+        import scipy.sparse as sp
+
+        exceptions = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            graph = random_graph(rng, int(rng.integers(2, 12)), 0.6)
+            scale = 10 ** rng.uniform(-2, 2, len(graph.pairs)) if weighted else 1.0
+            d = coboundary(enumerate_cliques(graph, 2), 0).matrix
+            if weighted:
+                d = sp.diags(scale) @ d
+                d.sort_indices()  # as decompose sorts it
+            x = rng.choice([0.0, -0.0, 1.5, -2.25], graph.n_vertices)
+            grad = complexes._d0(graph, scale)[0](x)
+            tail, head = (scale * x[graph.pairs[:, i] - 1] for i in (0, 1))
+            odd = (head == 0) & np.signbit(head) & (tail == 0) & ~np.signbit(tail)
+            assert grad[~odd].tobytes() == (d @ x)[~odd].tobytes(), seed
+            assert np.all(np.signbit(grad[odd])) and not np.any(np.signbit((d @ x)[odd])), seed
+            exceptions += int(odd.sum())
+        assert exceptions >= 5
+
 
 class TestEnumerateCliques:
     def test_c4_has_no_triangles(self, c4_complex):

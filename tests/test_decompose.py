@@ -242,6 +242,34 @@ class TestConvergenceFailure:
         assert info.value.iterations == 5
 
 
+class TestTinyCochains:
+    """A cochain whose every |sqrt(w) c| is below 2^-256 splits as c 2^s does, scaled back: bit for bit the split of
+    c times 2^-600, where the norms and the solves' stop tolerances would otherwise underflow to 0."""
+
+    @pytest.mark.parametrize("method", ["two-solve", "laplacian-residual"])
+    def test_split_commutes_with_a_tiny_power_of_two(self, method):
+        compared = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            cx = enumerate_cliques(random_graph(rng, 12, 0.45), 4)
+            w = WeightScheme.from_table({c: 10 ** rng.uniform(-1, 1) for o in (1, 2, 3, 4) for c in cx.cliques(o)})
+            for weights, k in product((None, w), range(3)):
+                c = rng.normal(size=cx.n_cliques(k + 1))
+                big = hodge_decompose(Cochain(k, cx, c), weights, method=method)
+                tiny = hodge_decompose(Cochain(k, cx, np.ldexp(c, -600)), weights, method=method)
+                for name in ("exact", "harmonic", "coexact", "potential", "prepotential"):
+                    part, scaled = getattr(big, name), getattr(tiny, name)
+                    assert (part is None) == (scaled is None), (seed, k, name)
+                    if part is not None:
+                        assert np.ldexp(part.values, -600).tobytes() == scaled.values.tobytes(), (seed, k, name)
+                        compared += name == "prepotential"
+                for record in ("norms", "residuals"):
+                    expected = {key: np.ldexp(v, -600) for key, v in getattr(big, record).items()}
+                    assert getattr(tiny, record) == expected, (seed, k, record)
+                assert tiny.input.values.tobytes() == np.ldexp(c, -600).tobytes()
+        assert compared >= (6 if method == "two-solve" else 0)
+
+
 def lsqr_laplacian_residual(c, w):
     """The laplacian-residual route as LSQR solved it: min_y |Delta y - b|, b = sqrt(w) c.
 

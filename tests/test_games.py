@@ -309,6 +309,18 @@ class TestDecomposeGameFlow:
         split = decompose_game_flow(game_flow(form))
         assert norm(split.harmonic_flow) < 1e-8
 
+    def test_tiny_utilities_split_as_their_scaled_up_game(self):
+        """Utilities times 2^-600 give the game's potential and flows times 2^-600, bit for bit."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            labels = (("a", "b", "c"), ("p", "q", "r"))
+            tables = tuple(rng.normal(size=(3, 3)) for _ in labels)
+            big = decompose_game_flow(game_flow(GameForm(labels, tables)))
+            tiny = decompose_game_flow(game_flow(GameForm(labels, tuple(np.ldexp(t, -600) for t in tables))))
+            for name in ("potential_flow", "potential", "harmonic_flow"):
+                expected = np.ldexp(getattr(big, name).values, -600)
+                assert getattr(tiny, name).values.tobytes() == expected.tobytes(), (seed, name)
+
     def test_curl_violation_rejected(self, c3_complex):
         x = Cochain.from_dict(c3_complex, 1, {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0})
         with pytest.raises(ValueError, match="curl"):
