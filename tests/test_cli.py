@@ -959,6 +959,7 @@ class TestCommandsReturnDocuments:
         doc, tables = args.func(args)
         assert list(out.iterdir()) == [] and capsys.readouterr() == ("", "")
         assert isinstance(doc, str if argv[0] in ("operator", "laplacian") else dict)
+        assert set(tables) == ({side[2:].replace("-", "_")} if side else set())
         if side:
             ids, columns = tables[side[2:].replace("-", "_")]
             assert all(len(column) == len(ids) and column.dtype.kind == "f" for column in columns)
