@@ -8,11 +8,16 @@ records, once per graph, where each clique's faces sit in the level below, and
 d_k, the counts and the keys read only that. A level is enumerated on its first
 read (CliqueComplex._faces, the one path into _extend); enumerate_cliques reads
 its top level at once. Every complex, eager or lazy, refuses a vertex count past
-MAX_VERTICES when it is built, before any key is formed. Enumeration finds a candidate's faces by their keys,
-which cannot overflow: by one gather from a direct-address table when the keys'
-range is no larger than the number of queries, else by binary search. It refuses
-an order whose candidates would not fit in physical memory before laying them
-out; _check_fits is the one such check, which spectral's dense paths use too.
+MAX_VERTICES when it is built, before any key is formed. Enumeration lays out an
+order's candidates one block of consecutive parents at a time, at most _BLOCK of
+them unless one parent alone has more, and joins the blocks' kept faces once, so
+what it holds beyond the new level is one block's working set. It finds a
+candidate's faces by their keys, which cannot overflow: by one gather from a
+direct-address table, built once per order when the keys' range is no larger than
+the order's candidate count, else by binary search. It refuses an order whose
+candidates would not fit in physical memory, at 8k + _CANDIDATE_BYTES bytes each
+for order k, before laying them out; _check_fits is the one such check, which
+spectral's dense paths use too, and _check_work caps their side.
 locate() finds cochain and weight table rows by binary search on the same keys.
 level(k) builds the (N, k) vertex rows of an order k >= 3 from the faces on
 first read, for output; cliques(k) is a tuple view of it that no computation
@@ -37,11 +42,19 @@ from operator import isub
 import numpy as np
 
 MAX_VERTICES = 3_037_000_499  # the largest n with n(n+1) in int64: every _key stays below it
-# bytes an order's step of _extend holds per candidate: its tracemalloc peak over the candidate count read 35.0-47.7
-# at orders 3-5 of G(n, p) graphs and of a 300-vertex, 25,616-edge comparison graph (1,480,618 candidates, 53.6 MB)
-_CANDIDATE_BYTES = 35
+# bytes a step of _extend at order k holds per candidate beyond the 8k of its kept faces (4 bytes a column, twice
+# while the pieces are joined): the shared table, the per-parent arrays and a block. The step's tracemalloc peak over
+# its candidate count, less 8k, read -30.2 to 8.5 on every step that the check reaches: orders 3-4 of a 300-vertex,
+# 25,616-edge comparison graph (order 3: 1,480,618 candidates, 24.1 MB), of G(300, 0.57), G(2000, 0.05) and K_150,
+# and orders 5-7 of K_40. Smaller steps, of 5 MB at most, read up to 47: a few fixed-size arrays dominate them
+_CANDIDATE_BYTES = 11
 # a step needing fewer bytes is not checked against physical memory: importing numpy alone keeps ~27 MB resident
 _CHECKED_FROM = 1 << 24
+# the largest side of a dense eigensolve: eigvalsh grows as side^3, ~0.97 s at 2,000 and so ~65 s at 8,192 on a
+# 2-core x86-64 host with one BLAS thread; eigh takes about twice that
+MAX_EIGENSOLVE_SIDE = 8_192
+# candidates _extend lays out at once, unless one parent alone has more: a block's working set stays a few MB
+_BLOCK = 1 << 16
 
 
 class InputFormatError(ValueError):
@@ -98,7 +111,8 @@ class Graph:
                              f"edge ({u},{v}) not ascending or out of 1..{n}")
         u, v = pairs.T
         if not ((u[1:] > u[:-1]) | (u[1:] == u[:-1]) & (v[1:] > v[:-1])).all():  # not yet ascending, without repeats
-            pairs = pairs[np.lexsort(pairs.T[::-1])]
+            # one key per pair where u(n+1)+v stays in int64; past MAX_VERTICES the pairs are sorted column by column
+            pairs = pairs[np.argsort(u * (n + 1) + v) if n <= MAX_VERTICES else np.lexsort(pairs.T[::-1])]
             pairs = pairs[(np.diff(pairs, axis=0, prepend=0) != 0).any(axis=1)]  # ids are >= 1: row 0 stays
         object.__setattr__(self, "pairs", _frozen(pairs))
 
@@ -379,8 +393,9 @@ class CliqueComplex:
         face 0, and face 1 shares its last vertex, the key of that face modulo n+1."""
         faces, n = self._faces(order), self.graph.n_vertices
         if order == 2 or not len(faces):  # an edge's last vertex is its pair's; an empty level reads none
-            return self._memo("keys", order, lambda: _key(faces[:, 0], self.graph.pairs[: len(faces), 1], n))
-        return self._memo("keys", order, lambda: _key(faces[:, 0], self._keys(order - 1)[faces[:, 1]] % (n + 1), n))
+            return self._memo("keys", order, lambda: _frozen(_key(faces[:, 0], self.graph.pairs[: len(faces), 1], n)))
+        return self._memo("keys", order,
+                          lambda: _frozen(_key(faces[:, 0], self._keys(order - 1)[faces[:, 1]] % (n + 1), n)))
 
     def _faces(self, order: int) -> np.ndarray:
         """Positions in level order-1 of each clique's faces, ascending: column i drops vertex order-1-i.
@@ -440,11 +455,15 @@ def _extend(cx: CliqueComplex, target: int) -> None:
     ascending order, so the levels come out sorted. The face of (Q, w) without q_j
     is the child by w of Q's face without q_j, found by its key in level k; a
     candidate is kept when all are found. Q is the face without w, and at order 3
-    the face without q_0 is the candidate's own edge. The keys of level k lie below
-    (size of level k-1) * (n+1), so a lookup with at least that many queries reads
-    them from a direct-address table (see _find). graph._memo["faces", order] keeps
-    them, int32 when every position fits (see CliqueComplex._faces). Before an
-    order's candidates are laid out, their count is checked against physical memory.
+    the face without q_0 is the candidate's own edge. An order's candidates are
+    laid out and looked up one block of consecutive parents at a time, at most
+    _BLOCK of them unless one parent alone has more, and each block's kept faces
+    are written as one piece; the pieces are joined once, in parent order. The keys
+    of level k lie below (size of level k-1) * (n+1): when an order has at least
+    that many candidates, one direct-address table of them (see _address) serves
+    every block's lookups. graph._memo["faces", order] keeps the faces, int32 when
+    every position fits (see CliqueComplex._faces). Before an order is enumerated,
+    its candidate count is checked against physical memory.
     """
     graph, n, edges = cx.graph, cx.graph.n_vertices, cx.graph.pairs
     order = _top(graph) + 1
@@ -456,36 +475,52 @@ def _extend(cx: CliqueComplex, target: int) -> None:
         if first is None:  # n + 1 entries, laid out only when an order >= 3 is enumerated
             first = np.searchsorted(edges[:, 0], np.arange(1, n + 2))
         faces, keys = cx._faces(order - 1), cx._keys(order - 1)
-        last = keys % (n + 1)
-        start = first[last - 1]
-        count = first[last] - start
-        candidates = int(count.sum())
-        if (need := _CANDIDATE_BYTES * candidates) >= _CHECKED_FROM:
+        shift = first[keys % (n + 1) - 1]  # each parent's first candidate edge, that of its last vertex
+        count = first[keys % (n + 1)] - shift
+        ends = np.cumsum(count)  # the candidates of parent p are ends[p] - count[p] .. ends[p] - 1
+        candidates = int(ends[-1])
+        if (need := (8 * order + _CANDIDATE_BYTES) * candidates) >= _CHECKED_FROM:
             _check_fits(need, f"clique enumeration at order {order} has {candidates} candidates: it")
-        parent = np.repeat(np.arange(len(faces)), count)
-        # candidate t of a parent whose candidates begin at t0 is edge shift + t, shift = start - t0
-        shift = start - np.cumsum(count) + count
-        vertex = edges[np.repeat(shift, count) + np.arange(len(parent)), 1]
-        found, bound = [], cx.n_cliques(order - 2) * (n + 1)  # every key of level order-1 lies below it
-        for i in range(1, 2 if order == 3 else order):
-            keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n), bound)
-            parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
-        if order == 3:
-            found.append(shift[parent] + keep)
-        _keep_faces(graph, order, [parent, *found], len(faces))
+        shift -= ends - count  # candidate t of parent p is edge shift[p] + t
+        bound = cx.n_cliques(order - 2) * (n + 1)  # every key of level order-1 lies below it
+        table = _address(keys, bound) if bound <= candidates else None
+        pieces, p0 = [], 0
+        while p0 < len(faces):
+            t0 = int(ends[p0] - count[p0])
+            p1 = max(p0 + 1, int(np.searchsorted(ends, t0 + _BLOCK, "right")))
+            parent = np.repeat(np.arange(p0, p1), count[p0:p1])
+            edge = shift[parent] + np.arange(t0, t0 + len(parent))
+            vertex, found = edges[edge, 1], []
+            for i in range(1, 2 if order == 3 else order):
+                keep, at = _find(keys, _key(faces[parent, i - 1], vertex, n), table=table)
+                parent, vertex, found = parent[keep], vertex[keep], [f[keep] for f in found] + [at]
+            if order == 3:
+                found.append(edge[keep])
+            pieces.append(_face_rows([parent, *found], len(faces)))
+            p0 = p1
+        graph._memo["faces", order] = _frozen(np.concatenate(pieces))
         order += 1
 
 
-def _find(keys: np.ndarray, key: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _address(keys: np.ndarray, bound: int) -> np.ndarray:
+    """A direct-address table of the sorted keys' positions (Cormen, Leiserson, Rivest and Stein, Introduction to
+    Algorithms, 11.1): bound entries, every key below it, -1 where no key is; int32 while the positions fit."""
+    table = np.full(bound, -1, dtype=np.int32 if len(keys) <= 2**31 else np.int64)
+    table[keys] = np.arange(len(keys))
+    return table
+
+
+def _find(keys: np.ndarray, key: np.ndarray, bound: int | None = None,
+          table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which of key are among the sorted keys, and where.
 
-    By binary search, or, given a bound that every key and every query lies below and that is no larger than the
-    number of queries, by one gather from a direct-address table of the keys' positions (Cormen, Leiserson, Rivest
-    and Stein, Introduction to Algorithms, 11.1): int32 while the positions fit, it is at most half the queries' size.
+    By one gather from a direct-address table of the keys' positions (_address): the table given, or one built now
+    when given a bound that every key and every query lies below and that is no larger than the number of queries,
+    so that the int32 table is at most half the queries' size. Else by binary search.
     """
-    if bound is not None and bound <= len(key):
-        table = np.full(bound, -1, dtype=np.int32 if len(keys) <= 2**31 else np.int64)
-        table[keys] = np.arange(len(keys))
+    if table is None and bound is not None and bound <= len(key):
+        table = _address(keys, bound)
+    if table is not None:
         at = table.take(key)
         keep = np.flatnonzero(at >= 0)
     else:
@@ -505,12 +540,24 @@ def _check_fits(need: int, subject: str) -> None:
         raise ValueError(f"{subject} needs {need} bytes, more than the {memory} bytes of physical memory")
 
 
+def _check_work(side: int, subject: str) -> None:
+    """ValueError, "<subject> has side <side>, above the cap of MAX_EIGENSOLVE_SIDE on a dense eigensolve", past that
+    cap; called after _check_fits, before anything of that side is built."""
+    if side > MAX_EIGENSOLVE_SIDE:
+        raise ValueError(f"{subject} has side {side}, above the cap of {MAX_EIGENSOLVE_SIDE} on a dense eigensolve")
+
+
 def _keep_faces(graph: Graph, order: int, columns: list[np.ndarray], below: int) -> None:
     """Store the face columns of level order as one read-only array, int32 when all `below` positions fit."""
-    faces = np.empty((len(columns[0]), order), dtype=np.int32 if below <= 2**31 else np.int64)
+    graph._memo["faces", order] = _frozen(_face_rows(columns, below))
+
+
+def _face_rows(columns: list[np.ndarray], below: int) -> np.ndarray:
+    """The face columns as the rows of one array, int32 when all `below` positions fit."""
+    rows = np.empty((len(columns[0]), len(columns)), dtype=np.int32 if below <= 2**31 else np.int64)
     for i, column in enumerate(columns):
-        faces[:, i] = column
-    graph._memo["faces", order] = _frozen(faces)
+        rows[:, i] = column
+    return rows
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

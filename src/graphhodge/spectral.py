@@ -12,7 +12,8 @@ bit the sparse product's, so these paths load no scipy. When B_j is d_j (no
 weight table on its levels) its Gram spectrum is computed once per graph, so
 d_j is eigensolved once for Delta_j and Delta_{j+1}.
 harmonic_basis needs eigenvectors and still diagonalizes the dense Laplacian.
-Both dense paths first check the bytes they need against physical memory.
+Both dense paths first check the bytes they need against physical memory, then
+their side against the cap on a dense eigensolve's work (MAX_EIGENSOLVE_SIDE).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cochains import Cochain, WeightScheme
-from .complexes import CliqueComplex, Graph, _check_fits, _fields_equal, enumerate_cliques
+from .complexes import CliqueComplex, Graph, _check_fits, _check_work, _fields_equal, enumerate_cliques
 from .operators import HodgeLaplacian, _coboundary_entries, _laplacian_dim, _unscaled, hodge_laplacian
 
 KERNEL_TOL_FLOOR = 1e-12
@@ -82,6 +83,7 @@ def _gram(cx: CliqueComplex, j: int, w: WeightScheme) -> np.ndarray:
     side = min(cx.n_cliques(j + 2), cx.n_cliques(j + 1))
     # the Gram and eigvalsh's copy of it
     _check_fits(16 * side**2, f"the dense Gram of d_{j} has side {side}: with its LAPACK copy it")
+    _check_work(side, f"the dense Gram of d_{j}")
     faces, values = _coboundary_entries(cx, j, w)
     (n_rows, order), n_cols = faces.shape, cx.n_cliques(j + 1)
     # entries grouped by where they meet, each with its Gram index: B^T B pairs them within a row of B
@@ -140,6 +142,7 @@ def harmonic_basis(cx: CliqueComplex, k: int, weights: WeightScheme | None = Non
         return []
     # the matrix, eigh's copy of it, its eigenvectors and syevd's 2 n^2 workspace
     _check_fits(40 * n**2, f"the dense Hodge {k}-Laplacian has side {n}: with eigh's copies and workspace it")
+    _check_work(n, f"the dense Hodge {k}-Laplacian")
     eigvals, eigvecs = np.linalg.eigh(hodge_laplacian(cx, k, w).dense())
     mask, _ = _kernel_mask(eigvals)
     sqrt_w = np.sqrt(w.vector(cx, k))

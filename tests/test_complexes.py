@@ -180,6 +180,19 @@ class TestEdgeArray:
         if ascending:
             assert forms[0] != Graph(n, forms[0].sorted_edges[1:]) and forms[0] != Graph(n + 1, ascending)
 
+    @pytest.mark.parametrize("n", [60, MAX_VERTICES, MAX_VERTICES + 1, 2**62])
+    def test_shuffled_pairs_sort_as_lexsort_does(self, n):
+        # through MAX_VERTICES one argsort of u(n+1)+v orders the pairs; past it, where that key passes int64, lexsort
+        rng = np.random.default_rng(n % 1009)
+        ids = np.unique(np.r_[1, 2, n - 1, n, rng.integers(1, n, 30, endpoint=True)])
+        u, v = np.triu_indices(len(ids), 1)
+        pairs = np.column_stack([ids[u], ids[v]])[rng.integers(0, len(u), 3 * len(u))]  # shuffled, with repeats
+        expected = pairs[np.lexsort(pairs.T[::-1])]
+        expected = expected[(np.diff(expected, axis=0, prepend=0) != 0).any(axis=1)]
+        got = Graph(n, pairs).pairs
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert len(got) < len(pairs) and np.array_equal(got, np.unique(pairs, axis=0))
+
     def test_stored_array_is_the_edge_level(self):
         g = Graph.from_edges(5, [(2, 1), (3, 2), (1, 3), (4, 5), (1, 2)])
         assert enumerate_cliques(g, 2).level(2) is g.pairs
@@ -632,32 +645,42 @@ class TestVertexCountBound:
 
 class TestTableLookup:
     """_extend finds a candidate's faces by one gather from a direct-address table when the keys' range is at most
-    the number of queries, else by binary search; _find's binary search is the oracle."""
+    the order's candidate count, else by binary search; _find's binary search is the oracle."""
 
     @staticmethod
     def enumerate_both(monkeypatch, graph: Graph, max_order: int):
-        """(complex, complex by binary search alone, (range, queries) of each lookup), each on a fresh graph."""
-        lookups = []
+        """(complex, complex by binary search alone, (range, candidates, table taken) of each order >= 3 that was
+        enumerated), each on a fresh graph. An order's first lookup has all its candidates as queries: these graphs
+        are one block each."""
+        lookups = {}
 
-        def spy(keys, key, bound=None):
-            lookups.append((bound, len(key)))
-            return _find(keys, key, bound)
+        def spy(keys, key, bound=None, table=None):
+            lookups.setdefault(id(keys), []).append((len(key), table is not None))
+            return _find(keys, key, bound, table)
 
         with monkeypatch.context() as patch:
             patch.setattr(complexes, "_find", spy)
             cx = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), max_order)
-            patch.setattr(complexes, "_find", lambda keys, key, bound=None: _find(keys, key))
+            patch.setattr(complexes, "_find", lambda keys, key, bound=None, table=None: _find(keys, key))
             oracle = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), max_order)
-        return cx, oracle, lookups
+        orders = []
+        for order in range(3, max_order + 1):
+            if id(cx._keys(order - 1)) in lookups:  # the keys of level order-1, kept on the graph
+                (queries, table), *rest = lookups.pop(id(cx._keys(order - 1)))
+                assert all(taken == table for _, taken in rest), order  # one rule per order, not per lookup
+                orders.append((cx.n_cliques(order - 2) * (graph.n_vertices + 1), queries, table))
+        assert not lookups
+        return cx, oracle, orders
 
     def test_faces_and_keys_match_binary_search_on_both_sides_of_the_rule(self, monkeypatch):
-        # (11, 0.9, 31) and (15, 0.7, 30) have exactly as many order-3 queries as the range n(n+1)
+        # (11, 0.9, 31) and (15, 0.7, 30) have exactly as many order-3 candidates as the range n(n+1)
         cases = [(11, 0.9, 31), (15, 0.7, 30), (12, 0.5, 0), (14, 0.8, 1), (16, 0.9, 2), (20, 0.3, 3), (9, 1.0, 4)]
         sides = set()
         for n, p, seed in cases:
             graph = random_graph(np.random.default_rng(seed), n, p)
             cx, oracle, lookups = self.enumerate_both(monkeypatch, graph, 5)
-            sides |= {int(np.sign(queries - bound)) for bound, queries in lookups}
+            assert all(table == (bound <= queries) for bound, queries, table in lookups), (n, p, seed)
+            sides |= {int(np.sign(queries - bound)) for bound, queries, _ in lookups}
             for order in range(3, 6):
                 faces = cx._faces(order)
                 assert faces.dtype == np.int32 and not faces.flags.writeable, (n, p, seed, order)
@@ -669,8 +692,8 @@ class TestTableLookup:
     def test_gnp_30_to_order_4_against_networkx(self, monkeypatch):
         graph = random_graph(np.random.default_rng(30), 30, 0.6)
         cx, _, lookups = self.enumerate_both(monkeypatch, graph, 4)
-        bound, queries = lookups[0]  # order 3 takes the table
-        assert bound == 30 * 31 <= queries
+        bound, queries, table = lookups[0]  # order 3 takes the table
+        assert bound == 30 * 31 <= queries and table
         nxg = nx.Graph(list(edge_set(graph)))
         nxg.add_nodes_from(range(1, 31))
         found = {order: [] for order in range(1, 5)}
@@ -703,6 +726,89 @@ class TestTableLookup:
             assert cx.locate(rows).tolist() == expected, order
 
 
+class TestBlockedEnumeration:
+    """_extend lays out an order's candidates one block of consecutive parents at a time, at most _BLOCK of them
+    unless one parent alone has more; whatever the block, the faces, keys and levels are the one-shot stacked
+    enumeration's, bit for bit."""
+
+    BLOCKS = (1, 7, 1 << 16, 1 << 40)  # one parent per block, a few, the default, the whole order at once
+
+    @staticmethod
+    def enumerate_in_blocks(monkeypatch, graph: Graph, max_order: int, block: int):
+        """(faces, keys, levels) of orders 2..max_order, enumerated on a fresh graph with the given block, and the
+        number of direct-address tables built for each order."""
+        tables, table_of = {}, complexes._address
+
+        def address(keys, bound):
+            tables[len(keys)] = tables.get(len(keys), 0) + 1
+            return table_of(keys, bound)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes, "_BLOCK", block)
+            patch.setattr(complexes, "_address", address)
+            cx = enumerate_cliques(Graph(graph.n_vertices, graph.pairs), max_order)
+            orders = range(2, max_order + 1)
+            return [cx._faces(k) for k in orders], [cx._keys(k) for k in orders], cx.levels[1:], tables
+
+    @pytest.mark.parametrize("n, p, seed, max_order", [
+        (40, 0.5, 0, 6),  # orders 3-6, many parents with no candidate (those ending at a vertex with no larger one)
+        (20, 1.0, 1, 6),  # K_20: parents with more candidates than a block of 7
+        (60, 0.15, 2, 6),  # the top levels are empty: order 4 is the graph's last nonempty one
+        (90, 0.3, 3, 4),  # order 3 from its edge-shift column, with the table, and order 4 by binary search
+    ])
+    def test_every_block_gives_the_stacked_enumeration(self, monkeypatch, n, p, seed, max_order):
+        graph = random_graph(np.random.default_rng(seed), n, p)
+        expected = stacked_levels(graph, max_order)[1:]
+        runs = [self.enumerate_in_blocks(monkeypatch, graph, max_order, block) for block in self.BLOCKS]
+        (faces, keys, levels, tables), others = runs[0], runs[1:]
+        for got in (faces, keys, levels):
+            assert all(not a.flags.writeable for a in got)
+        assert all(f.dtype == np.int32 for f in faces) and all(k.dtype == np.int64 for k in keys)
+        assert all(np.array_equal(a, b) for a, b in zip(levels, expected))
+        for other in others:
+            for mine, theirs in zip((faces, keys, levels), other[:3]):
+                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(mine, theirs))
+            assert other[3] == tables  # the same orders take a table, each built once, whatever the block
+        assert all(count == 1 for count in tables.values())
+        if seed == 3:
+            assert list(tables) == [len(graph.pairs)]  # order 3 took the table, order 4 did not
+        if seed == 2:
+            assert len(levels[2]) and not len(levels[3]) and levels[4].shape == (0, 6)
+
+    def test_blocks_are_consecutive_parents_never_split(self, monkeypatch):
+        # K_12 keeps every candidate, so each piece of order 3 is a whole block. Its edge (u, v) has 12 - v: the six
+        # edges with v <= 4 have more than a block of 7, and each forms a block of its own
+        pieces, face_rows = [], complexes._face_rows
+        monkeypatch.setattr(complexes, "_face_rows", lambda columns, below: pieces.append(len(columns[0]))
+                            or face_rows(columns, below))
+        graph = complete_graph(12)
+        _, _, levels, _ = self.enumerate_in_blocks(monkeypatch, graph, 3, 7)
+        assert np.array_equal(levels[1], stacked_levels(graph, 3)[2])
+        blocks, size, parents = [], 0, 0
+        for _, v in graph.pairs.tolist():  # greedy: a block closes before the parent that would take it past 7
+            if parents and size + 12 - v > 7:
+                blocks, size, parents = blocks + [size], 0, 0
+            size, parents = size + 12 - v, parents + 1
+        assert pieces[1:] == blocks + [size]  # after the edge level's one piece
+        assert blocks[:4] == [10, 9, 8, 7] and sum(pieces[1:]) == 220
+
+    def test_order_3_peak_stays_under_three_times_its_faces(self):
+        # G(300, 0.57): 25,518 edges, 1,441,197 candidates at order 3, 820,935 triangles. The one-shot step peaked at
+        # 5.2 times the faces it kept, the blocked one at 2.1 (the faces twice while the pieces are joined, a block)
+        graph = random_graph(np.random.default_rng(8), 300, 0.57)
+        enumerate_cliques(graph, 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cx = enumerate_cliques(graph, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        faces = cx._faces(3)
+        assert len(faces) > 750_000
+        assert peak <= 3 * faces.nbytes, peak / faces.nbytes
+
+
 class TestEnumerationSizeGuard:
     """Enumeration refuses an order whose candidates would not fit in physical memory, before laying them out."""
 
@@ -727,7 +833,7 @@ class TestEnumerationSizeGuard:
         assert enumerate_cliques(graph, 3).n_cliques(3) == 551_300
 
     def test_small_steps_are_not_checked(self, monkeypatch):
-        self.probe(monkeypatch, 1)  # K_12's steps need at most 35 * 924 bytes, under the 16 MiB checked from
+        self.probe(monkeypatch, 1)  # K_12's steps need at most (8 * 6 + 11) * 924 bytes, under the 16 MiB checked from
         assert enumerate_cliques(complete_graph(12), 13).clique_number() == 12
 
     def test_cli_exits_1_naming_order_and_count(self, monkeypatch, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import sympy
@@ -450,3 +452,46 @@ class TestHarmonicBasisSizeGuard:
         with pytest.raises(ValueError, match="laplacian degree 3 out of range"):
             harmonic_basis(enumerate_cliques(complete_graph(6), 3), 3)
         assert harmonic_basis(enumerate_cliques(cycle_graph(5), 3), 2) == []  # no triangles: nothing to allocate
+
+
+class TestEigensolveSideCap:
+    """A dense eigensolve of side past MAX_EIGENSOLVE_SIDE is refused once its bytes are checked, before anything of
+    that side is built: eigvalsh grows as side^3, about a minute at the cap of 8,192 and ~16 minutes at 20,000."""
+
+    @staticmethod
+    def long_path(n: int) -> Graph:
+        return Graph(n, np.column_stack([np.arange(1, n), np.arange(2, n + 1)]))
+
+    def test_the_cap_is_admitted_and_one_more_refused(self):
+        assert complexes.MAX_EIGENSOLVE_SIDE == 8192
+        complexes._check_work(8192, "the dense Gram of d_0")
+        with pytest.raises(ValueError) as info:
+            complexes._check_work(8193, "the dense Gram of d_0")
+        assert str(info.value) == "the dense Gram of d_0 has side 8193, above the cap of 8192 on a dense eigensolve"
+
+    def test_spectrum_of_a_long_path_exits_1_at_once(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "p20000.txt"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(1, 20_000)))
+        TestGramSizeGuard.probe(monkeypatch, 1 << 40)  # its 6.4 GB fit: only the cap on work refuses
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("eigensolved past the cap"))
+        start = time.perf_counter()
+        assert main(["spectrum", "--input", str(path), "--k", "0"]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ("graphhodge: error: the dense Gram of d_0 has side 19999, above the cap of "
+                                           "8192 on a dense eigensolve\n")
+
+    def test_harmonic_basis_refused_before_any_laplacian(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(spectral, "hodge_laplacian", lambda *args: built.append(args) or hodge_laplacian(*args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved past the cap"))
+        TestGramSizeGuard.probe(monkeypatch, 1 << 40)
+        with pytest.raises(ValueError) as info:
+            harmonic_basis(enumerate_cliques(self.long_path(8193), 2), 0)
+        assert str(info.value) == ("the dense Hodge 0-Laplacian has side 8193, above the cap of 8192 on a dense "
+                                   "eigensolve")
+        assert not built
+
+    def test_memory_is_checked_first(self, monkeypatch):
+        TestGramSizeGuard.probe(monkeypatch, 16 * 19_999**2 - 1)
+        with pytest.raises(ValueError, match="Gram of d_0 has side 19999: .* needs 6399360016 bytes"):
+            betti(enumerate_cliques(self.long_path(20_000), 2), 0)
